@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import loglaplace, moments, montecarlo, spectral
-from .model import ModelError, load_model_file
+from .model import ModelError, as_field, load_model_file
 from .spectral import NotCriticalError
 
 
@@ -25,18 +25,27 @@ def _fmt(x) -> str:
 
 
 def _parse_vector(arg: str) -> np.ndarray:
-    """Inline comma-separated values, or a path to a one-column CSV."""
+    """Inline comma-separated values, or a path to a one-column CSV.
+
+    Only the first non-empty line of the file may be non-numeric (a
+    header); any later such line is an error naming the file and line.
+    """
     if os.path.exists(arg):
         rows = []
+        header_allowed = True
         with open(arg, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     rows.append(float(line.split(",")[0]))
                 except ValueError:
-                    continue  # header line
+                    if not header_allowed:
+                        raise ModelError(
+                            f"{arg}, line {lineno}: not a number: {line!r}"
+                        ) from None
+                header_allowed = False
         return np.array(rows)
     return np.array([float(v) for v in arg.split(",")])
 
@@ -151,13 +160,13 @@ def _cmd_simulate(args) -> int:
     model = load_model_file(args.model)
     sd = spectral.spectral_data(model)
     mu = _parse_vector(args.mu)
-    f = _parse_vector(args.f)
+    f = as_field(model, _parse_vector(args.f))
     cfg = montecarlo.SimConfig(
         t_end=args.t, dt=args.dt, n_paths=args.paths, seed=args.seed,
         n_threads=args.threads,
     )
     ens = montecarlo.simulate_paths(model, mu, cfg, sd=sd)
-    f_tilde = spectral.remove_principal_component(np.asarray(f, float), sd)
+    f_tilde = spectral.remove_principal_component(f, sd)
     v = ens.states_at_t @ sd.phi0 / cfg.t_end
     z = ens.states_at_t @ f_tilde / math.sqrt(cfg.t_end)
     header = "path_id,survived," + ",".join(

@@ -41,6 +41,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    """Reject NaN and infinite entries, naming the first one."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        where = "".join(f"[{i}]" for i in idx)
+        raise ModelError(f"{name}{where} must be finite, got {arr[idx]}")
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Finite set of states and strictly positive reference weights."""
@@ -58,6 +67,7 @@ class StateSpace:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ModelError("state labels must be pairwise distinct")
+        _require_finite("m", self.m)
         for i, v in enumerate(self.m):
             if not v > 0:
                 raise ModelError(f"m[{i}] must be > 0, got {v}")
@@ -78,6 +88,7 @@ class SpatialGenerator:
         Q = self.Q
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ModelError(f"Q must be square, got shape {Q.shape}")
+        _require_finite("Q", Q)
         n = Q.shape[0]
         scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
         for i in range(n):
@@ -93,7 +104,8 @@ class SpatialGenerator:
 class BranchingData:
     """Per-state branching rate, mechanism coefficients and jump atoms.
 
-    ``jumps[i]`` is an (k_i, 2) array of (size, weight) atoms, both > 0.
+    ``jumps[i]`` is an (k_i, 2) array of (size, weight) atoms, both finite
+    and > 0.
     """
 
     beta: np.ndarray
@@ -105,14 +117,20 @@ class BranchingData:
         object.__setattr__(self, "beta", _freeze(self.beta))
         object.__setattr__(self, "a", _freeze(self.a))
         object.__setattr__(self, "b", _freeze(self.b))
+        for name in ("beta", "a", "b"):
+            _require_finite(name, getattr(self, name))
         norm = []
         for i, atoms in enumerate(self.jumps):
             arr = np.array(atoms, dtype=float).reshape(-1, 2)
             for k in range(arr.shape[0]):
-                if not arr[k, 0] > 0:
-                    raise ModelError(f"jumps[{i}][{k}].y must be > 0, got {arr[k, 0]}")
-                if not arr[k, 1] > 0:
-                    raise ModelError(f"jumps[{i}][{k}].w must be > 0, got {arr[k, 1]}")
+                if not 0 < arr[k, 0] < math.inf:
+                    raise ModelError(
+                        f"jumps[{i}][{k}].y must be finite and > 0, got {arr[k, 0]}"
+                    )
+                if not 0 < arr[k, 1] < math.inf:
+                    raise ModelError(
+                        f"jumps[{i}][{k}].w must be finite and > 0, got {arr[k, 1]}"
+                    )
             arr.setflags(write=False)
             norm.append(arr)
         object.__setattr__(self, "jumps", tuple(norm))
@@ -235,12 +253,13 @@ def validate_model(model: SuperprocessModel) -> SuperprocessModel:
 # field / measure vectors
 
 def as_field(model: SuperprocessModel, values) -> np.ndarray:
-    """Coerce to a function-on-states vector of the right length."""
+    """Coerce to a finite function-on-states vector of the right length."""
     f = np.asarray(values, dtype=float)
     if f.shape != (model.n_states,):
         raise ModelError(
             f"field vector must have shape ({model.n_states},), got {f.shape}"
         )
+    _require_finite("vector entry ", f)
     return f
 
 

@@ -4,11 +4,13 @@ The variance of <f, X_t> is a time integral of the semigroup applied to
 the local variance factor times the squared evolved field.  In the
 eigenbasis of the mean generator that integrand is a sum of exponentials,
 so the integral has a closed form; for an ill-conditioned eigenbasis it is
-one block matrix exponential (Van Loan, IEEE TAC 23(3), 1978).  Neither
-needs quadrature.  An independent oracle via
-second differences of the log-Laplace transform is provided for
-cross-checking, and the long-time variance limit check fits the geometric
-decay rate of the deviation from its constant.
+one block matrix exponential (Van Loan, IEEE TAC 23(3), 1978).  The
+deviation of the variance from its limit sigma_f^2 phi0 is closed form the
+same way, with the principal mode's part written as the tail of the limit
+integral, so no large terms cancel.  Nothing here uses quadrature.  An
+independent oracle via second differences of the log-Laplace transform is
+provided for cross-checking, and the long-time variance limit check fits
+the geometric decay rate of the deviation from its constant.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import simpson
 
 from .loglaplace import _solve_batch
 from .model import (
@@ -31,15 +32,14 @@ from .model import (
 from .spectral import (
     MeanSemigroup,
     SpectralData,
+    _fluctuation_gram,
     fluctuation_variance,
-    _weighted_square_integral,
     require_critical,
 )
 
 
 class QuadratureError(RuntimeError):
-    """A variance broke its a priori bound, or node doubling failed to
-    stabilize the stable-deviation integral."""
+    """A variance broke its a priori bound by e^{K t} times the mean of f^2."""
 
 
 def first_moment(model: SuperprocessModel, f, t: float, mu) -> float:
@@ -65,47 +65,60 @@ def _exp_integral(lam: np.ndarray, mu: np.ndarray, t: float) -> np.ndarray:
     return t * np.exp(lead * t) * phi
 
 
+def _mode_terms(eig, avar: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Coefficients c[m, i, j] of avar (T_s f)^2 on mode m and e^{(w_i + w_j) s}.
+
+    With L = V diag(w) V^{-1} and g = V^{-1} f, T_s f = V (g e^{w s}), so
+    the squared field is a sum of exponentials e^{(w_i + w_j) s} and its
+    mode-m component under V^{-1} carries the coefficient c[m, i, j].
+    """
+    _, v, vinv = eig
+    g = vinv @ f
+    return np.einsum("mx,x,xi,xj,i,j->mij", vinv, avar, v, v, g, g)
+
+
+def _block_profile(G: np.ndarray, avar: np.ndarray, f: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t e^{(t-s) G} [avar (e^{s G} f)^2] ds by one matrix exponential.
+
+    It is the upper-right block of exp(t [[G, diag(avar) D], [0, G (+) G]])
+    applied to f (x) f, where G (+) G is the Kronecker sum and D picks out
+    the diagonal entries of an n^2 vector (Van Loan, IEEE TAC 23(3), 1978).
+    """
+    n = G.shape[0]
+    eye = np.eye(n)
+    block = np.zeros((n + n * n, n + n * n))
+    block[:n, :n] = G
+    block[np.arange(n), n + np.arange(n) * (n + 1)] = avar
+    block[n:, n:] = np.kron(G, eye) + np.kron(eye, G)
+    return sla.expm(t * block)[:n, n:] @ np.kron(f, f)
+
+
 def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.ndarray:
     """Statewise variance of <f, X_t> started from unit mass at each state.
 
     The profile is the integral over [0, t] of T_{t-s}[avar (T_s f)^2] ds.
-    With L = V diag(w) V^{-1} and g = V^{-1} f, (T_s f)^2 is a sum of
-    exponentials e^{(w_i + w_j) s}, so each mode m of the outer semigroup
-    picks up the integral of e^{w_m (t-s) + (w_i + w_j) s} in closed form.
-    When V is too ill-conditioned (the mean semigroup's own test), the
-    same integral is the upper-right block of
-    exp(t [[L, diag(avar) D], [0, L (+) L]]) applied to f (x) f, where
-    L (+) L is the Kronecker sum and D picks out the diagonal entries of an
-    n^2 vector (Van Loan, IEEE TAC 23(3), 1978).
+    Over the eigenmodes of L each term of ``_mode_terms`` integrates
+    e^{w_m (t-s) + (w_i + w_j) s} in closed form.  When the eigenbasis is
+    too ill-conditioned (the mean semigroup's own test), the profile is
+    ``_block_profile`` of L.
     """
-    n = model.n_states
     if t == 0:
-        return np.zeros(n)
+        return np.zeros(model.n_states)
     avar = derived_coefficients(model).avar
     sg = MeanSemigroup(model)
     eig = sg.eigensystem
-    if eig is not None:
-        w, v, vinv = eig
-        g = vinv @ f
-        coupling = np.einsum("mx,x,xi,xj->mij", vinv, avar, v, v)
-        weights = _exp_integral(w[:, None, None], (w[:, None] + w[None, :])[None], t)
-        coef = np.einsum("mij,mij,i,j->m", coupling, weights, g, g)
-        return (v @ coef).real
-    L = sg.L
-    eye = np.eye(n)
-    block = np.zeros((n + n * n, n + n * n))
-    block[:n, :n] = L
-    block[np.arange(n), n + np.arange(n) * (n + 1)] = avar
-    block[n:, n:] = np.kron(L, eye) + np.kron(eye, L)
-    return sla.expm(t * block)[:n, n:] @ np.kron(f, f)
+    if eig is None:
+        return _block_profile(sg.L, avar, f, t)
+    w, v, _ = eig
+    weights = _exp_integral(w[:, None, None], (w[:, None] + w[None, :])[None], t)
+    return (v @ np.einsum("mij,mij->m", _mode_terms(eig, avar, f), weights)).real
 
 
 def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> float:
     """Variance of <f, X_t> started from mu, in closed form.
 
     Also enforces the a priori bound by e^{K t} times the mean of f^2.
-    ``rtol`` is accepted and not used: the profile is in closed form,
-    with no quadrature to refine.
+    ``rtol`` is accepted for existing callers and not used.
     """
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
@@ -189,47 +202,36 @@ def _stable_deviation(
     sd: SpectralData,
     f: np.ndarray,
     t: float,
-    rtol: float,
 ) -> float:
     """max_x |Var - sigma^2 phi0| / phi0 without big-minus-big cancellation.
 
-    Writes the deviation as the integral of the semigroup applied to the
-    principal-free part of the integrand, minus the tail of the limit
-    integral past t; both pieces are small by themselves, so the result
-    stays accurate far below the float noise of the raw difference.  All
-    propagation runs through the principal-free part of the semigroup:
-    roundoff would otherwise reinject a persistent principal mode whose
-    integral swamps the true deviation.
+    With the principal part of f removed, the principal mode of the
+    profile carries int_0^t e^{r s} ds per rate r = w_i + w_j, and its
+    limit the same integral to infinity; their difference e^{r t} / r is
+    small by itself, as are the other modes' terms.  For an
+    ill-conditioned eigenbasis, the principal-free part is the block
+    profile of the deflated generator A projected by P = I - phi0 (psi0 m)^T,
+    and the principal part is minus the tail of the limit integral past t,
+    read off the Lyapunov Gram matrix X as diag(e^{tA} X e^{tA^T}).
     """
-    sg = MeanSemigroup(model)
-    avar = derived_coefficients(model).avar
     f = f - sd.psi_weight(f) * sd.phi0
-
-    def fluct(s: float) -> np.ndarray:
-        h = sg.fluct_apply(s, f)
-        g_tilde = avar * h * h
-        g_tilde = g_tilde - sd.psi_weight(g_tilde) * sd.phi0
-        return sg.fluct_apply(t - s, g_tilde)
-
-    tail = _weighted_square_integral(model, sd, f, t, rtol)
-    floor = 1e-4 * tail * float(sd.phi0.max())
-
-    n = 128
-    prev = None
-    cur = None
-    for _ in range(12):
-        xs = np.linspace(0.0, t, n + 1)
-        vals = np.stack([fluct(s) for s in xs])
-        cur = simpson(vals, x=xs, axis=0)
-        if prev is not None:
-            gap = float(np.abs(cur - prev).max())
-            if gap <= max(rtol * float(np.abs(cur).max()), floor, 1e-300):
-                break
-        prev = cur
-        n *= 2
+    avar = derived_coefficients(model).avar
+    eig = MeanSemigroup(model).eigensystem
+    if eig is not None:
+        w, v, _ = eig
+        p = int(np.argmax(w.real))
+        rest = np.arange(w.size) != p
+        terms = _mode_terms(eig, avar, f)[:, rest][:, :, rest]
+        rates = w[rest, None] + w[None, rest]
+        weights = _exp_integral(w[:, None, None], rates[None], t)
+        weights[p] = np.exp(rates * t) / rates
+        dev = (v @ np.einsum("mij,mij->m", terms, weights)).real
     else:
-        raise QuadratureError("stable-deviation quadrature did not converge")
-    dev = cur - tail * sd.phi0
+        A, X = _fluctuation_gram(model, sd, f)
+        E = sla.expm(t * A)
+        tail = float(np.dot(avar * np.diag(E @ X @ E.T) * sd.psi0, sd.m))
+        P = np.eye(model.n_states) - np.outer(sd.phi0, sd.psi0 * sd.m)
+        dev = P @ _block_profile(A, avar, f, t) - tail * sd.phi0
     return float(np.abs(dev / sd.phi0).max())
 
 
@@ -238,14 +240,13 @@ def variance_limit_check(
     sd: SpectralData,
     f,
     t_grid,
-    rtol: float = 1e-8,
 ) -> VarianceLimitReport:
     """Deviation of the statewise variance from sigma_f^2 phi0 over a grid.
 
     Asserts the deviation decays geometrically at a fitted rate of at least
     0.8 times the spectral gap.  The rate is fitted on the cancellation-free
-    deviations; the raw differences saturate at quadrature noise once the
-    true deviation falls below it.
+    deviations; the raw differences saturate at float noise once the true
+    deviation falls below it.
     """
     f = as_field(model, f)
     require_critical(sd)
@@ -265,7 +266,7 @@ def variance_limit_check(
         profile = _variance_profile(model, f, float(t))
         limit_profile = sigma_sq * sd.phi0
         raw = float(np.abs((profile - limit_profile) / sd.phi0).max())
-        stable = 0.0 if zero_f else _stable_deviation(model, sd, f, float(t), rtol)
+        stable = 0.0 if zero_f else _stable_deviation(model, sd, f, float(t))
         rows.append(VarianceLimitRow(float(t), profile, limit_profile, raw, stable))
 
     devs = np.array([r.stable_deviation for r in rows])

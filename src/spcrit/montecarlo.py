@@ -40,13 +40,12 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Horizon, step, path count, seed and the absorption threshold."""
+    """Horizon, step, path count, seed and worker thread count."""
 
     t_end: float
     dt: float
     n_paths: int
     seed: int
-    absorb_floor: float = 0.0
     n_threads: int = 1
 
     def __post_init__(self):
@@ -125,8 +124,6 @@ def _simulate_chunk(
             lam = np.maximum(Xa[:, i], 0.0) * rate
             Xa[:, i] += y * rng.poisson(lam)
         np.maximum(Xa, 0.0, out=Xa)
-        if cfg.absorb_floor > 0.0:
-            Xa[Xa.sum(axis=1) <= cfg.absorb_floor] = 0.0
         X[alive] = Xa
     return X
 

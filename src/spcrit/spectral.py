@@ -3,7 +3,9 @@
 The mean semigroup acts on field vectors as exp(t*(Q + diag(alpha))).  Its
 principal eigenpair (phi0 right, psi0 left in the m-weighted sense), the
 spectral gap and the constants nu and sigma_f^2 feed every limit check
-downstream.
+downstream.  Both constants are closed form: nu is a weighted sum, and
+sigma_f^2 comes from one continuous Lyapunov solve with the generator
+deflated at its principal eigenvalue (Bartels & Stewart, CACM 15(9), 1972).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import simpson
 
 from .model import (
     BranchingData,
@@ -55,7 +56,6 @@ class MeanSemigroup:
         self.model = model
         self.L = generator_matrix(model)
         self._cache: dict[float, np.ndarray] = {}
-        self._fluct_cache: dict[float, np.ndarray] = {}
         self._eig = None
         n = self.L.shape[0]
         try:
@@ -99,34 +99,6 @@ class MeanSemigroup:
         """Adjoint action in the m-weighted inner product."""
         m = self.model.m
         return (self.matrix(t).T @ (g * m)) / m
-
-    def fluct_matrix(self, t: float) -> np.ndarray:
-        """exp(t*L) with the principal mode removed.
-
-        Agrees with the full matrix on fields whose principal component
-        vanishes, but keeps full relative precision on them: through the
-        full matrix those images cancel out of O(1) entries and drown in
-        roundoff once they shrink below ~1e-16 of the principal scale.
-        """
-        if t < 0:
-            raise ValueError(f"time must be >= 0, got {t}")
-        t = float(t)
-        hit = self._fluct_cache.get(t)
-        if hit is not None:
-            return hit
-        if self._eig is None:
-            # defective generator: best effort via the full matrix
-            out = sla.expm(t * self.L)
-        else:
-            w, v, vinv = self._eig
-            weights = np.exp(t * w)
-            weights[int(np.argmax(w.real))] = 0.0
-            out = ((v * weights) @ vinv).real
-        self._fluct_cache[t] = out
-        return out
-
-    def fluct_apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        return self.fluct_matrix(t) @ f
 
     def density(self, t: float) -> np.ndarray:
         """Kernel q(t,x,y) of the semigroup with respect to m."""
@@ -335,68 +307,36 @@ def remove_principal_component(f: np.ndarray, sd: SpectralData) -> np.ndarray:
     return f - sd.psi_weight(f) * sd.phi0
 
 
-def _weighted_square_integral(
-    model: SuperprocessModel,
-    sd: SpectralData,
-    f: np.ndarray,
-    lower: float,
-    rtol: float,
-) -> float:
-    """Integral over [lower, inf) of the psi0-weighted square of the
-    evolved field, with an analytic exponential tail estimate.
+def _fluctuation_gram(
+    model: SuperprocessModel, sd: SpectralData, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deflated generator A and the Gram matrix X of the evolved field.
 
-    Assumes the psi0-weight of f vanishes, so the evolution can run
-    through the principal-free propagator; that keeps relative precision
-    when the evolved field has decayed far below the principal scale.
+    A = L - c phi0 (psi0 m)^T moves the principal eigenvalue 0 of a
+    critical generator to -c and leaves the rest of the spectrum alone, so
+    A is stable and agrees with L on fields of zero psi0-weight.  c exceeds
+    twice the spectral radius of L, so the principal mode of A decays
+    faster than any product of two other modes: a field propagated by A
+    keeps only a principal part no larger than its principal-free one, and
+    projecting that part out loses no precision.  For such f,
+    X = int_0^inf e^{sA} f f^T e^{sA^T} ds solves A X + X A^T = -f f^T,
+    and diag(e^{tA} X e^{tA^T}) is the integral of (T_s f)^2 over [t, inf).
     """
-    dc = derived_coefficients(model)
-    sg = MeanSemigroup(model)
-    gamma = sd.gamma
-    f = f - m_inner(f, sd.psi0, sd.m) * sd.phi0
-
-    def g(s: float) -> float:
-        h = sg.fluct_apply(s, f)
-        return float(np.dot(dc.avar * h * h * sd.psi0, sd.m))
-
-    if not math.isfinite(gamma):
-        # one state with zero psi0-weight forces f = 0
-        return 0.0
-    if gamma <= 0:
-        raise SpectralError(f"spectral gap must be positive, got {gamma}")
-
-    upper = lower + max(1.0, 8.0 / gamma)
-    # extend until the analytic tail estimate g(T)/(2 gamma) is negligible
-    for _ in range(200):
-        probe = np.linspace(lower, upper, 9)
-        rough = float(simpson([g(s) for s in probe], x=probe))
-        tail = g(upper) / (2.0 * gamma)
-        if tail <= max(rtol * max(abs(rough), 1e-300), 1e-300):
-            break
-        upper *= 2.0
-    else:
-        raise SpectralError("tail of the variance integral failed to decay")
-
-    n = 64
-    prev = None
-    while n <= 2 ** 22:
-        xs = np.linspace(lower, upper, n + 1)
-        vals = np.fromiter((g(s) for s in xs), dtype=float, count=n + 1)
-        cur = float(simpson(vals, x=xs))
-        if prev is not None and abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur + g(upper) / (2.0 * gamma)
-        prev = cur
-        n *= 2
-    raise SpectralError("variance integral quadrature did not converge")
+    f = f - sd.psi_weight(f) * sd.phi0
+    L = generator_matrix(model)
+    shift = 1.0 + 2.0 * float(np.abs(L).sum(axis=1).max())
+    A = L - shift * np.outer(sd.phi0, sd.psi0 * sd.m)
+    return A, sla.solve_continuous_lyapunov(A, -np.outer(f, f))
 
 
 def fluctuation_variance(
     model: SuperprocessModel,
     sd: SpectralData,
     f,
-    rtol: float = 1e-10,
 ) -> float:
     """Time integral of the psi0-weighted squared evolved field.
 
+    sigma_f^2 = sum_x avar psi0 m diag(X) with X from ``_fluctuation_gram``.
     Requires the psi0-weight of f to vanish; otherwise the integrand tends
     to a positive constant and the integral diverges.
     """
@@ -410,4 +350,8 @@ def fluctuation_variance(
         )
     if not np.any(f != 0):
         return 0.0
-    return _weighted_square_integral(model, sd, f, 0.0, rtol)
+    if sd.gamma <= 0:
+        raise SpectralError(f"spectral gap must be positive, got {sd.gamma}")
+    _, X = _fluctuation_gram(model, sd, f)
+    avar = derived_coefficients(model).avar
+    return float(np.dot(avar * np.diag(X) * sd.psi0, sd.m))

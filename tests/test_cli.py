@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from spcrit import acceptance
-from spcrit.cli import main
-from spcrit.model import dump_model
+from spcrit.cli import _parse_vector, main
+from spcrit.model import ModelError, dump_model
 
 
 @pytest.fixture
@@ -140,6 +140,32 @@ def test_vector_from_file(m2_path, tmp_path):
     _, rows = read_csv(out)
     assert float(rows[0][1]) == pytest.approx((1 - math.exp(-4.0)) / 2,
                                               rel=1e-8)
+
+
+def test_vector_file_bad_row_exits_2(m2_path, tmp_path, capsys):
+    fvec = tmp_path / "f.csv"
+    fvec.write_text("1\nx2\n3\n")
+    code = main(["moments", m2_path, "--f", str(fvec), "--t", "1", "--mu", "1,0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(fvec) in err and "line 2" in err
+    # only the first non-empty line may be a header
+    fvec.write_text("\nvalue\n\n1\n-1\n")
+    np.testing.assert_array_equal(_parse_vector(str(fvec)), [1.0, -1.0])
+    fvec.write_text("value\n1\nlabel\n")
+    with pytest.raises(ModelError, match="line 3"):
+        _parse_vector(str(fvec))
+
+
+def test_non_finite_vector_exits_2(m2_path, tmp_path):
+    fvec = tmp_path / "mu.csv"
+    fvec.write_text("mu\n1\ninf\n")
+    assert main(["moments", m2_path, "--f", "nan,1", "--t", "1", "--mu", "1,0"]) == 2
+    assert main(["moments", m2_path, "--f", "1,-1", "--t", "1", "--mu", str(fvec)]) == 2
+    assert main(
+        ["simulate", m2_path, "--mu", "1,0", "--t", "1", "--dt", "0.01",
+         "--paths", "10", "--seed", "1", "--f", "1,nan"]
+    ) == 2
 
 
 def test_bad_t_grid_is_a_runtime_error(m1_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spcrit.model import (
     SpatialGenerator,
     StateSpace,
     SuperprocessModel,
+    as_field,
     as_measure,
     check_dual_submarkov,
     check_grey_domination,
@@ -22,6 +24,7 @@ from spcrit.model import (
     pairing,
     validate_model,
 )
+from spcrit.moments import first_moment
 
 M1_TEXT = json.dumps(
     {
@@ -93,6 +96,31 @@ def test_bad_jump_atoms_named():
         load_model(json.dumps(doc))
     doc["jumps"] = [[{"y": 1, "w": 1, "z": 2}]]
     with pytest.raises(ParseError, match=r"jumps\[0\]\[0\]"):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "key, path, named",
+    [
+        ("m", (1,), r"m\[1\]"),
+        ("Q", (0, 1), r"Q\[0\]\[1\]"),
+        ("beta", (0,), r"beta\[0\]"),
+        ("a", (1,), r"a\[1\]"),
+        ("b", (0,), r"b\[0\]"),
+        ("jumps", (0, 0, "y"), r"jumps\[0\]\[0\]\.y"),
+        ("jumps", (0, 0, "w"), r"jumps\[0\]\[0\]\.w"),
+    ],
+    ids=["m", "Q", "beta", "a", "b", "jump_y", "jump_w"],
+)
+def test_non_finite_entry_named(key, path, named, bad):
+    doc = json.loads(M2_TEXT)
+    doc["jumps"] = [[{"y": 0.5, "w": 2.0}], []]
+    target = doc[key]
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = bad
+    with pytest.raises(ModelError, match=rf"^{named} must be finite"):
         load_model(json.dumps(doc))
 
 
@@ -215,6 +243,16 @@ def test_measure_validation(m2):
     with pytest.raises(ModelError, match="total mass"):
         as_measure(m2, [0.0, 0.0])
     as_measure(m2, [0.0, 0.0], allow_zero=True)
+
+
+def test_non_finite_vectors_rejected(m2):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match=r"\[1\] must be finite"):
+            as_field(m2, [1.0, bad])
+        with pytest.raises(ModelError, match=r"\[0\] must be finite"):
+            as_measure(m2, [bad, 1.0])
+        with pytest.raises(ModelError, match="must be finite"):
+            first_moment(m2, [1.0, 1.0], 1.0, [1.0, bad])
 
 
 def test_pairings(m2):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spcrit import acceptance
+from spcrit import acceptance, moments
 from spcrit.model import derived_coefficients
 from spcrit.moments import (
     first_moment,
@@ -12,7 +12,7 @@ from spcrit.moments import (
     variance_from_transform,
     variance_limit_check,
 )
-from spcrit.spectral import MeanSemigroup, spectral_data
+from spcrit.spectral import MeanSemigroup, fluctuation_variance, spectral_data
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -48,24 +48,44 @@ def test_variance_eigen_reduction(m2):
 
 
 def test_variance_block_fallback_agrees(m2, rng, monkeypatch):
-    # the eigenmode closed form and the block matrix exponential used for
-    # ill-conditioned eigenbases are two routes to one integral
-    from spcrit import moments
-
+    # the eigenmode closed forms and the block matrix exponentials used for
+    # ill-conditioned eigenbases are two routes to the same quantities
     cases = [(m2, np.array([1.0, -1.0]), 1.0)]
     for _ in range(20):
         model = acceptance.random_model(rng)
         cases.append(
             (model, rng.normal(size=model.n_states), float(rng.uniform(0.1, 20.0)))
         )
+    critical = [(m2, spectral_data(m2), np.array([1.0, -1.0]))]
+    for _ in range(10):
+        model = acceptance.random_model(
+            rng, n_states=int(rng.integers(2, 5)), critical=True
+        )
+        sd = spectral_data(model)
+        critical.append((model, sd, rng.normal(size=model.n_states)))
+    dev_cases = [
+        (m, sd, f - sd.psi_weight(f) * sd.phi0, t)
+        for m, sd, f in critical
+        for t in (2.5, 5.0, 15.0, 30.0)
+    ]
+    # matrix exponentials carry an absolute error of roundoff times their
+    # norm, here ~e^{-gamma t} |f|^2; on m2 the deviation e^{-4t}/sqrt(2)
+    # falls below that at t = 15 and 30
+    floor = np.array(
+        [1e-12 * math.exp(-sd.gamma * t) * float(f @ f) for _, sd, f, t in dev_cases]
+    )
+
     by_modes = [moments._variance_profile(m, f, t) for m, f, t in cases]
+    dev_modes = np.array([moments._stable_deviation(*c) for c in dev_cases])
     monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
     by_block = [moments._variance_profile(m, f, t) for m, f, t in cases]
+    dev_block = np.array([moments._stable_deviation(*c) for c in dev_cases])
     assert variance(m2, [1.0, -1.0], 1.0, [1.0, 0.0]) == pytest.approx(
         (1.0 - math.exp(-4.0)) / 2.0, rel=1e-9
     )
     for a, b in zip(by_modes, by_block):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12 * np.abs(b).max())
+    assert np.all(np.abs(dev_block - dev_modes) <= 1e-10 * dev_modes + floor)
 
 
 def test_variance_negative_time_rejected(m1):
@@ -155,7 +175,7 @@ def test_variance_limit_preconditions(m2):
         variance_limit_check(m2, sd, [1.0, -1.0], [1.0, 5.0])
 
 
-def test_variance_limit_convergence_toward_profile(m2):
+def test_variance_limit_convergence_toward_profile(m2, rng):
     # at moderate t the raw deviation is still above noise and must agree
     # with the closed form e^{-4t}/sqrt(2)
     sd = spectral_data(m2)
@@ -163,6 +183,27 @@ def test_variance_limit_convergence_toward_profile(m2):
     for row in report.rows:
         expect = math.exp(-4.0 * row.t) / math.sqrt(2.0)
         assert row.max_rel_deviation == pytest.approx(expect, rel=1e-3, abs=1e-9)
+    # on random critical models the cancellation-free deviation equals the
+    # raw one wherever the raw difference stands far above float noise
+    compared = 0
+    for _ in range(20):
+        model = acceptance.random_model(
+            rng, n_states=int(rng.integers(2, 5)), critical=True
+        )
+        sd = spectral_data(model)
+        f = rng.normal(size=model.n_states)
+        f = f - sd.psi_weight(f) * sd.phi0
+        sigma_sq = fluctuation_variance(model, sd, f)
+        for t in np.array([0.5, 1.0, 2.0, 4.0]) / sd.gamma:
+            profile = moments._variance_profile(model, f, t)
+            raw = float(np.abs((profile - sigma_sq * sd.phi0) / sd.phi0).max())
+            if raw < 1e-6 * sigma_sq:
+                continue
+            compared += 1
+            assert moments._stable_deviation(model, sd, f, t) == pytest.approx(
+                raw, rel=1e-8
+            )
+    assert compared >= 40
 
 
 def test_profile_matches_semigroup_mean(m2):

@@ -10,6 +10,7 @@ from spcrit.model import (
     derived_coefficients,
     m_inner,
 )
+from spcrit.moments import _variance_profile
 from spcrit.spectral import (
     MeanSemigroup,
     NotCriticalError,
@@ -288,15 +289,24 @@ def test_fluctuation_variance_precondition(m2):
         fluctuation_variance(m2, sd, np.array([1.0, 1.0]))
 
 
-def test_fluct_matrix_matches_full_matrix_on_projected_fields(m2, rng):
-    for model in (m2, acceptance.random_model(rng, n_states=3, critical=True)):
+def test_fluctuation_variance_is_profile_limit(m2, rng):
+    # the Lyapunov closed form against the psi0-weight of the finite-t
+    # variance profile, whose gap to the limit is e^{-80} at t = 40/gamma
+    cases = [(m2, np.array([1.0, -1.0]))]
+    for _ in range(20):
+        model = acceptance.random_model(
+            rng, n_states=int(rng.integers(2, 5)), critical=True
+        )
         sd = spectral_data(model)
-        sg = MeanSemigroup(model)
-        f = remove_principal_component(rng.normal(size=model.n_states), sd)
-        for t in (0.3, 1.0, 4.0):
-            np.testing.assert_allclose(
-                sg.fluct_apply(t, f), sg.apply(t, f), atol=1e-12, rtol=1e-8
-            )
+        cases.append(
+            (model, remove_principal_component(rng.normal(size=model.n_states), sd))
+        )
+    for model, f in cases:
+        sd = spectral_data(model)
+        profile = _variance_profile(model, f, 40.0 / sd.gamma)
+        assert fluctuation_variance(model, sd, f) == pytest.approx(
+            sd.psi_weight(profile), rel=1e-10
+        )
 
 
 def test_fit_expansion_constant_refinement_stays_bounded(m2):
