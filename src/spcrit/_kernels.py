@@ -1,4 +1,4 @@
-"""Fixed-step RK4 kernels for the nonlinear mass evolution equation.
+"""Fixed-step RK4 kernel for the nonlinear mass evolution equation.
 
 The right-hand side is du/dt = Q u - Psi(., u) written with the mechanism
 expanded: linear part beta*a*u, quadratic part -beta*b*u^2 and one
@@ -6,86 +6,15 @@ exponential term per jump atom.  Jump atoms arrive padded to a rectangular
 (n_states, k_max) pair of arrays with zero weights as filler; the weight
 array already carries the beta factor.
 
-A numba build is used when available; the numpy fallback has identical
-semantics.  Either path is deterministic on its own.
+Everything is plain numpy and deterministic.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-@njit(cache=True)
-def _rhs_fill(Q, lin, quad, jy, jw, src, out):
-    n = src.size
-    kmax = jy.shape[1]
-    for i in range(n):
-        ui = src[i]
-        acc = lin[i] * ui - quad[i] * ui * ui
-        for k in range(kmax):
-            w = jw[i, k]
-            if w > 0.0:
-                z = ui * jy[i, k]
-                acc -= w * (math.exp(-z) - 1.0 + z)
-        for j in range(n):
-            acc += Q[i, j] * src[j]
-        out[i] = acc
-
-
-@njit(cache=True)
-def _rk4_numba(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec):
-    batch, n = u.shape
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    tmp = np.empty(n)
-    min_seen = 0.0
-    for p in range(batch):
-        for i in range(n):
-            if u[p, i] < min_seen:
-                min_seen = u[p, i]
-    ptr = 0
-    for s in range(n_steps):
-        for p in range(batch):
-            _rhs_fill(Q, lin, quad, jy, jw, u[p], k1)
-            for i in range(n):
-                tmp[i] = u[p, i] + 0.5 * h * k1[i]
-            _rhs_fill(Q, lin, quad, jy, jw, tmp, k2)
-            for i in range(n):
-                tmp[i] = u[p, i] + 0.5 * h * k2[i]
-            _rhs_fill(Q, lin, quad, jy, jw, tmp, k3)
-            for i in range(n):
-                tmp[i] = u[p, i] + h * k3[i]
-            _rhs_fill(Q, lin, quad, jy, jw, tmp, k4)
-            for i in range(n):
-                v = u[p, i] + h * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
-                u[p, i] = v
-                if v < min_seen:
-                    min_seen = v
-        if ptr < rec_steps.size and s + 1 == rec_steps[ptr]:
-            for p in range(batch):
-                for i in range(n):
-                    rec[ptr, p, i] = u[p, i]
-            ptr += 1
-    return min_seen
+# no compiled kernel exists; kept for callers that report the build
+HAVE_NUMBA = False
 
 
 def _rhs_numpy(Q, lin, quad, jy, jw, u):
@@ -96,10 +25,17 @@ def _rhs_numpy(Q, lin, quad, jy, jw, u):
     return out
 
 
-def _rk4_numpy(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec):
+def rk4_evolve(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec):
+    """Advance u (batch, n) in place by n_steps of size h.
+
+    Records the state after the 1-based step indices in ``rec_steps`` into
+    ``rec`` and returns the smallest entry seen after any full step (for
+    negativity detection; stage values are not inspected).
+    """
+    h = float(h)
     min_seen = min(0.0, float(u.min()))
     ptr = 0
-    for s in range(n_steps):
+    for s in range(int(n_steps)):
         k1 = _rhs_numpy(Q, lin, quad, jy, jw, u)
         k2 = _rhs_numpy(Q, lin, quad, jy, jw, u + 0.5 * h * k1)
         k3 = _rhs_numpy(Q, lin, quad, jy, jw, u + 0.5 * h * k2)
@@ -112,17 +48,3 @@ def _rk4_numpy(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec):
             rec[ptr] = u
             ptr += 1
     return min_seen
-
-
-def rk4_evolve(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec):
-    """Advance u (batch, n) in place by n_steps of size h.
-
-    Records the state after the 1-based step indices in ``rec_steps`` into
-    ``rec`` and returns the smallest entry seen after any full step (for
-    negativity detection; stage values are not inspected).
-    """
-    if HAVE_NUMBA:
-        return _rk4_numba(
-            Q, lin, quad, jy, jw, u, float(h), int(n_steps), rec_steps, rec
-        )
-    return _rk4_numpy(Q, lin, quad, jy, jw, u, float(h), int(n_steps), rec_steps, rec)

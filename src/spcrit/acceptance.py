@@ -113,7 +113,8 @@ def random_field(rng: np.random.Generator, n: int, nonneg: bool = False) -> np.n
 
 
 def warm_up() -> None:
-    """Trigger kernel compilation outside any timed section."""
+    """Run one short solve outside any timed section, so first-call costs
+    (imports, allocator and BLAS start-up) land in no criterion's time."""
     loglaplace.solve_log_laplace(model_m1(), np.array([1.0]), 0.1, dt=0.01)
 
 

@@ -47,17 +47,39 @@ def _parse_vector(arg: str) -> np.ndarray:
                         ) from None
                 header_allowed = False
         return np.array(rows)
-    return np.array([float(v) for v in arg.split(",")])
+    values = []
+    for i, text in enumerate(arg.split(",")):
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ModelError(
+                f"inline vector entry [{i}] is not a number: {text!r}"
+            ) from None
+    return np.array(values)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the scalar flags: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_t_grid(arg: str) -> np.ndarray:
     """a:b:n means n log-spaced points in [a, b]."""
-    parts = arg.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--t-grid expects a:b:n, got {arg!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (0 < a <= b and n >= 1):
-        raise ValueError(f"--t-grid needs 0 < a <= b and n >= 1, got {arg!r}")
+    try:
+        a, b, n = arg.split(":")
+        a, b, n = float(a), float(b), int(n)
+    except ValueError:
+        raise ModelError(f"--t-grid expects a:b:n, got {arg!r}") from None
+    if not (0 < a <= b < math.inf and n >= 1):
+        raise ModelError(
+            f"--t-grid needs finite 0 < a <= b and n >= 1, got {arg!r}"
+        )
     return np.geomspace(a, b, n)
 
 
@@ -217,19 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("yaglom", _cmd_yaglom, "conditional Laplace transform vs target")
     p.add_argument("--f", required=True, help="test field (csv or file)")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--mu", default=None, help="initial measure (default: first state)")
 
     p = add("moments", _cmd_moments, "mean, variance and second moment")
     p.add_argument("--f", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--mu", required=True)
 
     p = add("simulate", _cmd_simulate, "simulate paths and emit samples")
     p.add_argument("--mu", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, required=True)
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--f", required=True)

@@ -1,11 +1,20 @@
 """Mean semigroup, principal eigenpair and the limit-theorem constants.
 
-The mean semigroup acts on field vectors as exp(t*(Q + diag(alpha))).  Its
-principal eigenpair (phi0 right, psi0 left in the m-weighted sense), the
-spectral gap and the constants nu and sigma_f^2 feed every limit check
-downstream.  Both constants are closed form: nu is a weighted sum, and
-sigma_f^2 comes from one continuous Lyapunov solve with the generator
-deflated at its principal eigenvalue (Bartels & Stewart, CACM 15(9), 1972).
+The mean semigroup acts on field vectors as exp(t*(Q + diag(alpha))) and
+evaluates a whole time grid as one stack of matrices.  Its principal
+eigenpair (phi0 right, psi0 left in the m-weighted sense), the spectral
+gap and the constants nu and sigma_f^2 feed every limit check downstream.
+Both constants are closed form: nu is a weighted sum, and sigma_f^2 comes
+from one continuous Lyapunov solve with the generator deflated at its
+principal eigenvalue (Bartels & Stewart, CACM 15(9), 1972).
+
+The kernel-expansion constant c_expansion is fitted on a time grid from
+the deviation of the kernel from its principal product.  That deviation
+is summed over the non-principal eigenmodes only, so the principal term
+is never subtracted and nothing cancels when e^{-gamma t} falls below
+roundoff; with an ill-conditioned eigenbasis it is one matrix exponential
+of the deflated generator times the complementary projector (Moler & Van
+Loan, SIAM Rev. 45(1), 2003).
 """
 
 from __future__ import annotations
@@ -45,19 +54,19 @@ def generator_matrix(model: SuperprocessModel) -> np.ndarray:
 
 
 class MeanSemigroup:
-    """Action of exp(t*L) with a factorization cached per instance.
+    """Action of exp(t*L) at one time or on a whole grid of times.
 
     Uses the eigendecomposition of L when it is well conditioned, otherwise
-    scaling-and-squaring (scipy's order-13 Pade).  Instances are call-local
-    caches; the model itself stays immutable.
+    scaling-and-squaring (scipy's order-13 Pade).  A 1-D array of k times
+    is evaluated in one array expression as a (k, n, n) stack, so callers
+    that need many times take one stack instead of looping.  The model
+    itself stays immutable.
     """
 
     def __init__(self, model: SuperprocessModel):
         self.model = model
         self.L = generator_matrix(model)
-        self._cache: dict[float, np.ndarray] = {}
         self._eig = None
-        n = self.L.shape[0]
         try:
             w, v = sla.eig(self.L)
             cond = np.linalg.cond(v)
@@ -65,7 +74,6 @@ class MeanSemigroup:
                 self._eig = (w, v, sla.inv(v))
         except np.linalg.LinAlgError:
             self._eig = None
-        self._identity = np.eye(n)
 
     @property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -73,38 +81,39 @@ class MeanSemigroup:
         too ill-conditioned to use and the Pade fallback is in force."""
         return self._eig
 
-    def matrix(self, t: float) -> np.ndarray:
-        """exp(t*L); entry (x, y) is the mean mass at y started from x."""
-        if t < 0:
-            raise ValueError(f"time must be >= 0, got {t}")
-        t = float(t)
-        if t == 0.0:
-            return self._identity.copy()
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
+    def matrix(self, t) -> np.ndarray:
+        """exp(t*L); entry (x, y) is the mean mass at y started from x.
+
+        A scalar t gives the (n, n) matrix, a 1-D array of k times the
+        (k, n, n) stack; t = 0 gives the identity exactly.
+        """
+        t = np.asarray(t, dtype=float)
+        bad = ~(t >= 0)  # NaN too
+        if bad.any():
+            raise ValueError(f"time must be >= 0, got {float(t[bad].flat[0])}")
+        ts = t[..., None, None]
         if self._eig is not None:
             w, v, vinv = self._eig
-            out = (v * np.exp(t * w)) @ vinv
-            out = out.real
+            out = ((v * np.exp(ts * w)) @ vinv).real
         else:
-            out = sla.expm(t * self.L)
-        self._cache[t] = out
+            out = sla.expm(ts * self.L)
+        out[t == 0] = np.eye(self.L.shape[0])
         return out
 
-    def apply(self, t: float, f: np.ndarray) -> np.ndarray:
+    def apply(self, t, f: np.ndarray) -> np.ndarray:
         return self.matrix(t) @ f
 
-    def dual_apply(self, t: float, g: np.ndarray) -> np.ndarray:
+    def dual_apply(self, t, g: np.ndarray) -> np.ndarray:
         """Adjoint action in the m-weighted inner product."""
         m = self.model.m
-        return (self.matrix(t).T @ (g * m)) / m
+        return (np.swapaxes(self.matrix(t), -1, -2) @ (g * m)) / m
 
-    def density(self, t: float) -> np.ndarray:
+    def density(self, t) -> np.ndarray:
         """Kernel q(t,x,y) of the semigroup with respect to m."""
-        if t <= 0:
-            raise ValueError(f"density needs t > 0, got {t}")
-        return self.matrix(t) / self.model.m[None, :]
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
+            raise ValueError(f"density needs t > 0, got {float(t[t <= 0].flat[0])}")
+        return self.matrix(t) / self.model.m
 
 
 def mean_semigroup(model: SuperprocessModel, t: float) -> np.ndarray:
@@ -201,22 +210,41 @@ def fit_expansion_constant(
     c e^{-gamma t} phi0(x) psi0(y), fitted as the max ratio over a log grid.
     The default grid is dense enough that oscillating second modes (complex
     eigenvalue pairs, period 2*pi/Im) cannot hide a peak between nodes.
+
+    The deviation is summed over the non-principal eigenmodes of L only,
+    each with the rate w - lambda0 + gamma so that e^{-gamma t} is divided
+    out in the exponent.  The principal term phi0 psi0^T is never formed,
+    so nothing cancels, and the fit stays exact where e^{-gamma t} is
+    below roundoff.  With an ill-conditioned eigenbasis the same scaled
+    deviation is expm(t (A + gamma I)) (I - P0) / m, where P0 =
+    phi0 (psi0 m)^T projects on the principal mode and A = L - lambda0 I -
+    c P0 is deflated as in ``_fluctuation_gram``.  All grid times are
+    evaluated as one stack.
     """
     if t_grid is None:
         t_grid = np.geomspace(1.0, 40.0, 1025)
+    t = np.asarray(t_grid, dtype=float)
+    ts = t[:, None, None]
     sg = MeanSemigroup(model)
+    m = model.m
     rank_one = np.outer(phi0, psi0)
-    c = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        dev = np.abs(sg.density(t) * math.exp(-lambda0 * t) - rank_one)
-        if not math.isfinite(gamma):
-            # single state: the kernel equals the product exactly
-            if dev.max() > 1e-10 * rank_one.max():
-                raise SpectralError("one-state kernel deviates from its eigenproduct")
-            continue
-        ratio = dev / (math.exp(-gamma * t) * rank_one)
-        c = max(c, float(ratio.max()))
-    return c
+    if not math.isfinite(gamma):
+        # single state: the kernel equals the product exactly
+        dev = np.abs(sg.density(t) * np.exp(-lambda0 * ts) - rank_one)
+        if dev.max(initial=0.0) > 1e-10 * rank_one.max():
+            raise SpectralError("one-state kernel deviates from its eigenproduct")
+        return 0.0
+    eig = sg.eigensystem
+    if eig is not None:
+        w, v, vinv = eig
+        rest = np.arange(w.size) != np.argmax(w.real)
+        rates = w[rest] - lambda0 + gamma
+        scaled = ((v[:, rest] * np.exp(ts * rates)) @ vinv[rest]).real
+    else:
+        eye = np.eye(m.size)
+        A = _deflated_generator(sg.L, phi0, psi0, m) + (gamma - lambda0) * eye
+        scaled = sla.expm(ts * A) @ (eye - np.outer(phi0, psi0 * m))
+    return float((np.abs(scaled) / (rank_one * m)).max(initial=0.0))
 
 
 def spectral_data(model: SuperprocessModel, fit_grid=None) -> SpectralData:
@@ -307,6 +335,15 @@ def remove_principal_component(f: np.ndarray, sd: SpectralData) -> np.ndarray:
     return f - sd.psi_weight(f) * sd.phi0
 
 
+def _deflated_generator(
+    L: np.ndarray, phi0: np.ndarray, psi0: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """L - c phi0 (psi0 m)^T with c = 1 + 2 ||L||_inf, more than twice the
+    spectral radius of L; ``_fluctuation_gram`` says why."""
+    shift = 1.0 + 2.0 * float(np.abs(L).sum(axis=1).max())
+    return L - shift * np.outer(phi0, psi0 * m)
+
+
 def _fluctuation_gram(
     model: SuperprocessModel, sd: SpectralData, f: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -323,9 +360,7 @@ def _fluctuation_gram(
     and diag(e^{tA} X e^{tA^T}) is the integral of (T_s f)^2 over [t, inf).
     """
     f = f - sd.psi_weight(f) * sd.phi0
-    L = generator_matrix(model)
-    shift = 1.0 + 2.0 * float(np.abs(L).sum(axis=1).max())
-    A = L - shift * np.outer(sd.phi0, sd.psi0 * sd.m)
+    A = _deflated_generator(generator_matrix(model), sd.phi0, sd.psi0, sd.m)
     return A, sla.solve_continuous_lyapunov(A, -np.outer(f, f))
 
 

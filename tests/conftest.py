@@ -6,7 +6,7 @@ from spcrit import acceptance
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # compile the integration kernel before any timed or tolerance test
+    # pay first-call costs before any timed test
     acceptance.warm_up()
 
 

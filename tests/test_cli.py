@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcrit import acceptance
 from spcrit.cli import _parse_vector, main
@@ -157,6 +159,49 @@ def test_vector_file_bad_row_exits_2(m2_path, tmp_path, capsys):
         _parse_vector(str(fvec))
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+csv_rows = st.lists(
+    st.one_of(
+        st.floats().map(lambda x: ("num", x)),
+        st.from_regex(r"[a-z]{1,6}", fullmatch=True)
+        .filter(lambda s: not _is_number(s))
+        .map(lambda s: ("text", s)),
+        st.sampled_from(["", "  "]).map(lambda s: ("empty", s)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=csv_rows, label=st.booleans())
+def test_vector_file_property(tmp_path_factory, rows, label):
+    lines, numbers, bad_line, seen = [], [], None, False
+    for lineno, (kind, value) in enumerate(rows, start=1):
+        if kind == "num":
+            lines.append(repr(value) + (",label" if label else ""))
+            if bad_line is None:
+                numbers.append(value)
+        else:
+            lines.append(value)
+            if kind == "text" and seen and bad_line is None:
+                bad_line = lineno
+        seen = seen or kind != "empty"
+    path = tmp_path_factory.getbasetemp() / "vector.csv"
+    path.write_text("\n".join(lines) + "\n")
+    if bad_line is None:
+        np.testing.assert_array_equal(_parse_vector(str(path)), numbers)
+    else:
+        with pytest.raises(ModelError, match=rf"line {bad_line}: not a number"):
+            _parse_vector(str(path))
+
+
 def test_non_finite_vector_exits_2(m2_path, tmp_path):
     fvec = tmp_path / "mu.csv"
     fvec.write_text("mu\n1\ninf\n")
@@ -168,8 +213,42 @@ def test_non_finite_vector_exits_2(m2_path, tmp_path):
     ) == 2
 
 
-def test_bad_t_grid_is_a_runtime_error(m1_path):
-    assert main(["kolmogorov", m1_path, "--mu", "1", "--t-grid", "5"]) == 1
+def test_inline_vector_bad_entry_exits_2(m2_path, capsys):
+    assert main(["moments", m2_path, "--f", "1,x", "--t", "1", "--mu", "1,0"]) == 2
+    assert "entry [1]" in capsys.readouterr().err
+    with pytest.raises(ModelError, match=r"entry \[0\] is not a number: ''"):
+        _parse_vector(",1")
+
+
+@pytest.mark.parametrize(
+    "grid", ["5", "1:2", "1:2:3:4", "a:2:3", "1:2:x", "2:1:3", "0:1:3",
+             "-1:2:3", "1:2:0", "1:inf:3", "nan:2:3", "-inf:2:3"],
+)
+def test_bad_t_grid_exits_2(m1_path, grid, capsys):
+    assert main(["kolmogorov", m1_path, "--mu", "1", f"--t-grid={grid}"]) == 2
+    assert "--t-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--t", ["moments", "--f", "1,-1", "--mu", "1,0"]),
+        ("--t", ["yaglom", "--f", "1,-1", "--lambda", "1"]),
+        ("--lambda", ["yaglom", "--f", "1,-1", "--t", "1"]),
+        ("--t", ["simulate", "--mu", "1,0", "--dt", "0.01", "--paths", "10",
+                 "--seed", "1", "--f", "1,-1"]),
+        ("--dt", ["simulate", "--mu", "1,0", "--t", "1", "--paths", "10",
+                  "--seed", "1", "--f", "1,-1"]),
+    ],
+    ids=["moments-t", "yaglom-t", "yaglom-lambda", "simulate-t", "simulate-dt"],
+)
+def test_non_finite_scalar_flag_exits_2(m2_path, flag, argv, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], m2_path, *argv[1:], f"{flag}={bad}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and repr(bad) in err
 
 
 def test_missing_file_is_a_runtime_error(tmp_path):

@@ -9,6 +9,7 @@ from spcrit import acceptance
 from spcrit.loglaplace import (
     LadderError,
     SolverError,
+    _check_mean_domination,
     branching_mechanism,
     kolmogorov_table,
     mechanism_remainders,
@@ -143,6 +144,42 @@ def test_solution_dominated_by_mean(m2, rng):
             mean = sg.apply(float(t), f0)
             assert np.all(traj.u_values[k] <= mean + 1e-8)
             assert np.all(traj.u_values[k] >= -1e-12)
+
+
+def test_mean_domination_check_names_first_offending_time(m2):
+    f0 = np.array([1.0, 0.5])
+    t_grid = np.linspace(0.0, 2.0, 33)
+    sg = MeanSemigroup(m2)
+    mean = sg.apply(t_grid, f0)
+    bound = np.exp(derived_coefficients(m2).kbound * t_grid)[:, None] * sg.apply(
+        t_grid, f0 * f0
+    )
+    _check_mean_domination(m2, t_grid, mean, f0)  # gap 0 passes both checks
+
+    above = mean.copy()
+    above[[10, 20]] += 1e-3
+    with pytest.raises(SolverError, match=rf"mean-semigroup bound at t={t_grid[10]:g} "):
+        _check_mean_domination(m2, t_grid, above, f0)
+
+    low = mean.copy()
+    low[3:] -= 2.0 * bound[3:] + 1.0
+    with pytest.raises(SolverError, match=rf"second-moment bound at t={t_grid[3]:g}$"):
+        _check_mean_domination(m2, t_grid, low, f0)
+
+    # the earliest offender wins whichever check it fails
+    mixed = mean.copy()
+    mixed[[7, 25]] = low[[7, 25]]
+    mixed[12] += 1e-3
+    with pytest.raises(SolverError, match=rf"second-moment bound at t={t_grid[7]:g}$"):
+        _check_mean_domination(m2, t_grid, mixed, f0)
+    mixed[5] += 1e-3
+    with pytest.raises(SolverError, match=rf"mean-semigroup bound at t={t_grid[5]:g} "):
+        _check_mean_domination(m2, t_grid, mixed, f0)
+    # one time failing both checks (in different states) reports the first
+    mixed[2, 0] = mean[2, 0] + 1e-3
+    mixed[2, 1] = mean[2, 1] - 2.0 * bound[2, 1] - 1.0
+    with pytest.raises(SolverError, match=rf"mean-semigroup bound at t={t_grid[2]:g} "):
+        _check_mean_domination(m2, t_grid, mixed, f0)
 
 
 def test_monotone_in_initial_level(m2, rng):
@@ -306,17 +343,6 @@ def test_remainder_field_matches_pointwise(m3):
     u = np.array([1.0])
     r, _, _ = mechanism_remainders(m3, 0, 1.0)
     np.testing.assert_allclose(remainder_field(m3, u), [r], rtol=1e-14)
-
-
-def test_numpy_fallback_kernel_parity(m2, m3, monkeypatch):
-    from spcrit import _kernels
-
-    cases = [(m2, [1.0, 0.3]), (m3, [1.0])]
-    with_numba = [solve_log_laplace(m, f0, 1.0).u_values for m, f0 in cases]
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-    without = [solve_log_laplace(m, f0, 1.0).u_values for m, f0 in cases]
-    for a, b in zip(with_numba, without):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
 def test_step_meta_bookkeeping(m1):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcrit import acceptance
 from spcrit.model import (
@@ -122,6 +124,60 @@ def test_non_finite_entry_named(key, path, named, bad):
     target[path[-1]] = bad
     with pytest.raises(ModelError, match=rf"^{named} must be finite"):
         load_model(json.dumps(doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    key=st.sampled_from(["m", "Q", "beta", "a", "b", "y", "w"]),
+    pick=st.integers(0, 15),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_any_single_non_finite_entry_is_named(seed, n, key, pick, bad):
+    doc = json.loads(dump_model(acceptance.random_model(np.random.default_rng(seed), n)))
+    i, j = pick % n, (pick // 4) % n
+    if key == "Q":
+        doc["Q"][i][j] = bad
+        named = rf"Q\[{i}\]\[{j}\]"
+    elif key in ("y", "w"):
+        atoms = doc["jumps"][i]
+        if not atoms:
+            atoms.append({"y": 0.5, "w": 2.0})
+        k = (pick // 4) % len(atoms)
+        atoms[k][key] = bad
+        named = rf"jumps\[{i}\]\[{k}\]\.{key}"
+    else:
+        doc[key][i] = bad
+        named = rf"{key}\[{i}\]"
+    with pytest.raises(ModelError, match=rf"^{named} must be finite"):
+        load_model(json.dumps(doc))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), data=st.data())
+def test_dump_load_roundtrip_is_exact(seed, n, data):
+    doc = json.loads(dump_model(acceptance.random_model(np.random.default_rng(seed), n)))
+    # any finite float must survive the text form bit for bit
+    doc["a"] = data.draw(st.lists(finite, min_size=n, max_size=n))
+    model = load_model(json.dumps(doc))
+    back = load_model(dump_model(model))
+    assert back.labels == model.labels
+    for get in (
+        lambda x: x.m,
+        lambda x: x.Q,
+        lambda x: x.branching.beta,
+        lambda x: x.branching.a,
+        lambda x: x.branching.b,
+    ):
+        np.testing.assert_array_equal(get(back), get(model))
+    np.testing.assert_array_equal(back.branching.a, doc["a"])
+    assert len(back.branching.jumps) == len(model.branching.jumps)
+    for j1, j2 in zip(back.branching.jumps, model.branching.jumps):
+        np.testing.assert_array_equal(j1, j2)
 
 
 def test_dimension_mismatch_rejected():

@@ -75,6 +75,30 @@ def test_semigroup_property_and_positivity(rng):
         f = rng.uniform(0.0, 2.0, model.n_states)
         assert np.all(sg.apply(t, f) >= -1e-14)
 
+        # a time grid gives the stack of per-time matrices, through the
+        # eigenbasis and through the Pade fallback alike
+        ts = np.concatenate(([0.0], rng.uniform(0.0, 10.0, 6)))
+        pade = MeanSemigroup(model)
+        pade._eig = None
+        stacks = []
+        for route in (sg, pade):
+            stack = route.matrix(ts)
+            assert stack.shape == (ts.size, model.n_states, model.n_states)
+            np.testing.assert_array_equal(stack[0], np.eye(model.n_states))
+            for k, tk in enumerate(ts):
+                np.testing.assert_allclose(
+                    stack[k], route.matrix(tk), rtol=1e-13, atol=1e-15
+                )
+            np.testing.assert_allclose(
+                route.apply(ts, f), stack @ f, rtol=1e-13, atol=1e-15
+            )
+            stacks.append(stack)
+        np.testing.assert_allclose(stacks[0], stacks[1], rtol=1e-10, atol=1e-12)
+        with pytest.raises(ValueError, match="-0.5"):
+            sg.matrix(np.array([1.0, -0.5, -2.0]))
+        with pytest.raises(ValueError, match="nan"):
+            sg.matrix(np.array([1.0, np.nan]))
+
 
 def test_duality_in_the_weighted_inner_product(rng):
     for _ in range(10):
@@ -138,6 +162,8 @@ def test_spectral_data_m2(m2):
     assert sd.gamma == pytest.approx(2.0, rel=1e-12)
     np.testing.assert_allclose(sd.phi0, [INV_SQRT2, INV_SQRT2], rtol=1e-12)
     np.testing.assert_allclose(sd.psi0, [INV_SQRT2, INV_SQRT2], rtol=1e-12)
+    # the deviation is (1/2) e^{-2t} in every entry, so the constant is 1
+    assert sd.c_expansion == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_shift_moves_only_lambda(m2):
@@ -171,10 +197,35 @@ def test_expansion_bound_holds_on_the_grid(m2, rng):
         grid = np.geomspace(1.0, 40.0, 33)
         sg = MeanSemigroup(model)
         rank_one = np.outer(sd.phi0, sd.psi0)
+        # dev below is formed by subtraction, so it carries an absolute
+        # roundoff of about eps * max(q); with the exact constant, m2's
+        # bound near t = 10.4 falls inside it
+        floor = 1e-13 * rank_one.max()
         for t in grid:
             dev = np.abs(sg.density(t) * math.exp(-sd.lambda0 * t) - rank_one)
             bound = sd.c_expansion * math.exp(-sd.gamma * t) * rank_one
-            assert np.all(dev <= bound * (1 + 1e-9) + 1e-300)
+            assert np.all(dev <= bound * (1 + 1e-9) + floor)
+
+
+def test_expansion_fit_fallback_agrees(m2, rng, monkeypatch):
+    # the deflated-expm route against the eigenmode route
+    models = [m2] + [
+        acceptance.random_model(rng, n_states=int(rng.integers(2, 5)), critical=True)
+        for _ in range(20)
+    ]
+    cases = [(model, spectral_data(model)) for model in models]
+
+    def fits():
+        return np.array([
+            fit_expansion_constant(model, sd.lambda0, sd.phi0, sd.psi0, sd.gamma)
+            for model, sd in cases
+        ])
+
+    by_modes = fits()
+    monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+    by_expm = fits()
+    assert by_modes[0] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(by_expm, by_modes, rtol=1e-10)
 
 
 def test_mean_convergence_bound(rng):
