@@ -69,7 +69,6 @@ def random_model(
     rng: np.random.Generator,
     n_states: int | None = None,
     critical: bool = False,
-    with_jumps: bool = True,
 ) -> SuperprocessModel:
     """Random irreducible model whose dual semigroup is sub-Markov.
 
@@ -92,7 +91,7 @@ def random_model(
     b = rng.uniform(0.2, 1.2, n)
     jumps = []
     for _ in range(n):
-        if with_jumps and rng.random() < 0.5:
+        if rng.random() < 0.5:
             k = int(rng.integers(1, 3))
             jumps.append(
                 np.column_stack([rng.uniform(0.2, 2.0, k), rng.uniform(0.1, 1.0, k)])
@@ -113,9 +112,10 @@ def random_field(rng: np.random.Generator, n: int, nonneg: bool = False) -> np.n
 
 
 def warm_up() -> None:
-    """Run one short solve outside any timed section, so first-call costs
-    (imports, allocator and BLAS start-up) land in no criterion's time."""
-    loglaplace.solve_log_laplace(model_m1(), np.array([1.0]), 0.1, dt=0.01)
+    """Run one short adaptive solve outside any timed section, so
+    first-call costs (imports, allocator and BLAS start-up) land in no
+    criterion's time."""
+    loglaplace.solve_log_laplace(model_m1(), np.array([1.0]), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,10 @@ def criterion_6_expansion() -> CriterionResult:
     )
 
 
-def criterion_7_lemma_suite(n_cases: int = 1000) -> CriterionResult:
+def criterion_7_lemma_suite() -> CriterionResult:
     import scipy.linalg as sla
 
+    n_cases = 1000
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     violations = []

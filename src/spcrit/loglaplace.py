@@ -8,11 +8,10 @@ long-time targets are 1/(1 + nu*lambda*weight).
 
 The equation is integrated by classical RK4 with step doubling: every
 step is also taken as two half steps, and it stands only if the two
-results agree to a relative TOL_ODE.  By default that check also sizes
-the steps, which shrink against large data and grow as the solution
-decays, so one integrator serves short solves and the long extinction
-ladders alike.  An explicit ``dt`` to ``solve_log_laplace`` selects a
-fixed step instead; the extinction ladders always adapt.
+results agree to a relative TOL_ODE.  That check also sizes the steps,
+which shrink against large data and grow as the solution decays, so one
+integrator serves short solves, the long extinction ladders and the
+transform oracle of ``moments`` alike.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from .spectral import MeanSemigroup, SpectralData, nu as nu_constant, require_cr
 TOL_ODE = 1e-8
 TOL_LADDER = 1e-6
 THETA_LADDER = (1e2, 1e4, 1e6)
-_MAX_RECORDS = 4096      # fixed-step mode: records kept over the horizon
-_MAX_STEPS = 1_000_000   # adaptive mode: step budget of one solve
-_GROW_MAX = 5.0          # adaptive mode: largest step growth per step
-_SHRINK_MIN = 0.2        # adaptive mode: largest step shrink per step
+_MAX_STEPS = 1_000_000   # step budget of one solve
+_GROW_MAX = 5.0          # largest step growth per step
+_SHRINK_MIN = 0.2        # largest step shrink per step
 
 
 class SolverError(RuntimeError):
@@ -176,61 +174,35 @@ def _rel_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
     return gap / scale
 
 
-def _check_discrepancy(rec_c: np.ndarray, rec_f: np.ndarray, times) -> float:
-    """Max relative gap between the coarse and fine runs at shared times."""
-    worst = 0.0
-    worst_t = 0.0
-    for k in range(rec_c.shape[0]):
-        rel = _rel_gap(rec_c[k], rec_f[k])
-        if rel > worst:
-            worst = rel
-            worst_t = float(times[k])
-    if worst > TOL_ODE:
-        raise SolverError(
-            f"step-halving discrepancy {worst:.3e} at t={worst_t:g} exceeds "
-            f"{TOL_ODE:g}; decrease dt"
-        )
-    return worst
-
-
 @dataclass(frozen=True)
 class StepMeta:
     """How one solve stepped; every step runs as a coarse/fine RK4 pair.
 
-    Fixed-step mode (explicit ``dt``): ``dt_requested`` is that dt,
-    ``dt_coarse`` the uniform step it was rounded to so that whole steps
-    fill the horizon, ``dt_fine`` half of it, ``n_steps_fine`` the fine
-    run's step count and ``rel_discrepancy`` the worst relative gap
-    between the two runs at the record times.
-
-    Adaptive mode (``dt=None``): ``dt_requested`` is None, ``dt_coarse``
-    is the largest accepted coarse step and ``dt_fine`` the smallest
-    accepted fine step, so every fine step lies in
+    ``dt_coarse`` is the largest accepted coarse step and ``dt_fine`` the
+    smallest accepted fine step, so every fine step lies in
     [dt_fine, dt_coarse / 2]; ``n_steps_fine`` counts the fine steps of
     accepted steps (two each) and ``rel_discrepancy`` is the worst gap of
     an accepted step.  That gap bounds the local error of the fine run
     (about gap/15), not of the Richardson-extrapolated step ends, whose
     error is of higher order and carries no separate estimate.
     ``n_rejected`` counts the steps that failed the halving check and were
-    retried smaller (always 0 at a fixed step).
+    retried smaller.
     """
 
-    dt_requested: float | None
     dt_coarse: float
     dt_fine: float
     n_steps_fine: int
     rel_discrepancy: float
-    n_rejected: int = 0
+    n_rejected: int
 
 
 @dataclass(frozen=True, eq=False)
 class LogLaplaceTrajectory:
     """Solution values on a time grid, starting at the initial field.
 
-    The grid is uniform at a fixed step, with the fine run's values.  In
-    adaptive mode it holds each accepted step's midpoint and end, so it is
-    as uneven as the steps; a midpoint holds the fine run's value and an
-    end the Richardson-extrapolated value the next step starts from.
+    The grid holds each accepted step's midpoint and end, so it is as
+    uneven as the steps; a midpoint holds the fine run's value and an end
+    the Richardson-extrapolated value the next step starts from.
     """
 
     t_grid: np.ndarray
@@ -256,46 +228,8 @@ class _BatchSolution(NamedTuple):
     meta: StepMeta
 
 
-def _fixed_step(
-    rhs: _Rhs,
-    f0_batch: np.ndarray,
-    T: float,
-    dt: float,
-    max_records: int = _MAX_RECORDS,
-) -> _BatchSolution:
-    """Coarse run at a uniform step and fine run at half of it over [0, T].
-
-    The halving check compares the two runs at the records.
-    """
-    n_req = max(1, int(math.ceil(T / dt - 1e-12)))
-    stride = max(1, int(math.ceil(n_req / max_records)))
-    # pad to an even number of uniform record intervals: downstream
-    # quadrature runs on the recorded grid with composite Simpson
-    n_rec = int(math.ceil(n_req / stride))
-    if n_rec % 2 and n_rec > 1:
-        n_rec += 1
-    n_steps = stride * n_rec
-    h = T / n_steps
-    rec_steps = stride * np.arange(1, n_rec + 1, dtype=np.int64)
-    times = rec_steps.astype(float) * h
-
-    batch, n = f0_batch.shape
-    rec_c = np.empty((rec_steps.size, batch, n))
-    uc = f0_batch.copy()
-    min_c = rhs.evolve(uc, h, n_steps, rec_steps, rec_c)
-
-    rec_f = np.empty((rec_steps.size, batch, n))
-    uf = f0_batch.copy()
-    min_f = rhs.evolve(uf, 0.5 * h, 2 * n_steps, 2 * rec_steps, rec_f)
-
-    disc = _check_discrepancy(rec_c, rec_f, times)
-    _check_negative(min(min_c, min_f), f0_batch)
-    meta = StepMeta(dt, h, 0.5 * h, 2 * n_steps, disc)
-    return _BatchSolution(times, rec_f, meta)
-
-
 def _adaptive(
-    rhs: _Rhs,
+    model: SuperprocessModel,
     f0_batch: np.ndarray,
     T: float,
 ) -> _BatchSolution:
@@ -315,6 +249,9 @@ def _adaptive(
     A step that cannot pass the check before h stops advancing time
     raises SolverError, as does running out of the step budget.
     """
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {T}")
+    rhs = _Rhs(model)
     batch, n = f0_batch.shape
     u = f0_batch.copy()
     no_steps = np.empty((0,), dtype=np.int64)
@@ -359,9 +296,7 @@ def _adaptive(
         worst = max(worst, gap)
         h_lo, h_hi = min(h_lo, h), max(h_hi, h)
         if last:
-            meta = StepMeta(
-                None, h_hi, 0.5 * h_lo, 2 * len(values), worst, n_rejected
-            )
+            meta = StepMeta(h_hi, 0.5 * h_lo, 2 * len(values), worst, n_rejected)
             return _BatchSolution(np.array(times), np.concatenate(values), meta)
         t += h
         h *= min(grow, max(_SHRINK_MIN, fac))
@@ -372,48 +307,24 @@ def _adaptive(
     )
 
 
-def _solve_batch(
-    model: SuperprocessModel,
-    f0_batch: np.ndarray,
-    T: float,
-    dt: float | None = None,
-) -> _BatchSolution:
-    """Integrate a (batch, n) array of initial fields over [0, T].
-
-    Adaptive by default; an explicit dt runs the fixed-step mode.
-    """
-    rhs = _Rhs(model)
-    if dt is None:
-        return _adaptive(rhs, f0_batch, T)
-    return _fixed_step(rhs, f0_batch, T, float(dt))
-
-
 def solve_log_laplace(
     model: SuperprocessModel,
     f0,
     T: float,
-    dt: float | None = None,
 ) -> LogLaplaceTrajectory:
     """Integrate the evolution equation from a nonnegative initial field.
 
-    By default the step adapts: every step is taken twice, once whole and
-    once as two halves, and is accepted only when the two agree to a
-    relative 1e-8.  An explicit ``dt`` instead runs classical RK4 at that
-    fixed step over the whole horizon, reruns it at half the step and
-    demands the same agreement at the records.  Either way the solution is
-    then checked to lie between 0 and the mean-semigroup image of the
-    initial field.
+    The step adapts: every step is taken twice, once whole and once as two
+    halves, and is accepted only when the two agree to a relative 1e-8.
+    The solution is then checked to lie between 0 and the mean-semigroup
+    image of the initial field.
     """
     f0 = as_field(model, f0)
     if np.any(f0 < 0):
         idx = int(np.argmin(f0))
         raise ValueError(f"initial field must be >= 0; f0[{idx}] = {f0[idx]}")
-    if T <= 0:
-        raise ValueError(f"horizon must be > 0, got {T}")
-    if dt is not None and dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
 
-    sol = _solve_batch(model, f0[None, :], T, dt)
+    sol = _adaptive(model, f0[None, :], T)
     t_grid = np.concatenate(([0.0], sol.times))
     u_values = np.concatenate((f0[None, :], sol.values[:, 0, :]), axis=0)
 
@@ -423,16 +334,17 @@ def solve_log_laplace(
     )
 
 
-def _check_mean_domination(model, t_grid, u_values, f0, n_checks: int = 33) -> None:
+def _check_mean_domination(model, t_grid, u_values, f0) -> None:
     """0 <= u <= T_t f0, and the gap is at most e^{Kt} T_t(f0^2).
 
-    All check times are evaluated as one semigroup stack; an error names
-    the first offending time.
+    Checked at up to 33 record times spread evenly over the grid, all
+    evaluated as one semigroup stack; an error names the first offending
+    time.
     """
     if not np.any(f0 > 0):
         return
     kbound = derived_coefficients(model).kbound
-    idx = np.unique(np.linspace(0, len(t_grid) - 1, n_checks).astype(int))
+    idx = np.unique(np.linspace(0, len(t_grid) - 1, 33).astype(int))
     t = np.asarray(t_grid, dtype=float)[idx]
     mats = MeanSemigroup(model).matrix(t)
     mean = mats @ f0
@@ -460,7 +372,6 @@ def _check_mean_domination(model, t_grid, u_values, f0, n_checks: int = 33) -> N
 def neg_log_extinction(
     model: SuperprocessModel,
     t: float,
-    thetas: tuple[float, ...] = THETA_LADDER,
 ) -> np.ndarray:
     """Negative log extinction probability by time t, statewise.
 
@@ -473,10 +384,6 @@ def neg_log_extinction(
     The rungs run as one batch through the adaptive solver, whose steps
     start tiny against the large data and grow as the solution collapses.
     """
-    if t <= 0:
-        raise ValueError(f"extinction time must be > 0, got {t}")
-    if len(thetas) < 3:
-        raise ValueError("the ladder needs at least three rungs")
     grey = check_grey_domination(model)
     if not grey:
         warnings.warn(
@@ -485,10 +392,10 @@ def neg_log_extinction(
             stacklevel=2,
         )
     n = model.n_states
-    u0 = np.tile(np.asarray(thetas, dtype=float)[:, None], (1, n))
-    u = _adaptive(_Rhs(model), u0, t).values[-1]
+    u0 = np.tile(np.asarray(THETA_LADDER)[:, None], (1, n))
+    u = _adaptive(model, u0, t).values[-1]
 
-    for r in range(len(thetas) - 1):
+    for r in range(len(THETA_LADDER) - 1):
         if np.any(u[r] > u[r + 1] * (1.0 + 1e-9) + 1e-30):
             raise LadderError("ladder is not monotone in the initial level")
     # the gap to the limit decays like 1/theta; the remainder past the last
@@ -496,7 +403,7 @@ def neg_log_extinction(
     # convergence shows successive increments shrinking by that same factor
     inc_prev = float(np.abs(u[-2] - u[-3]).max())
     inc_last = float(np.abs(u[-1] - u[-2]).max())
-    remainder = inc_last * thetas[-2] / (thetas[-1] - thetas[-2])
+    remainder = inc_last * THETA_LADDER[-2] / (THETA_LADDER[-1] - THETA_LADDER[-2])
     scale = float(np.abs(u[-1]).max())
     small = remainder <= TOL_LADDER * max(scale, 1e-300)
     geometric = inc_prev >= 20.0 * inc_last
@@ -581,9 +488,9 @@ def yaglom_transform(
     f = as_field(model, f)
     if np.any(f < 0):
         raise ValueError("the test field must be >= 0")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"time must be > 0, got {t}")
     target = 1.0 / (1.0 + nu_constant(model, sd) * lam * sd.psi_weight(f))
     p = survival_probability(model, mu, t)
@@ -608,8 +515,8 @@ def nu_slope_estimate(
     """
     require_critical(sd)
     f = as_field(model, f)
-    if delta <= 0 or n < 1:
-        raise ValueError("need delta > 0 and n >= 1")
+    if not delta > 0 or n < 1:
+        raise ValueError(f"need delta > 0 and n >= 1, got delta={delta}, n={n}")
     w0 = sd.psi_weight(f)
     if not w0 > 0:
         raise ValueError(f"psi0-weight of f must be positive, got {w0}")

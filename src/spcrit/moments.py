@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .loglaplace import _solve_batch
+from .loglaplace import _adaptive
 from .model import (
     SuperprocessModel,
     as_field,
@@ -46,7 +46,7 @@ def first_moment(model: SuperprocessModel, f, t: float, mu) -> float:
     """Mean of <f, X_t> started from mu."""
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     return pairing(MeanSemigroup(model).apply(t, f), mu)
 
@@ -122,7 +122,7 @@ def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> f
     """
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     profile = _variance_profile(model, f, t)
     val = pairing(profile, mu)
@@ -148,24 +148,25 @@ def variance_from_transform(
     f,
     t: float,
     mu,
-    h: float = 1e-4,
 ) -> float:
     """Independent variance oracle: second difference of the log transform.
 
-    -log E exp(-theta <f, X_t>) is evaluated at theta in {0, h, 2h, 3h} by
-    the evolution solver; the one-sided four-point second difference at 0
-    gives the negated variance with O(h^2) bias.  (The three-point stencil
-    carries an O(h) bias proportional to the third moment, which on
-    jump-heavy models exceeds the 1e-4 comparison tolerance.)
+    -log E exp(-theta <f, X_t>) is evaluated at theta in {0, h, 2h, 3h},
+    h = 1e-4, by the evolution solver over the horizon t > 0; the
+    one-sided four-point second difference at 0 gives the negated variance
+    with O(h^2) bias.  (The three-point stencil carries an O(h) bias
+    proportional to the third moment, which on jump-heavy models exceeds
+    the 1e-4 comparison tolerance.)
     """
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
     if np.any(f < 0):
         raise ValueError("the transform oracle needs f >= 0")
+    h = 1e-4
     batch = np.stack([h * f, 2.0 * h * f, 3.0 * h * f])
     # one adaptive step sequence for the whole batch keeps the stencil's
     # cancellation of the solver error
-    sol = _solve_batch(model, batch, t)
+    sol = _adaptive(model, batch, t)
     g1 = pairing(sol.values[-1, 0], mu)
     g2 = pairing(sol.values[-1, 1], mu)
     g3 = pairing(sol.values[-1, 2], mu)
@@ -256,8 +257,11 @@ def variance_limit_check(
             f"psi0-weight of f must vanish (got {weight:.3e})"
         )
     ts = np.asarray(t_grid, dtype=float)
-    if np.any(ts <= 2.0):
-        raise ValueError("the variance limit holds past t = 2; use t_grid > 2")
+    if not np.all(ts > 2.0):  # NaN fails too
+        bad = ts[~(ts > 2.0)][0]
+        raise ValueError(
+            f"the variance limit holds past t = 2; use t_grid > 2, got {bad}"
+        )
 
     zero_f = not np.any(f != 0)
     sigma_sq = fluctuation_variance(model, sd, f) if not zero_f else 0.0

@@ -181,7 +181,7 @@ class ConditionalSamples:
     """Rescaled functionals over surviving paths.
 
     v: mass against phi0 over t.  z: mass against the principal-free part
-    of f over sqrt(t).  Standard errors are over the surviving subsample.
+    of f over sqrt(t).  One entry per surviving path.
     """
 
     v: np.ndarray
@@ -190,29 +190,8 @@ class ConditionalSamples:
     n_paths: int
 
     @property
-    def v_mean(self) -> float:
-        return float(self.v.mean())
-
-    @property
-    def v_se(self) -> float:
-        return float(self.v.std(ddof=1) / math.sqrt(self.v.size))
-
-    @property
-    def z_mean(self) -> float:
-        return float(self.z.mean())
-
-    @property
-    def z_se(self) -> float:
-        return float(self.z.std(ddof=1) / math.sqrt(self.z.size))
-
-    @property
     def z2_mean(self) -> float:
         return float((self.z ** 2).mean())
-
-    @property
-    def z2_se(self) -> float:
-        z2 = self.z ** 2
-        return float(z2.std(ddof=1) / math.sqrt(z2.size))
 
 
 def conditional_statistics(
@@ -281,12 +260,12 @@ class KsResult:
     n_samples: int
 
 
-def _ks_series_pvalue(lam: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov tail probability, truncated series."""
+def _ks_series_pvalue(lam: float) -> float:
+    """Asymptotic Kolmogorov tail probability, series truncated at 100 terms."""
     if lam <= 0:
         return 1.0
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 101):
         total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
     return float(min(1.0, max(0.0, 2.0 * total)))
 

@@ -247,7 +247,7 @@ def fit_expansion_constant(
     return float((np.abs(scaled) / (rank_one * m)).max(initial=0.0))
 
 
-def spectral_data(model: SuperprocessModel, fit_grid=None) -> SpectralData:
+def spectral_data(model: SuperprocessModel) -> SpectralData:
     """Principal eigenpair, spectral gap and fitted expansion constant."""
     validate_model(model)
     m = model.m
@@ -274,7 +274,7 @@ def spectral_data(model: SuperprocessModel, fit_grid=None) -> SpectralData:
     if abs(m_inner(phi0, psi0, m) - 1.0) > TOL_NORM:
         raise SpectralError("phi0/psi0 normalization drifted beyond tolerance")
 
-    c_exp = fit_expansion_constant(model, lambda0, phi0, psi0, gamma, fit_grid)
+    c_exp = fit_expansion_constant(model, lambda0, phi0, psi0, gamma)
     phi0.setflags(write=False)
     psi0.setflags(write=False)
     return SpectralData(

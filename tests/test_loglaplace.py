@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from spcrit import acceptance
+from spcrit import acceptance, moments
 from spcrit.loglaplace import (
+    TOL_ODE,
     LadderError,
     SolverError,
     _check_mean_domination,
     branching_mechanism,
     kolmogorov_table,
+    mechanism_field,
     mechanism_remainders,
     neg_log_extinction,
     nu_slope_estimate,
@@ -121,15 +124,40 @@ def test_solver_rejects_bad_inputs(m1):
         solve_log_laplace(m1, [-1.0], 1.0)
     with pytest.raises(ValueError):
         solve_log_laplace(m1, [1.0], 0.0)
-    with pytest.raises(ValueError):
-        solve_log_laplace(m1, [1.0], 1.0, dt=-0.1)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            solve_log_laplace(m1, [1.0], horizon)
 
 
-def test_too_coarse_step_is_reported(m1):
-    # large data at a large fixed step: the halving check or the positivity
-    # check must fire rather than silently returning garbage
-    with pytest.raises(SolverError):
-        solve_log_laplace(m1, [1000.0], 1.0, dt=0.05)
+_TIME_ENTRY_POINTS = {
+    "solve_log_laplace": lambda m, sd, t: solve_log_laplace(m, [1.0, 1.0], t),
+    "neg_log_extinction": lambda m, sd, t: neg_log_extinction(m, t),
+    "survival_probability": lambda m, sd, t: survival_probability(m, [1.0, 0.0], t),
+    "yaglom_transform": lambda m, sd, t: yaglom_transform(
+        m, sd, [1.0, 0.0], [1.0, 1.0], 1.0, t
+    ),
+    "nu_slope_estimate": lambda m, sd, t: nu_slope_estimate(m, sd, [1.0, 0.0], t, 5),
+    "first_moment": lambda m, sd, t: moments.first_moment(
+        m, [1.0, -1.0], t, [1.0, 0.0]
+    ),
+    "variance": lambda m, sd, t: moments.variance(m, [1.0, -1.0], t, [1.0, 0.0]),
+    "variance_from_transform": lambda m, sd, t: moments.variance_from_transform(
+        m, [1.0, 1.0], t, [1.0, 0.0]
+    ),
+    "variance_limit_check": lambda m, sd, t: moments.variance_limit_check(
+        m, sd, [1.0, -1.0], [5.0, t]
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("entry", sorted(_TIME_ENTRY_POINTS))
+def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
+    # a NaN time fails every comparison, so only checks written as
+    # "not t >= 0" stop it before it reaches the solver or the quadrature
+    sd = spectral_data(m2)
+    with pytest.raises(ValueError, match=str(bad)):
+        _TIME_ENTRY_POINTS[entry](m2, sd, bad)
 
 
 def test_solution_dominated_by_mean(m2, rng):
@@ -346,40 +374,44 @@ def test_remainder_field_matches_pointwise(m3):
 
 
 def test_step_meta_bookkeeping(m1):
-    traj = solve_log_laplace(m1, [1.0], 1.0, dt=0.01)
+    traj = solve_log_laplace(m1, [1.0], 1.0)
     meta = traj.step_meta
-    assert meta.dt_requested == 0.01
-    assert meta.dt_fine == pytest.approx(meta.dt_coarse / 2)
-    assert meta.rel_discrepancy < 1e-8
-    assert meta.n_steps_fine * meta.dt_fine == pytest.approx(1.0)
+    assert np.all(np.diff(traj.t_grid) > 0)
+    assert traj.t_grid[-1] == 1.0
+    assert meta.n_steps_fine == len(traj.t_grid) - 1
+    assert meta.dt_fine <= meta.dt_coarse / 2
+    assert meta.rel_discrepancy <= TOL_ODE
 
 
-def _fixed_dt(model, f0) -> float:
-    """A fixed step that passes the halving check with a decade to spare."""
-    kb = derived_coefficients(model).kbound
-    qnorm = float(np.abs(model.Q).sum(axis=1).max())
-    dt = min(0.01, 0.05 / kb, 0.025 / (kb * (1.0 + float(np.max(f0)))))
-    return min(dt, 0.05 / qnorm) if qnorm > 0 else dt
+def _dop853_final(model, f0, T: float) -> np.ndarray:
+    """Reference solve by Dormand-Prince 8(5,3) on the pointwise mechanism.
+
+    It shares no code with the solver under test: neither its right-hand
+    side kernel, nor the padded jump arrays, nor the step control.
+    """
+    def rhs(t, u):
+        return model.Q @ u - mechanism_field(model, np.maximum(u, 0.0))
+
+    sol = solve_ivp(rhs, (0.0, T), f0, method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y[:, -1]
 
 
-def test_adaptive_agrees_with_fixed_step(m1, m2, m3):
-    # the adaptive solver checks halving per accepted step; the fixed-step
-    # mode checks it once over the whole horizon; both must give one answer
+def test_solver_agrees_with_dop853_reference(m1, m2, m3):
     rng = np.random.default_rng(20241018)
     models = [m1, m2, m3] + [acceptance.random_model(rng) for _ in range(20)]
     for model in models:
         f0 = rng.uniform(0.1, 1.5, model.n_states)
-        adaptive = solve_log_laplace(model, f0, 1.0)
-        assert adaptive.step_meta.dt_requested is None
-        fixed = solve_log_laplace(model, f0, 1.0, dt=_fixed_dt(model, f0))
-        np.testing.assert_allclose(adaptive.final, fixed.final, rtol=1e-7)
+        got = solve_log_laplace(model, f0, 1.0).final
+        np.testing.assert_allclose(got, _dop853_final(model, f0, 1.0), rtol=1e-7)
         if model is m3:
             continue  # no grey domination: the extinction ladder diverges
         # the ladder's top rung is one flow, so w_{1.5} = S_1(w_{0.5})
         w_half = neg_log_extinction(model, 0.5)
-        tail = solve_log_laplace(model, w_half, 1.0, dt=_fixed_dt(model, w_half))
         np.testing.assert_allclose(
-            neg_log_extinction(model, 1.5), tail.final, rtol=1e-7
+            neg_log_extinction(model, 1.5),
+            _dop853_final(model, w_half, 1.0),
+            rtol=1e-7,
         )
 
 
