@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -83,13 +84,29 @@ def _parse_t_grid(arg: str) -> np.ndarray:
     return np.geomspace(a, b, n)
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse type of the integer flags: an integer in [low, high)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write each line followed by a newline, as it is produced."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _cmd_validate(args) -> int:
@@ -191,16 +208,16 @@ def _cmd_simulate(args) -> int:
     f_tilde = spectral.remove_principal_component(f, sd)
     v = ens.states_at_t @ sd.phi0 / cfg.t_end
     z = ens.states_at_t @ f_tilde / math.sqrt(cfg.t_end)
-    header = "path_id,survived," + ",".join(
-        f"mass_{label}" for label in model.labels
-    ) + ",V,Z"
-    lines = [header]
-    for p in range(ens.n_paths):
-        masses = ",".join(_fmt(x) for x in ens.states_at_t[p])
-        lines.append(
-            f"{p},{int(ens.survived[p])},{masses},{_fmt(v[p])},{_fmt(z[p])}"
-        )
-    _emit(lines, args.out)
+
+    def rows() -> Iterator[str]:
+        yield "path_id,survived," + ",".join(
+            f"mass_{label}" for label in model.labels
+        ) + ",V,Z"
+        for p in range(ens.n_paths):
+            masses = ",".join(_fmt(x) for x in ens.states_at_t[p])
+            yield f"{p},{int(ens.survived[p])},{masses},{_fmt(v[p])},{_fmt(z[p])}"
+
+    _emit(rows(), args.out)
     return 0
 
 
@@ -252,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--dt", type=_finite_float, required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--paths", type=_int_in(1), required=True)
+    p.add_argument("--seed", type=_int_in(0, 2**64), required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int_in(1), default=1)
 
     p = add("verify", _cmd_verify, "run the acceptance suite")
     p.add_argument("--fast", action="store_true", help="smaller Monte Carlo run")

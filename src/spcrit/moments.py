@@ -46,8 +46,8 @@ def first_moment(model: SuperprocessModel, f, t: float, mu) -> float:
     """Mean of <f, X_t> started from mu."""
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     return pairing(MeanSemigroup(model).apply(t, f), mu)
 
 
@@ -122,8 +122,8 @@ def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> f
     """
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     profile = _variance_profile(model, f, t)
     val = pairing(profile, mu)
 
@@ -257,10 +257,11 @@ def variance_limit_check(
             f"psi0-weight of f must vanish (got {weight:.3e})"
         )
     ts = np.asarray(t_grid, dtype=float)
-    if not np.all(ts > 2.0):  # NaN fails too
-        bad = ts[~(ts > 2.0)][0]
+    ok = (ts > 2.0) & (ts < math.inf)  # NaN fails too
+    if not np.all(ok):
         raise ValueError(
-            f"the variance limit holds past t = 2; use t_grid > 2, got {bad}"
+            "the variance limit holds past t = 2; use finite t_grid > 2, "
+            f"got {ts[~ok][0]}"
         )
 
     zero_f = not np.any(f != 0)

@@ -4,14 +4,26 @@ The process is discretized by a positivity-preserving (full-truncation)
 Euler scheme: linear drift through the transposed rate matrix plus the
 local growth rate, a square-root diffusion per state driven by the
 quadratic mechanism coefficient, and per-atom Poisson jump counts.  Paths
-are simulated in fixed-size chunks, each drawing from its own
-counter-based stream keyed by (seed, chunk index), so results do not
-depend on thread count or scheduling.
+are simulated in chunks of ``CHUNK_PATHS``, each drawing from its own
+counter-based stream keyed by (seed, chunk index); path p belongs to chunk
+p // CHUNK_PATHS.
+
+With T worker threads, thread t advances chunks t, t + T, t + 2T, ... in
+lockstep, up to ``_GROUP_CHUNKS`` of them at a time: the alive paths of
+those chunks form one array, and each step is one array expression over
+it.  Paths that died are dropped every ``_COMPACT_EVERY`` steps.  Between
+two such compactions each chunk draws the normals of several steps as one
+slab, which consumes its stream exactly as one draw per step would; with
+jumps the slab is one step, because the Poisson draws come between the
+normals.  The drift is summed column by column rather than by a matrix
+product, so a path's arithmetic does not depend on where it sits in the
+array.  Results therefore do not depend on thread count or scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +44,8 @@ from .spectral import (
 
 CHUNK_PATHS = 4096
 _COMPACT_EVERY = 32
+_GROUP_CHUNKS = 16       # chunks in one lockstep array; bounds its memory
+_SLAB_VALUES = 1 << 16   # normals drawn at once per group, at most
 
 
 class SimulationError(RuntimeError):
@@ -49,12 +63,24 @@ class SimConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise SimulationError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise SimulationError(f"dt must be finite and > 0, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise SimulationError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
             raise SimulationError("t_end must be at least one step")
-        if self.n_paths < 1:
-            raise SimulationError("need at least one path")
+        for name, low in (("n_paths", 1), ("n_threads", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise SimulationError(
+                    f"{name} must be an integer >= {low}, got {value!r}"
+                )
+        if self.seed >= 2**64:
+            raise SimulationError(f"seed must be below 2**64, got {self.seed}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise SimulationError(
+                f"t_end / dt must be finite, got {self.t_end} / {self.dt}"
+            )
         n = round(self.t_end / self.dt)
         if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise SimulationError("t_end must be an integer multiple of dt")
@@ -66,11 +92,13 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Terminal masses per path with survival flags and stream provenance."""
+    """Terminal masses per path with survival flags.
+
+    Path ``p`` drew from the stream of chunk ``p // CHUNK_PATHS``.
+    """
 
     states_at_t: np.ndarray   # (n_paths, n_states), nonnegative
     survived: np.ndarray      # (n_paths,) bool, true iff total mass > 0
-    seed_map: np.ndarray      # (n_paths,) stream id (chunk index) per path
     t_end: float
     dt: float
     seed: int
@@ -89,14 +117,36 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate_chunk(
+def _drift(X: np.ndarray, Q: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """X Q + alpha X, summed as sum_j X[:, j] Q[j] one column at a time.
+
+    The BLAS kernel behind X @ Q depends on the row count and on a row's
+    place in its block, and can change the last bit of a row's result;
+    here every row is rounded the same way wherever it sits.
+    """
+    drift = X[:, :1] * Q[0]
+    for j in range(1, X.shape[1]):
+        drift += X[:, j : j + 1] * Q[j]
+    drift += alpha * X
+    return drift
+
+
+def _simulate_group(
     model: SuperprocessModel,
     mu: np.ndarray,
     cfg: SimConfig,
-    chunk: int,
-    n_chunk: int,
-) -> np.ndarray:
-    rng = _chunk_rng(cfg.seed, chunk)
+    chunks: list[int],
+    out: np.ndarray,
+) -> None:
+    """Advance the paths of ``chunks`` in lockstep; write them to ``out``.
+
+    The alive rows of all chunks sit in one array with their output rows
+    in ``pos``, which ascends, so each chunk's rows are one slice.  Each
+    step is one array expression over the whole group; only the draws are
+    made per chunk, from the chunk's own stream and in the order the chunk
+    would draw them alone.
+    """
+    rngs = [_chunk_rng(cfg.seed, c) for c in chunks]
     br = model.branching
     Q = model.Q
     alpha = derived_coefficients(model).alpha
@@ -107,25 +157,49 @@ def _simulate_chunk(
         for y, w in br.jumps[i]
     ]
     dt = cfg.dt
+    n = model.n_states
 
-    X = np.tile(mu, (n_chunk, 1))
-    alive = np.arange(n_chunk)
-    for step in range(cfg.n_steps):
-        if step % _COMPACT_EVERY == 0:
-            mask = X[alive].any(axis=1)
-            alive = alive[mask]
-            if alive.size == 0:
-                break
-        Xa = X[alive]
-        xi = rng.standard_normal(Xa.shape)
-        Xa = Xa + dt * (Xa @ Q + alpha * Xa)
-        Xa = Xa + np.sqrt(diff_coeff * np.maximum(Xa, 0.0)) * xi
-        for i, y, rate in atoms:
-            lam = np.maximum(Xa[:, i], 0.0) * rate
-            Xa[:, i] += y * rng.poisson(lam)
-        np.maximum(Xa, 0.0, out=Xa)
-        X[alive] = Xa
-    return X
+    firsts = np.array(chunks) * CHUNK_PATHS
+    pos = np.concatenate(
+        [np.arange(lo, min(lo + CHUNK_PATHS, cfg.n_paths)) for lo in firsts]
+    )
+    X = np.tile(mu, (pos.size, 1))
+    for start in range(0, cfg.n_steps, _COMPACT_EVERY):
+        mask = X.any(axis=1)
+        if not mask.all():
+            out[pos[~mask]] = X[~mask]
+            X, pos = X[mask], pos[mask]
+            if pos.size == 0:
+                return
+        bounds = np.append(np.searchsorted(pos, firsts), pos.size)
+        counts = np.diff(bounds)
+        live = [c for c in range(len(chunks)) if counts[c]]
+        window = min(_COMPACT_EVERY, cfg.n_steps - start)
+        # Poisson draws interleave with the normals, so jumps force 1 step
+        slab = 1 if atoms else max(1, min(window, _SLAB_VALUES // X.size))
+        for first in range(0, window, slab):
+            steps = min(slab, window - first)
+            xi = np.concatenate(
+                [rngs[c].standard_normal((steps, counts[c], n)) for c in live],
+                axis=1,
+            )
+            for s in range(steps):
+                drift = _drift(X, Q, alpha)
+                drift *= dt
+                X += drift
+                noise = np.maximum(X, 0.0)
+                noise *= diff_coeff
+                np.sqrt(noise, out=noise)
+                noise *= xi[s]
+                X += noise
+                for i, y, rate in atoms:
+                    lam = np.maximum(X[:, i], 0.0) * rate
+                    kicks = np.concatenate(
+                        [rngs[c].poisson(lam[bounds[c] : bounds[c + 1]]) for c in live]
+                    )
+                    X[:, i] += y * kicks
+                np.maximum(X, 0.0, out=X)
+    out[pos] = X
 
 
 def simulate_paths(
@@ -148,28 +222,24 @@ def simulate_paths(
         )
 
     n_chunks = (cfg.n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
-    sizes = [
-        min(CHUNK_PATHS, cfg.n_paths - c * CHUNK_PATHS) for c in range(n_chunks)
-    ]
     out = np.empty((cfg.n_paths, model.n_states))
-    seed_map = np.empty(cfg.n_paths, dtype=np.uint64)
+    n_groups = min(cfg.n_threads, n_chunks)
 
-    def run(c: int) -> None:
-        lo = c * CHUNK_PATHS
-        out[lo : lo + sizes[c]] = _simulate_chunk(model, mu, cfg, c, sizes[c])
-        seed_map[lo : lo + sizes[c]] = c
+    def run(g: int) -> None:
+        chunks = list(range(g, n_chunks, n_groups))
+        for i in range(0, len(chunks), _GROUP_CHUNKS):
+            _simulate_group(model, mu, cfg, chunks[i : i + _GROUP_CHUNKS], out)
 
-    if cfg.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            list(pool.map(run, range(n_chunks)))
+    if n_groups > 1:
+        with ThreadPoolExecutor(max_workers=n_groups) as pool:
+            for future in [pool.submit(run, g) for g in range(n_groups)]:
+                future.result()
     else:
-        for c in range(n_chunks):
-            run(c)
+        run(0)
 
     return PathEnsemble(
         states_at_t=out,
         survived=out.any(axis=1),
-        seed_map=seed_map,
         t_end=cfg.t_end,
         dt=cfg.dt,
         seed=cfg.seed,

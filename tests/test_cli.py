@@ -251,6 +251,23 @@ def test_non_finite_scalar_flag_exits_2(m2_path, flag, argv, bad, capsys):
     assert f"argument {flag}:" in err and repr(bad) in err
 
 
+@pytest.mark.parametrize(
+    "flag, bad",
+    [("--threads", "0"), ("--threads", "-3"), ("--threads", "1.5"),
+     ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "x"),
+     ("--paths", "0"), ("--paths", "2.5")],
+)
+def test_bad_integer_simulate_flag_exits_2(m2_path, flag, bad, capsys):
+    argv = {"--t": "1", "--dt": "0.01", "--paths": "10", "--seed": "1",
+            "--threads": "1", flag: bad}
+    args = [x for kv in argv.items() for x in kv]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", m2_path, "--mu", "1,0", "--f", "1,-1", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and repr(bad) in err
+
+
 def test_missing_file_is_a_runtime_error(tmp_path):
     assert main(["spectral", str(tmp_path / "absent.json")]) == 1
 

@@ -141,6 +141,9 @@ _TIME_ENTRY_POINTS = {
         m, [1.0, -1.0], t, [1.0, 0.0]
     ),
     "variance": lambda m, sd, t: moments.variance(m, [1.0, -1.0], t, [1.0, 0.0]),
+    "second_moment": lambda m, sd, t: moments.second_moment(
+        m, [1.0, -1.0], t, [1.0, 0.0]
+    ),
     "variance_from_transform": lambda m, sd, t: moments.variance_from_transform(
         m, [1.0, 1.0], t, [1.0, 0.0]
     ),
@@ -150,7 +153,9 @@ _TIME_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize(
+    "bad", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"]
+)
 @pytest.mark.parametrize("entry", sorted(_TIME_ENTRY_POINTS))
 def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
     # a NaN time fails every comparison, so only checks written as

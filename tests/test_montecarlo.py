@@ -6,9 +6,12 @@ import scipy.stats
 
 from spcrit import acceptance
 from spcrit.loglaplace import survival_probability
-from spcrit.model import ModelError
+from spcrit.model import ModelError, derived_coefficients
 from spcrit.moments import first_moment, variance
 from spcrit.montecarlo import (
+    _COMPACT_EVERY,
+    _GROUP_CHUNKS,
+    CHUNK_PATHS,
     ConditionalSamples,
     LimitLaw,
     PathEnsemble,
@@ -17,6 +20,8 @@ from spcrit.montecarlo import (
     clt_checks,
     conditional_statistics,
     ks_exponential_test,
+    _chunk_rng,
+    _drift,
     ks_statistic,
     simulate_paths,
 )
@@ -32,6 +37,17 @@ def test_config_validation():
         SimConfig(t_end=1.0, dt=0.1, n_paths=0, seed=1)
     with pytest.raises(SimulationError):
         SimConfig(t_end=1.05, dt=0.1, n_paths=10, seed=1)
+    base = dict(t_end=1.0, dt=0.1, n_paths=10, seed=1)
+    for field, bad in (
+        ("t_end", math.nan), ("t_end", math.inf), ("dt", math.nan),
+        ("dt", math.inf), ("n_threads", 0), ("n_threads", -2),
+        ("n_paths", 2.5), ("seed", -1), ("seed", 2**64), ("seed", 1.0),
+    ):
+        with pytest.raises(SimulationError, match=field):
+            SimConfig(**{**base, field: bad})
+    with pytest.raises(SimulationError, match="t_end / dt"):
+        SimConfig(t_end=1e300, dt=1e-300, n_paths=10, seed=1)
+    SimConfig(**base, n_threads=np.int64(2))
 
 
 def test_zero_mass_start_rejected(m1):
@@ -92,6 +108,105 @@ def test_determinism_across_runs_and_threads(m2):
     np.testing.assert_array_equal(a.survived, c.survived)
 
 
+def _reference_chunk(model, mu, cfg, chunk, n_chunk):
+    # reference loop: one chunk at a time, one draw per step, X @ Q drift
+    rng = _chunk_rng(cfg.seed, chunk)
+    br = model.branching
+    Q = model.Q
+    alpha = derived_coefficients(model).alpha
+    diff_coeff = 2.0 * br.beta * br.b * cfg.dt
+    atoms = [
+        (i, float(y), float(br.beta[i] * w * cfg.dt))
+        for i in range(model.n_states)
+        for y, w in br.jumps[i]
+    ]
+    dt = cfg.dt
+
+    X = np.tile(mu, (n_chunk, 1))
+    alive = np.arange(n_chunk)
+    for step in range(cfg.n_steps):
+        if step % _COMPACT_EVERY == 0:
+            mask = X[alive].any(axis=1)
+            alive = alive[mask]
+            if alive.size == 0:
+                break
+        Xa = X[alive]
+        xi = rng.standard_normal(Xa.shape)
+        Xa = Xa + dt * (Xa @ Q + alpha * Xa)
+        Xa = Xa + np.sqrt(diff_coeff * np.maximum(Xa, 0.0)) * xi
+        for i, y, rate in atoms:
+            lam = np.maximum(Xa[:, i], 0.0) * rate
+            Xa[:, i] += y * rng.poisson(lam)
+        np.maximum(Xa, 0.0, out=Xa)
+        X[alive] = Xa
+    return X
+
+
+def _reference_paths(model, mu, cfg):
+    return np.concatenate([
+        _reference_chunk(model, np.asarray(mu, dtype=float), cfg, c,
+                         min(CHUNK_PATHS, cfg.n_paths - c * CHUNK_PATHS))
+        for c in range(-(-cfg.n_paths // CHUNK_PATHS))
+    ])
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3, 5])
+def test_lockstep_kernel_is_byte_identical_on_reference_models(m1, m2, m3, n_threads):
+    # every product with Q is exact on m1-m3, so grouping changes no bit
+    for model, mu in ((m1, [1.0]), (m2, [1.0, 0.0]), (m3, [1.0])):
+        cfg = SimConfig(t_end=2.0, dt=0.01, n_paths=9000, seed=13,
+                        n_threads=n_threads)
+        ref = _reference_paths(model, mu, cfg)
+        ens = simulate_paths(model, mu, cfg)
+        assert ens.states_at_t.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(ens.survived, ref.any(axis=1))
+
+
+def test_lockstep_kernel_splits_long_chunk_lists_into_groups(m1):
+    # one thread with more chunks than one lockstep array holds
+    n_paths = (_GROUP_CHUNKS + 1) * CHUNK_PATHS - 7
+    cfg = SimConfig(t_end=1.0, dt=0.01, n_paths=n_paths, seed=21)
+    ens = simulate_paths(m1, [1.0], cfg)
+    assert ens.states_at_t.tobytes() == _reference_paths(m1, [1.0], cfg).tobytes()
+
+
+def test_drift_of_a_row_does_not_depend_on_its_place(rng):
+    Q = rng.normal(size=(5, 5))
+    alpha = rng.normal(size=5)
+    X = rng.uniform(0.0, 3.0, (1000, 5))
+    whole = _drift(X, Q, alpha)
+    for size in (1, 7):
+        parts = [_drift(X[k : k + size], Q, alpha) for k in range(0, 1000, size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+    np.testing.assert_allclose(whole, X @ Q + alpha * X, rtol=1e-12, atol=1e-12)
+
+
+def test_lockstep_kernel_matches_reference_on_random_models():
+    # a general Q rounds the elementwise drift differently from X @ Q, but
+    # the same way wherever a row sits in its group
+    rng = np.random.default_rng(606)
+    checked = 0
+    while checked < 6:
+        n_states = (2, 3, 5)[checked % 3]
+        model = acceptance.random_model(rng, n_states, critical=True)
+        if not any(j.size for j in model.branching.jumps):
+            continue
+        qnorm = float(np.abs(model.Q).sum(axis=1).max())
+        dt = 0.1 / (qnorm + derived_coefficients(model).kbound)
+        cfg = SimConfig(t_end=500 * dt, dt=dt, n_paths=CHUNK_PATHS + 1,
+                        seed=checked)
+        mu = rng.uniform(0.5, 1.5, model.n_states)
+        ref = _reference_paths(model, mu, cfg)
+        ens = simulate_paths(model, mu, cfg)
+        np.testing.assert_array_equal(ens.survived, ref.any(axis=1))
+        np.testing.assert_allclose(ens.states_at_t, ref, rtol=1e-9, atol=0)
+        # one group of two chunks against two groups of one, the second a
+        # single row, where X @ Q would take another BLAS kernel: same bytes
+        split = simulate_paths(model, mu, SimConfig(**{**vars(cfg), "n_threads": 2}))
+        assert split.states_at_t.tobytes() == ens.states_at_t.tobytes()
+        checked += 1
+
+
 def test_seed_changes_the_ensemble(m1):
     cfg1 = SimConfig(t_end=1.0, dt=0.01, n_paths=1000, seed=1)
     cfg2 = SimConfig(t_end=1.0, dt=0.01, n_paths=1000, seed=2)
@@ -146,7 +261,6 @@ def test_conditional_statistics_require_survivors(m2):
     dead = PathEnsemble(
         states_at_t=np.zeros((50, 2)),
         survived=np.zeros(50, dtype=bool),
-        seed_map=np.zeros(50, dtype=np.uint64),
         t_end=10.0,
         dt=0.01,
         seed=0,
@@ -160,7 +274,6 @@ def test_conditional_samples_reductions(m2):
     ens = PathEnsemble(
         states_at_t=np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 0.0]]),
         survived=np.array([True, False, True]),
-        seed_map=np.zeros(3, dtype=np.uint64),
         t_end=4.0,
         dt=0.01,
         seed=0,
