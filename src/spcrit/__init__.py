@@ -16,6 +16,7 @@ from .model import (
     SuperprocessModel,
     as_field,
     as_measure,
+    as_times,
     check_dual_submarkov,
     check_grey_domination,
     derived_coefficients,
@@ -32,9 +33,7 @@ from .spectral import (
     SpectralData,
     SpectralError,
     criticalize,
-    density_matrix,
     fluctuation_variance,
-    mean_semigroup,
     nu,
     remove_principal_component,
     spectral_data,

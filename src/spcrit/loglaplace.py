@@ -27,8 +27,10 @@ from scipy.integrate import simpson
 from . import _kernels
 from .model import (
     SuperprocessModel,
+    DerivedCoefficients,
     as_field,
     as_measure,
+    as_times,
     check_grey_domination,
     derived_coefficients,
     pairing,
@@ -109,51 +111,18 @@ def remainder_field(model: SuperprocessModel, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # solver plumbing
 
-def _padded_jumps(model: SuperprocessModel) -> tuple[np.ndarray, np.ndarray]:
-    br = model.branching
-    kmax = max((a.shape[0] for a in br.jumps), default=0)
-    n = model.n_states
-    jy = np.zeros((n, kmax))
-    jw = np.zeros((n, kmax))
-    for i, atoms in enumerate(br.jumps):
-        k = atoms.shape[0]
-        if k:
-            jy[i, :k] = atoms[:, 0]
-            jw[i, :k] = br.beta[i] * atoms[:, 1]
-    return jy, jw
+def _local_rate(dc: DerivedCoefficients, u_max: float) -> float:
+    """Lipschitz bound of the right-hand side at solution scale u_max.
 
-
-class _Rhs:
-    """Precomputed kernel coefficients for one model."""
-
-    def __init__(self, model: SuperprocessModel):
-        br = model.branching
-        self.Q = np.ascontiguousarray(model.Q)
-        self.lin = np.ascontiguousarray(br.beta * br.a)
-        self.quad = np.ascontiguousarray(br.beta * br.b)
-        self.jy, self.jw = _padded_jumps(model)
-        self.qnorm = float(np.abs(model.Q).sum(axis=1).max())
-        self.j_y2w = (self.jw * self.jy ** 2).sum(axis=1)
-        self.j_yw = (self.jw * self.jy).sum(axis=1)
-
-    def local_rate(self, u_max: float) -> float:
-        """Lipschitz bound of the right-hand side at solution scale u_max.
-
-        The jump part's slope saturates at beta*sum(w*y), unlike the
-        quadratic part which keeps growing with the solution.
-        """
-        per_state = (
-            np.abs(self.lin)
-            + 2.0 * self.quad * u_max
-            + np.minimum(self.j_y2w * u_max, self.j_yw)
-        )
-        return self.qnorm + float(per_state.max())
-
-    def evolve(self, u: np.ndarray, h: float, n_steps: int, rec_steps, rec):
-        return _kernels.rk4_evolve(
-            self.Q, self.lin, self.quad, self.jy, self.jw,
-            u, h, n_steps, rec_steps, rec,
-        )
+    The jump part's slope saturates at beta*sum(w*y), unlike the
+    quadratic part which keeps growing with the solution.
+    """
+    per_state = (
+        np.abs(dc.alpha)
+        + 2.0 * dc.quad * u_max
+        + np.minimum(dc.jump_y2w * u_max, dc.jump_yw)
+    )
+    return dc.qnorm + float(per_state.max())
 
 
 def _check_negative(min_seen: float, u0: np.ndarray) -> None:
@@ -214,26 +183,23 @@ class LogLaplaceTrajectory:
     def final(self) -> np.ndarray:
         return self.u_values[-1]
 
-    def interp(self, t: float) -> np.ndarray:
-        """Linear interpolation on the recorded grid."""
-        return np.array(
-            [np.interp(t, self.t_grid, self.u_values[:, i])
-             for i in range(self.u_values.shape[1])]
-        )
-
 
 class _BatchSolution(NamedTuple):
     times: np.ndarray        # record times, excluding 0
     values: np.ndarray       # (n_rec, batch, n) records
+    at_stops: np.ndarray     # (n_stops, batch, n) values at the stop times
     meta: StepMeta
 
 
 def _adaptive(
     model: SuperprocessModel,
     f0_batch: np.ndarray,
-    T: float,
+    stops,
 ) -> _BatchSolution:
     """Step-doubling RK4 over [0, T] (Hairer, Norsett & Wanner, §II.4).
+
+    Steps are clipped to land on each time of the ascending grid ``stops``
+    (ending at T), so one run answers the whole grid.
 
     Each step runs one coarse step of h and two fine steps of h/2 from the
     same state.  It is accepted only when their relative gap is at most
@@ -249,33 +215,38 @@ def _adaptive(
     A step that cannot pass the check before h stops advancing time
     raises SolverError, as does running out of the step budget.
     """
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"horizon must be finite and > 0, got {T}")
-    rhs = _Rhs(model)
+    stops = as_times(stops, "horizon", positive=True)
+    if not stops.size or np.any(np.diff(stops) <= 0):
+        raise ValueError(f"horizon must be a nonempty ascending grid, got {stops}")
+    dc = derived_coefficients(model)
+    kernel_args = (model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w)
     batch, n = f0_batch.shape
     u = f0_batch.copy()
     no_steps = np.empty((0,), dtype=np.int64)
     no_rec = np.empty((0, batch, n))
     mid_end = np.array([1, 2], dtype=np.int64)
 
-    rate = rhs.local_rate(float(np.max(u, initial=0.0)))
+    T = float(stops[-1])
+    rate = _local_rate(dc, float(np.max(u, initial=0.0)))
     h = min(T, 0.05 / rate if rate > 0 else T)
     t = 0.0
     grow = _GROW_MAX
     times: list[float] = []
     values: list[np.ndarray] = []
+    at_stops: list[np.ndarray] = []
     worst = 0.0
     h_lo, h_hi = math.inf, 0.0
     n_rejected = 0
     for _ in range(_MAX_STEPS):
-        last = t + h >= T
-        if last:
-            h = T - t
+        stop = float(stops[len(at_stops)])
+        lands = t + h >= stop
+        if lands:
+            h = stop - t
         uc = u.copy()
-        min_c = rhs.evolve(uc, h, 1, no_steps, no_rec)
+        min_c = _kernels.rk4_evolve(*kernel_args, uc, h, 1, no_steps, no_rec)
         uf = u.copy()
         rec = np.empty((2, batch, n))
-        min_f = rhs.evolve(uf, 0.5 * h, 2, mid_end, rec)
+        min_f = _kernels.rk4_evolve(*kernel_args, uf, 0.5 * h, 2, mid_end, rec)
         gap = _rel_gap(uc, uf)
         fac = 0.9 * (TOL_ODE / gap) ** 0.2 if gap > 0.0 else _GROW_MAX
         if not gap <= TOL_ODE:  # a NaN gap is rejected as well
@@ -291,14 +262,18 @@ def _adaptive(
         u = uf + (uf - uc) / 15.0
         rec[1] = u
         _check_negative(min(min_c, min_f, float(u.min())), f0_batch)
-        times += [t + 0.5 * h, T if last else t + h]
+        times += [t + 0.5 * h, stop if lands else t + h]
         values.append(rec)
         worst = max(worst, gap)
         h_lo, h_hi = min(h_lo, h), max(h_hi, h)
-        if last:
-            meta = StepMeta(h_hi, 0.5 * h_lo, 2 * len(values), worst, n_rejected)
-            return _BatchSolution(np.array(times), np.concatenate(values), meta)
-        t += h
+        if lands:
+            at_stops.append(u)
+            if len(at_stops) == stops.size:
+                meta = StepMeta(h_hi, 0.5 * h_lo, 2 * len(values), worst, n_rejected)
+                return _BatchSolution(
+                    np.array(times), np.concatenate(values), np.stack(at_stops), meta
+                )
+        t = stop if lands else t + h
         h *= min(grow, max(_SHRINK_MIN, fac))
         grow = _GROW_MAX
     raise SolverError(
@@ -324,7 +299,7 @@ def solve_log_laplace(
         idx = int(np.argmin(f0))
         raise ValueError(f"initial field must be >= 0; f0[{idx}] = {f0[idx]}")
 
-    sol = _adaptive(model, f0[None, :], T)
+    sol = _adaptive(model, f0[None, :], [T])
     t_grid = np.concatenate(([0.0], sol.times))
     u_values = np.concatenate((f0[None, :], sol.values[:, 0, :]), axis=0)
 
@@ -371,7 +346,7 @@ def _check_mean_domination(model, t_grid, u_values, f0) -> None:
 
 def neg_log_extinction(
     model: SuperprocessModel,
-    t: float,
+    t,
 ) -> np.ndarray:
     """Negative log extinction probability by time t, statewise.
 
@@ -383,9 +358,10 @@ def neg_log_extinction(
 
     The rungs run as one batch through the adaptive solver, whose steps
     start tiny against the large data and grow as the solution collapses.
+    An ascending grid of times gives one row per time from a single run,
+    with the convergence check at each time.
     """
-    grey = check_grey_domination(model)
-    if not grey:
+    if not check_grey_domination(model):
         warnings.warn(
             "finite-time extinction is not certified (min beta*b = 0); "
             "the ladder may fail to converge",
@@ -393,36 +369,41 @@ def neg_log_extinction(
         )
     n = model.n_states
     u0 = np.tile(np.asarray(THETA_LADDER)[:, None], (1, n))
-    u = _adaptive(model, u0, t).values[-1]
+    stops = as_times(t, "horizon", positive=True)
+    at_stops = _adaptive(model, u0, stops).at_stops
+    for stop, u in zip(stops, at_stops):
+        if np.any(u[:-1] > u[1:] * (1.0 + 1e-9) + 1e-30):
+            raise LadderError(f"ladder is not monotone in the initial level at t={stop:g}")
+        # the gap to the limit decays like 1/theta; the remainder past the
+        # last rung is the last increment shrunk by theta[-2]/theta[-1], and
+        # healthy convergence shows successive increments shrinking by that
+        # same factor
+        inc_prev = float(np.abs(u[-2] - u[-3]).max())
+        inc_last = float(np.abs(u[-1] - u[-2]).max())
+        remainder = inc_last * THETA_LADDER[-2] / (THETA_LADDER[-1] - THETA_LADDER[-2])
+        scale = float(np.abs(u[-1]).max())
+        small = remainder <= TOL_LADDER * max(scale, 1e-300)
+        geometric = inc_prev >= 20.0 * inc_last
+        if not (small or geometric):
+            raise LadderError(
+                f"ladder not converged at t={stop:g}: estimated remaining gap "
+                f"{remainder:.3e} vs scale {scale:.3e}; the mechanism may be "
+                f"too weak"
+            )
+    return at_stops[:, -1] if np.ndim(t) else at_stops[0, -1]
 
-    for r in range(len(THETA_LADDER) - 1):
-        if np.any(u[r] > u[r + 1] * (1.0 + 1e-9) + 1e-30):
-            raise LadderError("ladder is not monotone in the initial level")
-    # the gap to the limit decays like 1/theta; the remainder past the last
-    # rung is the last increment shrunk by theta[-2]/theta[-1], and healthy
-    # convergence shows successive increments shrinking by that same factor
-    inc_prev = float(np.abs(u[-2] - u[-3]).max())
-    inc_last = float(np.abs(u[-1] - u[-2]).max())
-    remainder = inc_last * THETA_LADDER[-2] / (THETA_LADDER[-1] - THETA_LADDER[-2])
-    scale = float(np.abs(u[-1]).max())
-    small = remainder <= TOL_LADDER * max(scale, 1e-300)
-    geometric = inc_prev >= 20.0 * inc_last
-    if not (small or geometric):
-        raise LadderError(
-            f"ladder not converged: estimated remaining gap {remainder:.3e} "
-            f"vs scale {scale:.3e}; the mechanism may be too weak"
-        )
-    return u[-1]
+
+def _survival(w: np.ndarray, mu: np.ndarray) -> float:
+    p = -math.expm1(-pairing(w, mu))
+    if not 0.0 < p < 1.0:
+        raise SolverError(f"survival probability {p} outside (0, 1)")
+    return p
 
 
 def survival_probability(model: SuperprocessModel, mu, t: float) -> float:
     """Probability the process started from mu is alive at time t."""
     mu = as_measure(model, mu)
-    w = neg_log_extinction(model, t)
-    p = -math.expm1(-pairing(w, mu))
-    if not 0.0 < p < 1.0:
-        raise SolverError(f"survival probability {p} outside (0, 1)")
-    return p
+    return _survival(neg_log_extinction(model, t), mu)
 
 
 @dataclass(frozen=True)
@@ -446,19 +427,20 @@ def kolmogorov_table(
     mu,
     t_grid,
 ) -> KolmogorovReport:
-    """t * P(survival) against its constant long-time limit."""
+    """t * P(survival) against its constant long-time limit, from one
+    extinction ladder over the distinct grid times; rows keep the caller's
+    order and repeats."""
     require_critical(sd)
     mu = as_measure(model, mu)
+    ts = as_times(t_grid, "t_grid", positive=True)
     limit = pairing(sd.phi0, mu) / nu_constant(model, sd)
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        p = survival_probability(model, mu, float(t))
-        rows.append(KolmogorovRow(float(t), p, float(t) * p, limit))
-    decreasing = all(
-        rows[i].p_survival >= rows[i + 1].p_survival - 1e-12
-        for i in range(len(rows) - 1)
+    grid, back = np.unique(ts, return_inverse=True)
+    ps = [_survival(w, mu) for w in neg_log_extinction(model, grid)]
+    rows = tuple(
+        KolmogorovRow(float(t), ps[k], float(t) * ps[k], limit) for t, k in zip(ts, back)
     )
-    return KolmogorovReport(tuple(rows), limit, decreasing)
+    decreasing = all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
+    return KolmogorovReport(rows, limit, decreasing)
 
 
 @dataclass(frozen=True)
@@ -488,10 +470,9 @@ def yaglom_transform(
     f = as_field(model, f)
     if np.any(f < 0):
         raise ValueError("the test field must be >= 0")
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if not t > 0:
-        raise ValueError(f"time must be > 0, got {t}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    (t,) = as_times(t, positive=True)
     target = 1.0 / (1.0 + nu_constant(model, sd) * lam * sd.psi_weight(f))
     p = survival_probability(model, mu, t)
     if lam == 0.0:
@@ -515,8 +496,9 @@ def nu_slope_estimate(
     """
     require_critical(sd)
     f = as_field(model, f)
-    if not delta > 0 or n < 1:
-        raise ValueError(f"need delta > 0 and n >= 1, got delta={delta}, n={n}")
+    (delta,) = as_times(delta, "delta", positive=True)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     w0 = sd.psi_weight(f)
     if not w0 > 0:
         raise ValueError(f"psi0-weight of f must be positive, got {w0}")

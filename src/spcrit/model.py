@@ -16,13 +16,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.linalg as sla
 from scipy.sparse.csgraph import connected_components
 
 # Roundoff slack for the time-dependent dual sub-Markov check.
 TOL_DUAL = 1e-10
+_COND_LIMIT = 1e8     # eigenvector condition number above which we fall back
 
 MODEL_KEYS = ("states", "m", "Q", "beta", "a", "b", "jumps")
 
@@ -147,10 +149,6 @@ class BranchingData:
             if v < 0:
                 raise ModelError(f"b[{i}] must be >= 0, got {v}")
 
-    def jump_second_moment(self) -> np.ndarray:
-        """Per-state sum of y^2 * w over the jump atoms."""
-        return np.array([(a[:, 0] ** 2 * a[:, 1]).sum() for a in self.jumps])
-
     def jump_total_weight(self) -> np.ndarray:
         return np.array([a[:, 1].sum() for a in self.jumps])
 
@@ -201,27 +199,60 @@ class SuperprocessModel:
     def Q(self) -> np.ndarray:
         return self.motion.Q
 
+    @cached_property
+    def _derived(self) -> DerivedCoefficients:
+        # the model is immutable, so this is built once, on first use
+        br = self.branching
+        alpha = br.beta * br.a
+        y2w = np.array([(a[:, 0] ** 2 * a[:, 1]).sum() for a in br.jumps])
+        avar = br.beta * (2.0 * br.b + y2w)
+        L = self.Q + np.diag(alpha)
+        jy = np.zeros((self.n_states, max(a.shape[0] for a in br.jumps)))
+        jw = np.zeros_like(jy)
+        for i, atoms in enumerate(br.jumps):
+            jy[i, : len(atoms)] = atoms[:, 0]
+            jw[i, : len(atoms)] = br.beta[i] * atoms[:, 1]
+        eig = eigensystem = None
+        try:
+            eig = sla.eig(L, left=True, right=True)
+            cond = np.linalg.cond(eig[2])
+            if np.isfinite(cond) and cond < _COND_LIMIT:
+                eigensystem = (eig[0], eig[2], sla.inv(eig[2]))
+        except np.linalg.LinAlgError:
+            pass
+        return DerivedCoefficients(
+            alpha=_freeze(alpha), avar=_freeze(avar),
+            kbound=float(np.max(np.abs(alpha) + avar)), L=_freeze(L),
+            qnorm=float(np.abs(self.Q).sum(axis=1).max()),
+            quad=_freeze(br.beta * br.b), jump_y=_freeze(jy), jump_w=_freeze(jw),
+            jump_y2w=_freeze((jw * jy ** 2).sum(axis=1)),
+            jump_yw=_freeze((jw * jy).sum(axis=1)), eig=eig, eigensystem=eigensystem,
+        )
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class DerivedCoefficients:
-    """Drift weight, local variance factor and their uniform bound.
+    """Everything the numerics derive from a model's data alone."""
 
-    ``alpha = beta*a`` drives the mean semigroup; ``avar`` is the local
-    branching variance factor beta*(2b + sum y^2 w); ``kbound`` equals
-    max(|alpha| + avar) over states.
-    """
-
-    alpha: np.ndarray
-    avar: np.ndarray
-    kbound: float
+    alpha: np.ndarray     # beta*a, the drift weight of the mean semigroup
+    avar: np.ndarray      # local branching variance factor beta*(2b + sum y^2 w)
+    kbound: float         # max(|alpha| + avar) over states
+    L: np.ndarray         # Q + diag(alpha), generator of the mean semigroup
+    qnorm: float          # ||Q||_inf
+    quad: np.ndarray      # beta*b
+    jump_y: np.ndarray    # (n_states, k_max) atom sizes, zero as filler
+    jump_w: np.ndarray    # matching atom weights times beta, zero as filler
+    jump_y2w: np.ndarray  # per-state sum of y^2 w over jump_y, jump_w
+    jump_yw: np.ndarray   # per-state sum of y w
+    # (w, VL, VR) from one scipy.linalg.eig(L, left=True, right=True), None
+    # if it did not converge; (w, VR, VR^{-1}) when cond(VR) < 1e8, else None
+    eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    eigensystem: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def derived_coefficients(model: SuperprocessModel) -> DerivedCoefficients:
-    br = model.branching
-    alpha = br.beta * br.a
-    avar = br.beta * (2.0 * br.b + br.jump_second_moment())
-    kbound = float(np.max(np.abs(alpha) + avar))
-    return DerivedCoefficients(_freeze(alpha), _freeze(avar), kbound)
+    """The model's derived record, built on first use and then cached."""
+    return model._derived
 
 
 def is_irreducible(model: SuperprocessModel) -> bool:
@@ -272,6 +303,22 @@ def as_measure(model: SuperprocessModel, values, allow_zero: bool = False) -> np
     if not allow_zero and not np.any(mu > 0):
         raise ModelError("measure must have positive total mass")
     return mu
+
+
+def as_times(values, name: str = "time", positive: bool = False) -> np.ndarray:
+    """Coerce a time or a time grid to a 1-D array of finite times.
+
+    Every entry must be >= 0, or > 0 when ``positive``; the first entry
+    that is not, NaN and infinities included, is named in the error.
+    """
+    ts = np.atleast_1d(np.asarray(values, dtype=float))
+    if ts.ndim != 1:
+        raise ModelError(f"{name} must be a scalar or a 1-D grid, got shape {ts.shape}")
+    bad = ~(np.isfinite(ts) & ((ts > 0) if positive else (ts >= 0)))
+    if bad.any():
+        sign = ">" if positive else ">="
+        raise ModelError(f"{name} must be finite and {sign} 0, got {float(ts[bad][0])}")
+    return ts
 
 
 def pairing(f: np.ndarray, mu: np.ndarray) -> float:
@@ -375,14 +422,14 @@ def dual_submarkov_static(model: SuperprocessModel) -> bool:
 
 def check_dual_submarkov(model: SuperprocessModel, t_grid) -> DualMarkovReport:
     """Check sum_x m(x) p(t,x,y) <= 1 at each grid time and state y."""
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size == 0 or np.any(ts <= 0):
-        raise ModelError("t_grid must be nonempty with strictly positive entries")
+    ts = as_times(t_grid, "t_grid", positive=True)
+    if ts.size == 0:
+        raise ModelError("t_grid must be nonempty")
     static_ok = dual_submarkov_static(model)
     worst = (-math.inf, math.nan, -1)
     for t in ts:
         # p(t,x,y) = exp(tQ)[x,y] / m(y); the mass integral cancels m(y).
-        col = model.m @ expm(t * model.Q) / model.m
+        col = model.m @ sla.expm(t * model.Q) / model.m
         y = int(np.argmax(col))
         excess = float(col[y] - 1.0)
         if excess > worst[0]:
@@ -419,6 +466,6 @@ class GreyReport:
 
 
 def check_grey_domination(model: SuperprocessModel) -> GreyReport:
-    b_tilde = float(np.min(model.branching.beta * model.branching.b))
     dc = derived_coefficients(model)
+    b_tilde = float(np.min(dc.quad))
     return GreyReport(satisfied=b_tilde > 0, b_tilde=b_tilde, kbound=dc.kbound)

@@ -26,6 +26,7 @@ from .model import (
     SuperprocessModel,
     as_field,
     as_measure,
+    as_times,
     derived_coefficients,
     pairing,
 )
@@ -46,8 +47,7 @@ def first_moment(model: SuperprocessModel, f, t: float, mu) -> float:
     """Mean of <f, X_t> started from mu."""
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
+    (t,) = as_times(t)
     return pairing(MeanSemigroup(model).apply(t, f), mu)
 
 
@@ -122,8 +122,7 @@ def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> f
     """
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
+    (t,) = as_times(t)
     profile = _variance_profile(model, f, t)
     val = pairing(profile, mu)
 
@@ -166,7 +165,7 @@ def variance_from_transform(
     batch = np.stack([h * f, 2.0 * h * f, 3.0 * h * f])
     # one adaptive step sequence for the whole batch keeps the stencil's
     # cancellation of the solver error
-    sol = _adaptive(model, batch, t)
+    sol = _adaptive(model, batch, [t])
     g1 = pairing(sol.values[-1, 0], mu)
     g2 = pairing(sol.values[-1, 1], mu)
     g3 = pairing(sol.values[-1, 2], mu)
@@ -256,12 +255,12 @@ def variance_limit_check(
         raise ValueError(
             f"psi0-weight of f must vanish (got {weight:.3e})"
         )
-    ts = np.asarray(t_grid, dtype=float)
-    ok = (ts > 2.0) & (ts < math.inf)  # NaN fails too
-    if not np.all(ok):
+    ts = as_times(t_grid, "t_grid")
+    if ts.size < 2:
+        raise ValueError(f"a decay rate needs at least two times, got {ts.size}")
+    if np.any(ts <= 2.0):
         raise ValueError(
-            "the variance limit holds past t = 2; use finite t_grid > 2, "
-            f"got {ts[~ok][0]}"
+            f"the variance limit holds past t = 2; use t_grid > 2, got {ts[ts <= 2.0][0]}"
         )
 
     zero_f = not np.any(f != 0)
@@ -275,15 +274,10 @@ def variance_limit_check(
         rows.append(VarianceLimitRow(float(t), profile, limit_profile, raw, stable))
 
     devs = np.array([r.stable_deviation for r in rows])
-    if np.all(devs < 1e-300):
-        fitted = math.inf
-    else:
-        mask = devs > 1e-300
-        if mask.sum() < 2:
-            fitted = math.inf
-        else:
-            slope = np.polyfit(ts[mask], np.log(devs[mask]), 1)[0]
-            fitted = float(-slope)
+    mask = devs > 1e-300
+    fitted = math.inf
+    if mask.sum() >= 2:
+        fitted = float(-np.polyfit(ts[mask], np.log(devs[mask]), 1)[0])
     report = VarianceLimitReport(tuple(rows), sigma_sq, fitted, sd.gamma)
     if not report.rate_ok:
         raise VarianceDecayError(

@@ -214,11 +214,10 @@ def simulate_paths(
         sd = spectral_data(model)
     require_critical(sd)
     dc = derived_coefficients(model)
-    qnorm = float(np.abs(model.Q).sum(axis=1).max())
-    if cfg.dt * (qnorm + dc.kbound) > 0.2:
+    if cfg.dt * (dc.qnorm + dc.kbound) > 0.2:
         raise SimulationError(
             f"dt = {cfg.dt} too large: dt*(|Q|_inf + kbound) = "
-            f"{cfg.dt * (qnorm + dc.kbound):.3f} exceeds 0.2"
+            f"{cfg.dt * (dc.qnorm + dc.kbound):.3f} exceeds 0.2"
         )
 
     n_chunks = (cfg.n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS

@@ -27,8 +27,10 @@ import scipy.linalg as sla
 
 from .model import (
     BranchingData,
+    DerivedCoefficients,
     SuperprocessModel,
     as_field,
+    as_times,
     derived_coefficients,
     m_inner,
     validate_model,
@@ -37,7 +39,6 @@ from .model import (
 TOL_EIG = 1e-10       # componentwise relative tolerance on the eigen relations
 TOL_NORM = 1e-12      # tolerance on the two normalizations
 TOL_CRITICAL = 1e-9   # |lambda0| below this counts as critical
-_COND_LIMIT = 1e8     # eigenvector condition number above which we fall back
 
 
 class SpectralError(RuntimeError):
@@ -48,38 +49,26 @@ class NotCriticalError(ValueError):
     """Operation requires a critical model (lambda0 = 0)."""
 
 
-def generator_matrix(model: SuperprocessModel) -> np.ndarray:
-    """Generator of the mean semigroup: Q + diag(beta*a)."""
-    return model.Q + np.diag(derived_coefficients(model).alpha)
-
-
 class MeanSemigroup:
     """Action of exp(t*L) at one time or on a whole grid of times.
 
     Uses the eigendecomposition of L when it is well conditioned, otherwise
     scaling-and-squaring (scipy's order-13 Pade).  A 1-D array of k times
     is evaluated in one array expression as a (k, n, n) stack, so callers
-    that need many times take one stack instead of looping.  The model
-    itself stays immutable.
+    that need many times take one stack instead of looping.  L and its
+    eigensystem come from the model's derived record, so building one
+    costs nothing.
     """
 
     def __init__(self, model: SuperprocessModel):
         self.model = model
-        self.L = generator_matrix(model)
-        self._eig = None
-        try:
-            w, v = sla.eig(self.L)
-            cond = np.linalg.cond(v)
-            if np.isfinite(cond) and cond < _COND_LIMIT:
-                self._eig = (w, v, sla.inv(v))
-        except np.linalg.LinAlgError:
-            self._eig = None
+        self.L = derived_coefficients(model).L
 
     @property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(w, V, V^{-1}) with L = V diag(w) V^{-1}, or None when V is
         too ill-conditioned to use and the Pade fallback is in force."""
-        return self._eig
+        return derived_coefficients(self.model).eigensystem
 
     def matrix(self, t) -> np.ndarray:
         """exp(t*L); entry (x, y) is the mean mass at y started from x.
@@ -87,13 +76,11 @@ class MeanSemigroup:
         A scalar t gives the (n, n) matrix, a 1-D array of k times the
         (k, n, n) stack; t = 0 gives the identity exactly.
         """
-        t = np.asarray(t, dtype=float)
-        bad = ~(t >= 0)  # NaN too
-        if bad.any():
-            raise ValueError(f"time must be >= 0, got {float(t[bad].flat[0])}")
+        t = as_times(t).reshape(np.shape(t))
         ts = t[..., None, None]
-        if self._eig is not None:
-            w, v, vinv = self._eig
+        eig = self.eigensystem
+        if eig is not None:
+            w, v, vinv = eig
             out = ((v * np.exp(ts * w)) @ vinv).real
         else:
             out = sla.expm(ts * self.L)
@@ -110,19 +97,8 @@ class MeanSemigroup:
 
     def density(self, t) -> np.ndarray:
         """Kernel q(t,x,y) of the semigroup with respect to m."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise ValueError(f"density needs t > 0, got {float(t[t <= 0].flat[0])}")
+        as_times(t, positive=True)
         return self.matrix(t) / self.model.m
-
-
-def mean_semigroup(model: SuperprocessModel, t: float) -> np.ndarray:
-    """Matrix of the mean semigroup at time t (acts by M @ f)."""
-    return MeanSemigroup(model).matrix(t)
-
-
-def density_matrix(model: SuperprocessModel, t: float) -> np.ndarray:
-    return MeanSemigroup(model).density(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +131,12 @@ class SpectralData:
         return abs(self.lambda0) <= TOL_CRITICAL
 
 
-def _principal_pair(L: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _principal_pair(dc: DerivedCoefficients) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Principal eigenvalue, right/left eigenvectors and the spectral gap."""
-    w, vl, vr = sla.eig(L, left=True, right=True)
-    scale = max(1.0, float(np.abs(L).max()))
+    if dc.eig is None:
+        raise SpectralError("the eigensolver did not converge on L")
+    w, vl, vr = dc.eig
+    scale = max(1.0, float(np.abs(dc.L).max()))
     order = np.argsort(-w.real)
     i0 = order[0]
     lam = w[i0]
@@ -189,7 +167,7 @@ def _principal_pair(L: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float
 
     right = positive_real(vr[:, i0] / np.abs(vr[:, i0]).max(), "right")
     left = positive_real(vl[:, i0] / np.abs(vl[:, i0]).max(), "left")
-    if L.shape[0] == 1:
+    if w.size == 1:
         gap = math.inf
     else:
         gap = float(lam.real - w.real[order[1]])
@@ -223,7 +201,7 @@ def fit_expansion_constant(
     """
     if t_grid is None:
         t_grid = np.geomspace(1.0, 40.0, 1025)
-    t = np.asarray(t_grid, dtype=float)
+    t = as_times(t_grid, "t_grid", positive=True)
     ts = t[:, None, None]
     sg = MeanSemigroup(model)
     m = model.m
@@ -251,8 +229,7 @@ def spectral_data(model: SuperprocessModel) -> SpectralData:
     """Principal eigenpair, spectral gap and fitted expansion constant."""
     validate_model(model)
     m = model.m
-    L = generator_matrix(model)
-    lambda0, right, left, gamma = _principal_pair(L)
+    lambda0, right, left, gamma = _principal_pair(derived_coefficients(model))
 
     phi0 = right / math.sqrt(m_inner(right, right, m))
     # psi0 relates to the left eigenvector of L by an elementwise 1/m factor.
@@ -304,7 +281,7 @@ def criticalize(model: SuperprocessModel) -> SuperprocessModel:
             jumps=model.branching.jumps,
         ),
     )
-    residual = spectral_data(shifted).lambda0
+    residual = _principal_pair(derived_coefficients(shifted))[0]
     if abs(residual) > 1e-12:
         raise SpectralError(
             f"criticalize left a residual principal eigenvalue {residual:.3e}"
@@ -360,7 +337,7 @@ def _fluctuation_gram(
     and diag(e^{tA} X e^{tA^T}) is the integral of (T_s f)^2 over [t, inf).
     """
     f = f - sd.psi_weight(f) * sd.phi0
-    A = _deflated_generator(generator_matrix(model), sd.phi0, sd.psi0, sd.m)
+    A = _deflated_generator(derived_coefficients(model).L, sd.phi0, sd.psi0, sd.m)
     return A, sla.solve_continuous_lyapunov(A, -np.outer(f, f))
 
 

@@ -87,6 +87,17 @@ def test_kolmogorov_table(m1_path, tmp_path):
                                                abs=1e-5)
 
 
+def test_kolmogorov_repeated_grid_time(m2_path, tmp_path):
+    out = tmp_path / "kol.csv"
+    code = main(
+        ["kolmogorov", m2_path, "--mu", "1,0", "--t-grid", "10:10:3", "--out", str(out)]
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3 and rows[0] == rows[1] == rows[2]
+    assert float(rows[0][0]) == 10.0
+
+
 def test_yaglom_row(m1_path, tmp_path):
     out = tmp_path / "yag.csv"
     code = main(

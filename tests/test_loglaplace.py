@@ -25,8 +25,8 @@ from spcrit.loglaplace import (
     survival_probability,
     yaglom_transform,
 )
-from spcrit.model import derived_coefficients
-from spcrit.spectral import MeanSemigroup, spectral_data
+from spcrit.model import check_dual_submarkov, derived_coefficients
+from spcrit.spectral import MeanSemigroup, fit_expansion_constant, spectral_data
 
 
 def riccati(theta: float, b: float, t: float) -> float:
@@ -150,6 +150,13 @@ _TIME_ENTRY_POINTS = {
     "variance_limit_check": lambda m, sd, t: moments.variance_limit_check(
         m, sd, [1.0, -1.0], [5.0, t]
     ),
+    "matrix": lambda m, sd, t: MeanSemigroup(m).matrix(t),
+    "density": lambda m, sd, t: MeanSemigroup(m).density(t),
+    "check_dual_submarkov": lambda m, sd, t: check_dual_submarkov(m, [1.0, t]),
+    "fit_expansion_constant": lambda m, sd, t: fit_expansion_constant(
+        m, sd.lambda0, sd.phi0, sd.psi0, sd.gamma, t_grid=[1.0, t]
+    ),
+    "kolmogorov_table": lambda m, sd, t: kolmogorov_table(m, sd, [1.0, 0.0], [10.0, t]),
 }
 
 
@@ -163,6 +170,23 @@ def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
     sd = spectral_data(m2)
     with pytest.raises(ValueError, match=str(bad)):
         _TIME_ENTRY_POINTS[entry](m2, sd, bad)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [1.0, 1.0], math.inf, 5.0),
+         "lambda"),
+        (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [1.0, 1.0], math.nan, 5.0),
+         "lambda"),
+        (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 2.5), "n must"),
+        (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 0), "n must"),
+    ],
+    ids=["yaglom-lambda-inf", "yaglom-lambda-nan", "slope-n-fraction", "slope-n-zero"],
+)
+def test_scalar_arguments_rejected_by_name(m2, call, name):
+    with pytest.raises(ValueError, match=name):
+        call(m2, spectral_data(m2))
 
 
 def test_solution_dominated_by_mean(m2, rng):
@@ -252,9 +276,10 @@ def test_extinction_symmetric_two_state(m2):
 
 
 def test_extinction_warns_and_fails_without_grey(m3):
-    # jump-only mechanism: no finite-time extinction, the ladder diverges
+    # jump-only mechanism: no finite-time extinction, the ladder diverges;
+    # the error names the time it failed at
     with pytest.warns(UserWarning, match="not certified"):
-        with pytest.raises(LadderError):
+        with pytest.raises(LadderError, match="at t=4"):
             neg_log_extinction(m3, 4.0)
 
 
@@ -298,6 +323,36 @@ def test_kolmogorov_table_m2(m2):
     assert report.rows[0].t_times_p == pytest.approx(
         1000 * -math.expm1(-0.001), abs=1e-4
     )
+
+
+def test_kolmogorov_grid_is_one_ladder_matching_per_time_survival(m2):
+    rng = np.random.default_rng(20261018)
+    models = [m2] + [
+        acceptance.random_model(rng, n_states=int(rng.integers(2, 4)), critical=True)
+        for _ in range(6)
+    ]
+    grid = [10.0, 100.0, 1000.0]
+    for model in models:
+        mu = rng.uniform(0.1, 1.0, model.n_states)
+        rows = kolmogorov_table(model, spectral_data(model), mu, grid).rows
+        per_time = [survival_probability(model, mu, t) for t in grid]
+        # the first time ends on the same steps as its own ladder
+        assert rows[0].p_survival == per_time[0]
+        np.testing.assert_allclose(
+            [row.p_survival for row in rows[1:]], per_time[1:], rtol=1e-9, atol=0
+        )
+
+
+def test_kolmogorov_grid_keeps_the_callers_order(m2):
+    sd = spectral_data(m2)
+    grid = [100.0, 10.0, 100.0, 30.0, 10.0]
+    report = kolmogorov_table(m2, sd, [1.0, 0.0], grid)
+    assert [row.t for row in report.rows] == grid
+    assert report.rows[0] == report.rows[2] and report.rows[1] == report.rows[4]
+    assert report.rows[1].p_survival == survival_probability(m2, [1.0, 0.0], 10.0)
+    assert report.survival_decreasing
+    repeated = kolmogorov_table(m2, sd, [1.0, 0.0], [10.0, 10.0, 10.0]).rows
+    assert repeated[0] == repeated[1] == repeated[2] == report.rows[1]
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +421,8 @@ def test_nu_slope_preconditions(m2):
 def test_principal_profile_flattens(m2):
     sd = spectral_data(m2)
     t_lo, t_hi = 5.0 / sd.gamma, 50.0 / sd.gamma
-    traj = solve_log_laplace(m2, [2.0, 0.3], t_hi)
-    gap_lo = principal_profile_gap(sd, traj.interp(t_lo))
-    gap_hi = principal_profile_gap(sd, traj.final)
+    gap_lo = principal_profile_gap(sd, solve_log_laplace(m2, [2.0, 0.3], t_lo).final)
+    gap_hi = principal_profile_gap(sd, solve_log_laplace(m2, [2.0, 0.3], t_hi).final)
     assert gap_hi <= gap_lo / 10.0
 
 

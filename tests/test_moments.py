@@ -175,6 +175,13 @@ def test_variance_limit_preconditions(m2):
         variance_limit_check(m2, sd, [1.0, -1.0], [1.0, 5.0])
 
 
+@pytest.mark.parametrize("grid", [[], [5.0]], ids=["empty", "one-time"])
+def test_variance_limit_needs_two_times(m2, grid):
+    # one deviation fits no decay rate; it must not pass as an infinite one
+    with pytest.raises(ValueError, match="at least two times"):
+        variance_limit_check(m2, spectral_data(m2), [1.0, -1.0], grid)
+
+
 def test_variance_limit_convergence_toward_profile(m2, rng):
     # at moderate t the raw deviation is still above noise and must agree
     # with the closed form e^{-4t}/sqrt(2)

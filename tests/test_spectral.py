@@ -15,10 +15,8 @@ from spcrit.spectral import (
     MeanSemigroup,
     NotCriticalError,
     criticalize,
-    density_matrix,
     fit_expansion_constant,
     fluctuation_variance,
-    mean_semigroup,
     nu,
     remove_principal_component,
     spectral_data,
@@ -44,27 +42,27 @@ def with_linear_coefficient(model, a):
 # mean semigroup
 
 def test_semigroup_identity_action(m1):
-    np.testing.assert_allclose(mean_semigroup(m1, 3.0) @ [1.0], [1.0])
+    np.testing.assert_allclose(MeanSemigroup(m1).matrix(3.0) @ [1.0], [1.0])
 
 
 def test_semigroup_eigenvector_decay(m2):
     # (1, -1) is an eigenvector of the flip generator with eigenvalue -2
-    got = mean_semigroup(m2, 0.5) @ np.array([1.0, -1.0])
+    got = MeanSemigroup(m2).matrix(0.5) @ np.array([1.0, -1.0])
     np.testing.assert_allclose(got, math.exp(-1.0) * np.array([1.0, -1.0]),
                                rtol=1e-12)
 
 
 def test_semigroup_preserves_constants(m2):
-    got = mean_semigroup(m2, 0.5) @ np.array([1.0, 1.0])
+    got = MeanSemigroup(m2).matrix(0.5) @ np.array([1.0, 1.0])
     np.testing.assert_allclose(got, [1.0, 1.0], rtol=1e-12)
 
 
 def test_semigroup_rejects_negative_time(m2):
     with pytest.raises(ValueError):
-        mean_semigroup(m2, -0.1)
+        MeanSemigroup(m2).matrix(-0.1)
 
 
-def test_semigroup_property_and_positivity(rng):
+def test_semigroup_property_and_positivity(rng, monkeypatch):
     for _ in range(10):
         model = acceptance.random_model(rng)
         sg = MeanSemigroup(model)
@@ -78,21 +76,22 @@ def test_semigroup_property_and_positivity(rng):
         # a time grid gives the stack of per-time matrices, through the
         # eigenbasis and through the Pade fallback alike
         ts = np.concatenate(([0.0], rng.uniform(0.0, 10.0, 6)))
-        pade = MeanSemigroup(model)
-        pade._eig = None
         stacks = []
-        for route in (sg, pade):
-            stack = route.matrix(ts)
-            assert stack.shape == (ts.size, model.n_states, model.n_states)
-            np.testing.assert_array_equal(stack[0], np.eye(model.n_states))
-            for k, tk in enumerate(ts):
+        for pade in (False, True):
+            with monkeypatch.context() as mp:
+                if pade:
+                    mp.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+                stack = sg.matrix(ts)
+                assert stack.shape == (ts.size, model.n_states, model.n_states)
+                np.testing.assert_array_equal(stack[0], np.eye(model.n_states))
+                for k, tk in enumerate(ts):
+                    np.testing.assert_allclose(
+                        stack[k], sg.matrix(tk), rtol=1e-13, atol=1e-15
+                    )
                 np.testing.assert_allclose(
-                    stack[k], route.matrix(tk), rtol=1e-13, atol=1e-15
+                    sg.apply(ts, f), stack @ f, rtol=1e-13, atol=1e-15
                 )
-            np.testing.assert_allclose(
-                route.apply(ts, f), stack @ f, rtol=1e-13, atol=1e-15
-            )
-            stacks.append(stack)
+                stacks.append(stack)
         np.testing.assert_allclose(stacks[0], stacks[1], rtol=1e-10, atol=1e-12)
         with pytest.raises(ValueError, match="-0.5"):
             sg.matrix(np.array([1.0, -0.5, -2.0]))
@@ -116,12 +115,12 @@ def test_duality_in_the_weighted_inner_product(rng):
 # density
 
 def test_density_m1(m1):
-    np.testing.assert_allclose(density_matrix(m1, 1.0), [[1.0]])
+    np.testing.assert_allclose(MeanSemigroup(m1).density(1.0), [[1.0]])
 
 
 def test_density_two_state_heat_kernel(m2):
     # closed form for the symmetric flip: (1 +/- e^{-2t})/2
-    q = density_matrix(m2, 1.0)
+    q = MeanSemigroup(m2).density(1.0)
     assert q[0, 0] == pytest.approx((1 + math.exp(-2)) / 2, rel=1e-12)
     assert q[0, 1] == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
 
@@ -133,7 +132,7 @@ def test_density_comparability(m2, rng):
     for model in models:
         kb = derived_coefficients(model).kbound
         for t in (0.1, 1.0, 5.0):
-            q = density_matrix(model, t)
+            q = MeanSemigroup(model).density(t)
             p = sla.expm(t * model.Q) / model.m[None, :]
             assert np.all(q >= math.exp(-kb * t) * p - 1e-12)
             assert np.all(q <= math.exp(kb * t) * p + 1e-12)
@@ -141,7 +140,7 @@ def test_density_comparability(m2, rng):
 
 def test_density_rejects_nonpositive_time(m2):
     with pytest.raises(ValueError):
-        density_matrix(m2, 0.0)
+        MeanSemigroup(m2).density(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +357,42 @@ def test_fluctuation_variance_is_profile_limit(m2, rng):
         assert fluctuation_variance(model, sd, f) == pytest.approx(
             sd.psi_weight(profile), rel=1e-10
         )
+
+
+def test_one_eigendecomposition_per_model(monkeypatch):
+    # the derived record is built once per model and every layer reads it
+    import scipy.linalg
+
+    from spcrit import loglaplace, moments
+
+    base = acceptance.random_model(np.random.default_rng(3), n_states=3, critical=True)
+    model = SuperprocessModel(base.space, base.motion, base.branching)
+    calls = {"eig": 0, "adaptive": 0}
+    real_eig, real_adaptive = scipy.linalg.eig, loglaplace._adaptive
+
+    def eig(*args, **kwargs):
+        calls["eig"] += 1
+        return real_eig(*args, **kwargs)
+
+    def adaptive(*args):
+        calls["adaptive"] += 1
+        return real_adaptive(*args)
+
+    monkeypatch.setattr(scipy.linalg, "eig", eig)
+    monkeypatch.setattr(loglaplace, "_adaptive", adaptive)
+    mu = np.array([1.0, 0.5, 0.2])
+    g = np.array([0.5, 1.0, 0.2])
+    sd = spectral_data(model)
+    nu(model, sd)
+    f = remove_principal_component(np.array([1.0, -0.5, 0.2]), sd)
+    fluctuation_variance(model, sd, f)
+    moments.variance_limit_check(model, sd, f, [5.0, 10.0, 15.0])
+    loglaplace.solve_log_laplace(model, g, 2.0)
+    moments.variance(model, f, 2.0, mu)
+    moments.variance_from_transform(model, g, 2.0, mu)
+    calls["adaptive"] = 0
+    loglaplace.kolmogorov_table(model, sd, mu, [10.0, 100.0])
+    assert calls == {"eig": 1, "adaptive": 1}
 
 
 def test_fit_expansion_constant_refinement_stays_bounded(m2):
