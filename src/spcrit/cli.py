@@ -133,7 +133,7 @@ def _cmd_spectral(args) -> int:
         "quantity,value",
         f"lambda0,{_fmt(sd.lambda0)}",
         f"gamma,{_fmt(sd.gamma)}",
-        f"c_expansion,{_fmt(sd.c_expansion)}",
+        f"c_expansion,{_fmt(spectral.fit_expansion_constant(model, sd))}",
     ]
     if sd.is_critical:
         lines.append(f"nu,{_fmt(spectral.nu(model, sd))}")

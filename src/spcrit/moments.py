@@ -136,10 +136,10 @@ def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> f
     return val
 
 
-def second_moment(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> float:
-    """Second moment of <f, X_t> started from mu; ``rtol`` is not used."""
+def second_moment(model: SuperprocessModel, f, t: float, mu) -> float:
+    """Second moment of <f, X_t> started from mu."""
     mean = first_moment(model, f, t, mu)
-    return variance(model, f, t, mu, rtol=rtol) + mean * mean
+    return variance(model, f, t, mu) + mean * mean
 
 
 def variance_from_transform(

@@ -28,10 +28,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .model import (
+    ModelError,
     SuperprocessModel,
+    _require_finite,
     as_measure,
     derived_coefficients,
 )
@@ -268,13 +270,20 @@ def conditional_statistics(
     sd: SpectralData,
     f,
 ) -> ConditionalSamples:
-    """Per-surviving-path samples of the two rescaled limit functionals."""
+    """Per-surviving-path samples of the two rescaled limit functionals.
+
+    f must be a finite vector with one entry per state; the error names
+    a wrong shape or the first non-finite entry, as ``as_field`` does.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != sd.m.shape:
+        raise ModelError(f"field vector must have shape {sd.m.shape}, got {f.shape}")
+    _require_finite("vector entry ", f)
     if ensemble.n_paths == 0:
         raise SimulationError("empty ensemble")
     n_surv = int(ensemble.survived.sum())
     if n_surv == 0:
         raise SimulationError("no surviving paths; increase n_paths or lower t")
-    f = np.asarray(f, dtype=float)
     f_tilde = remove_principal_component(f, sd)
     X = ensemble.states_at_t[ensemble.survived]
     t = ensemble.t_end
@@ -319,7 +328,8 @@ class LimitLaw:
     def product_cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         b = 0.5 * self.product_scale
-        return np.where(x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+        tail = 0.5 * np.exp(-np.abs(x) / b)
+        return np.where(x < 0, tail, 1.0 - tail)
 
 
 @dataclass(frozen=True)
@@ -329,14 +339,9 @@ class KsResult:
     n_samples: int
 
 
-def _ks_series_pvalue(lam: float) -> float:
-    """Asymptotic Kolmogorov tail probability, series truncated at 100 terms."""
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for k in range(1, 101):
-        total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-    return float(min(1.0, max(0.0, 2.0 * total)))
+def _ks_pvalue(d: float, n: int) -> float:
+    """Tail of the asymptotic Kolmogorov law at sqrt(n) * d."""
+    return float(kolmogorov(math.sqrt(n) * d))
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -358,7 +363,7 @@ def ks_exponential_test(samples, scale: float) -> KsResult:
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
     d = ks_statistic(x, lambda v: 1.0 - np.exp(-np.maximum(v, 0.0) / scale))
-    return KsResult(d, _ks_series_pvalue(math.sqrt(x.size) * d), int(x.size))
+    return KsResult(d, _ks_pvalue(d, x.size), int(x.size))
 
 
 @dataclass(frozen=True)
@@ -385,12 +390,12 @@ def clt_checks(samples: ConditionalSamples, nu_mean: float, sigma_sq: float) -> 
     law = LimitLaw(nu_mean, sigma_sq)
     n = samples.z.size
     d1 = ks_statistic(samples.z, law.product_cdf)
-    ks_product = KsResult(d1, _ks_series_pvalue(math.sqrt(n) * d1), n)
+    ks_product = KsResult(d1, _ks_pvalue(d1, n), n)
 
     ratio = samples.z / np.sqrt(samples.v)
     sig = math.sqrt(sigma_sq)
     d2 = ks_statistic(ratio, lambda v: ndtr(v / sig))
-    ks_ratio = KsResult(d2, _ks_series_pvalue(math.sqrt(n) * d2), n)
+    ks_ratio = KsResult(d2, _ks_pvalue(d2, n), n)
 
     u = ratio ** 2
     corr = float(np.corrcoef(u, samples.v)[0, 1])

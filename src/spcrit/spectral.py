@@ -8,8 +8,8 @@ Both constants are closed form: nu is a weighted sum, and sigma_f^2 comes
 from one continuous Lyapunov solve with the generator deflated at its
 principal eigenvalue (Bartels & Stewart, CACM 15(9), 1972).
 
-The kernel-expansion constant c_expansion is fitted on a time grid from
-the deviation of the kernel from its principal product.  That deviation
+The kernel-expansion constant is fitted on a time grid, on request only,
+from the deviation of the kernel from its principal product.  That deviation
 is summed over the non-principal eigenmodes only, so the principal term
 is never subtracted and nothing cancels when e^{-gamma t} falls below
 roundoff; with an ill-conditioned eigenbasis it is one matrix exponential
@@ -107,8 +107,7 @@ class SpectralData:
 
     phi0 is the positive right eigenvector with unit m-weighted 2-norm,
     psi0 the positive left one normalized against phi0; gamma is the gap
-    to the rest of the spectrum's real parts (+inf for one state) and
-    c_expansion the fitted constant of the kernel expansion bound.  The
+    to the rest of the spectrum's real parts (+inf for one state).  The
     reference weights m are carried for inner products.
     """
 
@@ -116,7 +115,6 @@ class SpectralData:
     phi0: np.ndarray
     psi0: np.ndarray
     gamma: float
-    c_expansion: float
     m: np.ndarray
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
@@ -174,14 +172,7 @@ def _principal_pair(dc: DerivedCoefficients) -> tuple[float, np.ndarray, np.ndar
     return float(lam.real), right, left, gap
 
 
-def fit_expansion_constant(
-    model: SuperprocessModel,
-    lambda0: float,
-    phi0: np.ndarray,
-    psi0: np.ndarray,
-    gamma: float,
-    t_grid=None,
-) -> float:
+def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=None) -> float:
     """Smallest constant making the kernel expansion bound hold on the grid.
 
     The bound compared is |q(t,x,y) e^{-lambda0 t} - phi0(x) psi0(y)| <=
@@ -202,6 +193,7 @@ def fit_expansion_constant(
     if t_grid is None:
         t_grid = np.geomspace(1.0, 40.0, 1025)
     t = as_times(t_grid, "t_grid", positive=True)
+    lambda0, phi0, psi0, gamma = sd.lambda0, sd.phi0, sd.psi0, sd.gamma
     ts = t[:, None, None]
     sg = MeanSemigroup(model)
     m = model.m
@@ -226,7 +218,9 @@ def fit_expansion_constant(
 
 
 def spectral_data(model: SuperprocessModel) -> SpectralData:
-    """Principal eigenpair, spectral gap and fitted expansion constant."""
+    """Principal eigenpair and spectral gap, with the eigen relations and
+    normalizations checked; ``fit_expansion_constant`` fits the expansion
+    constant from the result."""
     validate_model(model)
     m = model.m
     lambda0, right, left, gamma = _principal_pair(derived_coefficients(model))
@@ -251,19 +245,16 @@ def spectral_data(model: SuperprocessModel) -> SpectralData:
     if abs(m_inner(phi0, psi0, m) - 1.0) > TOL_NORM:
         raise SpectralError("phi0/psi0 normalization drifted beyond tolerance")
 
-    c_exp = fit_expansion_constant(model, lambda0, phi0, psi0, gamma)
     phi0.setflags(write=False)
     psi0.setflags(write=False)
-    return SpectralData(
-        lambda0=lambda0, phi0=phi0, psi0=psi0, gamma=gamma,
-        c_expansion=c_exp, m=m,
-    )
+    return SpectralData(lambda0=lambda0, phi0=phi0, psi0=psi0, gamma=gamma, m=m)
 
 
 def criticalize(model: SuperprocessModel) -> SuperprocessModel:
     """Shift the linear coefficient so the principal eigenvalue vanishes."""
-    sd = spectral_data(model)
-    if abs(sd.lambda0) <= 1e-12:
+    validate_model(model)
+    lambda0 = _principal_pair(derived_coefficients(model))[0]
+    if abs(lambda0) <= 1e-12:
         return model
     beta = model.branching.beta
     if np.any(beta == 0):
@@ -276,7 +267,7 @@ def criticalize(model: SuperprocessModel) -> SuperprocessModel:
         motion=model.motion,
         branching=BranchingData(
             beta=beta,
-            a=model.branching.a - sd.lambda0 / beta,
+            a=model.branching.a - lambda0 / beta,
             b=model.branching.b,
             jumps=model.branching.jumps,
         ),

@@ -154,7 +154,7 @@ _TIME_ENTRY_POINTS = {
     "density": lambda m, sd, t: MeanSemigroup(m).density(t),
     "check_dual_submarkov": lambda m, sd, t: check_dual_submarkov(m, [1.0, t]),
     "fit_expansion_constant": lambda m, sd, t: fit_expansion_constant(
-        m, sd.lambda0, sd.phi0, sd.psi0, sd.gamma, t_grid=[1.0, t]
+        m, sd, t_grid=[1.0, t]
     ),
     "kolmogorov_table": lambda m, sd, t: kolmogorov_table(m, sd, [1.0, 0.0], [10.0, t]),
 }

@@ -140,7 +140,7 @@ def test_variance_a_priori_bound(rng):
         f = rng.normal(size=model.n_states)
         t = float(rng.uniform(0.1, 5.0))
         mu = rng.uniform(0.1, 1.0, model.n_states)
-        val = variance(model, f, t, mu, rtol=1e-6)
+        val = variance(model, f, t, mu)
         kb = derived_coefficients(model).kbound
         cap = math.exp(kb * t) * first_moment(model, f * f, t, mu)
         assert val <= cap * (1 + 1e-6) + 1e-9

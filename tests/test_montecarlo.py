@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,22 @@ def test_conditional_statistics_require_survivors(m2):
         conditional_statistics(dead, sd, [1.0, -1.0])
 
 
+@pytest.mark.parametrize(
+    "f, match",
+    [(1.0, r"shape \(2,\), got \(\)"), ([1.0, -1.0, 0.0], r"got \(3,\)"),
+     ([1.0, math.nan], r"\[1\] must be finite, got nan"),
+     ([math.inf, 1.0], r"\[0\] must be finite, got inf")],
+    ids=["scalar", "long", "nan", "inf"],
+)
+def test_conditional_statistics_reject_malformed_field(m2, f, match):
+    ens = PathEnsemble(
+        states_at_t=np.array([[1.0, 1.0]]), survived=np.array([True]),
+        t_end=4.0, dt=0.01, seed=0,
+    )
+    with pytest.raises(ModelError, match=match):
+        conditional_statistics(ens, spectral_data(m2), f)
+
+
 def test_conditional_samples_reductions(m2):
     sd = spectral_data(m2)
     ens = PathEnsemble(
@@ -291,8 +308,8 @@ def test_conditional_samples_reductions(m2):
 # goodness of fit
 
 def test_ks_statistic_matches_scipy(rng):
-    # statistic must agree exactly; the p-value uses the asymptotic series,
-    # whose distance from the exact law shrinks like 1/sqrt(n)
+    # statistic must agree exactly; the p-value uses the asymptotic
+    # Kolmogorov law, whose distance from the exact law shrinks like 1/sqrt(n)
     for n, p_tol in ((500, 0.02), (20_000, 2e-3)):
         for _ in range(3):
             x = rng.exponential(0.7, n)
@@ -314,6 +331,23 @@ def test_ks_self_consistency_over_seeds():
         if ks_exponential_test(x, 0.5).p_value <= 0.01:
             bad += 1
     assert bad == 0
+
+
+def test_ks_perfect_fit_is_not_rejected():
+    # exact quantiles sit at KS distance 1/(2n): sqrt(n) * D = 5e-4, where the
+    # Kolmogorov tail is 1 and a series cut after finitely many terms is not
+    n = 1_000_000
+    x = -0.5 * np.log1p(-(np.arange(n) + 0.5) / n)
+    assert ks_exponential_test(x, 0.5).p_value > 0.99
+
+
+def test_product_cdf_far_tails_do_not_overflow():
+    law = LimitLaw(nu_mean=0.5, sigma_sq=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.product_cdf(400.0) == 1.0
+        assert law.product_cdf(-400.0) == 0.0
+        assert law.product_cdf(0.0) == 0.5
 
 
 def test_ks_degenerate_point_mass():

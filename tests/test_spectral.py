@@ -131,9 +131,9 @@ def test_density_comparability(m2, rng):
     models = [m2] + [acceptance.random_model(rng) for _ in range(10)]
     for model in models:
         kb = derived_coefficients(model).kbound
-        for t in (0.1, 1.0, 5.0):
+        ts = np.array([0.1, 1.0, 5.0])
+        for t, p in zip(ts, sla.expm(ts[:, None, None] * model.Q) / model.m):
             q = MeanSemigroup(model).density(t)
-            p = sla.expm(t * model.Q) / model.m[None, :]
             assert np.all(q >= math.exp(-kb * t) * p - 1e-12)
             assert np.all(q <= math.exp(kb * t) * p + 1e-12)
 
@@ -152,7 +152,7 @@ def test_spectral_data_m1(m1):
     assert math.isinf(sd.gamma)
     np.testing.assert_allclose(sd.phi0, [1.0])
     np.testing.assert_allclose(sd.psi0, [1.0])
-    assert sd.c_expansion == 0.0
+    assert fit_expansion_constant(m1, sd) == 0.0
 
 
 def test_spectral_data_m2(m2):
@@ -162,7 +162,7 @@ def test_spectral_data_m2(m2):
     np.testing.assert_allclose(sd.phi0, [INV_SQRT2, INV_SQRT2], rtol=1e-12)
     np.testing.assert_allclose(sd.psi0, [INV_SQRT2, INV_SQRT2], rtol=1e-12)
     # the deviation is (1/2) e^{-2t} in every entry, so the constant is 1
-    assert sd.c_expansion == pytest.approx(1.0, abs=1e-12)
+    assert fit_expansion_constant(m2, sd) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_shift_moves_only_lambda(m2):
@@ -192,7 +192,8 @@ def test_normalizations_on_random_models(rng):
 def test_expansion_bound_holds_on_the_grid(m2, rng):
     for model in (m2, acceptance.random_model(rng, n_states=3, critical=True)):
         sd = spectral_data(model)
-        assert math.isfinite(sd.c_expansion)
+        c = fit_expansion_constant(model, sd)
+        assert math.isfinite(c)
         grid = np.geomspace(1.0, 40.0, 33)
         sg = MeanSemigroup(model)
         rank_one = np.outer(sd.phi0, sd.psi0)
@@ -202,7 +203,7 @@ def test_expansion_bound_holds_on_the_grid(m2, rng):
         floor = 1e-13 * rank_one.max()
         for t in grid:
             dev = np.abs(sg.density(t) * math.exp(-sd.lambda0 * t) - rank_one)
-            bound = sd.c_expansion * math.exp(-sd.gamma * t) * rank_one
+            bound = c * math.exp(-sd.gamma * t) * rank_one
             assert np.all(dev <= bound * (1 + 1e-9) + floor)
 
 
@@ -215,10 +216,7 @@ def test_expansion_fit_fallback_agrees(m2, rng, monkeypatch):
     cases = [(model, spectral_data(model)) for model in models]
 
     def fits():
-        return np.array([
-            fit_expansion_constant(model, sd.lambda0, sd.phi0, sd.psi0, sd.gamma)
-            for model, sd in cases
-        ])
+        return np.array([fit_expansion_constant(model, sd) for model, sd in cases])
 
     by_modes = fits()
     monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
@@ -234,13 +232,14 @@ def test_mean_convergence_bound(rng):
         sd = spectral_data(model)
         if not math.isfinite(sd.gamma):
             continue
+        c = fit_expansion_constant(model, sd)
         sg = MeanSemigroup(model)
         f = rng.normal(size=model.n_states)
         weight = m_inner(f, sd.psi0, model.m)
         abs_weight = m_inner(np.abs(f), sd.psi0, model.m)
         for t in (1.0, 3.0, 10.0):
             dev = np.abs(sg.apply(t, f) - weight * sd.phi0)
-            bound = sd.c_expansion * math.exp(-sd.gamma * t) * abs_weight * sd.phi0
+            bound = c * math.exp(-sd.gamma * t) * abs_weight * sd.phi0
             assert np.all(dev <= bound * (1 + 1e-6) + 1e-12)
 
 
@@ -261,6 +260,18 @@ def test_criticalize_is_a_fixed_point(m1):
 def test_criticalize_asymmetric(m2):
     model = with_linear_coefficient(m2, [0.2, -0.2])
     assert abs(spectral_data(criticalize(model)).lambda0) <= 1e-12
+
+
+def test_eigendata_and_criticalize_do_not_fit_the_expansion(m2, rng, monkeypatch):
+    # only the callers that print or check the expansion constant fit it
+    def refuse(*args, **kwargs):
+        raise AssertionError("expansion constant fitted")
+
+    monkeypatch.setattr("spcrit.spectral.fit_expansion_constant", refuse)
+    for raw in (with_linear_coefficient(m2, [0.3, 0.3]), acceptance.random_model(rng)):
+        sd = spectral_data(criticalize(raw))
+        assert sd.is_critical
+        assert not hasattr(sd, "c_expansion")
 
 
 def test_criticalize_needs_positive_beta(m2):
@@ -397,8 +408,5 @@ def test_one_eigendecomposition_per_model(monkeypatch):
 
 def test_fit_expansion_constant_refinement_stays_bounded(m2):
     sd = spectral_data(m2)
-    dense = fit_expansion_constant(
-        m2, sd.lambda0, sd.phi0, sd.psi0, sd.gamma,
-        t_grid=np.geomspace(1.0, 40.0, 2049),
-    )
-    assert dense <= sd.c_expansion * 1.10
+    dense = fit_expansion_constant(m2, sd, t_grid=np.geomspace(1.0, 40.0, 2049))
+    assert dense <= fit_expansion_constant(m2, sd) * 1.10
