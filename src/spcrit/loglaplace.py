@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import _kernels
 from .model import (
     SuperprocessModel,
     DerivedCoefficients,
+    ModelError,
     as_field,
     as_measure,
     as_times,
@@ -40,6 +40,8 @@ from .spectral import MeanSemigroup, SpectralData, nu as nu_constant, require_cr
 TOL_ODE = 1e-8
 TOL_LADDER = 1e-6
 THETA_LADDER = (1e2, 1e4, 1e6)
+_JUMP_POWERS = np.arange(2, 8)  # Taylor series of e^{-z} - 1 + z
+_JUMP_SERIES = np.array([(-1.0) ** k / math.factorial(k) for k in _JUMP_POWERS])
 _MAX_STEPS = 1_000_000   # step budget of one solve
 _GROW_MAX = 5.0          # largest step growth per step
 _SHRINK_MIN = 0.2        # largest step shrink per step
@@ -57,12 +59,18 @@ class LadderError(RuntimeError):
 # branching mechanism evaluations
 
 def branching_mechanism(model: SuperprocessModel, x: int, z: float) -> float:
-    """Pointwise mechanism beta*(-a z + b z^2 + sum_k w_k (e^{-z y_k}-1+z y_k))."""
+    """Pointwise mechanism beta*(-a z + b z^2 + sum_k w_k (e^{-z y_k}-1+z y_k)).
+
+    A jump term is the Taylor series through (z y_k)^7 below z y_k = 0.01,
+    where expm1 would lose digits to cancellation; it holds 2e-14 relative.
+    """
     if z < 0:
         raise ValueError(f"mechanism argument must be >= 0, got {z}")
     br = model.branching
     atoms = br.jumps[x]
-    jump = float(np.sum(atoms[:, 1] * (np.exp(-z * atoms[:, 0]) - 1.0 + z * atoms[:, 0])))
+    zy = z * atoms[:, 0]
+    series = zy[:, None] ** _JUMP_POWERS @ _JUMP_SERIES
+    jump = float(atoms[:, 1] @ np.where(zy < 0.01, series, np.expm1(-zy) + zy))
     return float(br.beta[x] * (-br.a[x] * z + br.b[x] * z * z + jump))
 
 
@@ -207,13 +215,14 @@ def _adaptive(
     on the Richardson-extrapolated value fine + (fine - coarse)/15, whose
     error is of higher order; without it the fine run's errors add up over
     the steps to several times TOL_ODE/15.  The fine run's midpoint and the
-    extrapolated end are recorded, and the negativity check runs on the
-    coarse run, the fine run and the extrapolated end.  A rejected step is
-    retried smaller.  Either way the next h is resized from the gap, whose
-    leading term grows like h^5.  The whole batch shares one step
-    sequence, so differences across the batch keep their cancellation.
-    A step that cannot pass the check before h stops advancing time
-    raises SolverError, as does running out of the step budget.
+    extrapolated end are recorded, and the negativity check runs on them
+    and on the coarse run; the fine end lies between the coarse and the
+    extrapolated end.  A rejected step is retried smaller.  Either way the
+    next h is resized from the gap, whose leading term grows like h^5.
+    The whole batch shares one step sequence, so differences across the
+    batch keep their cancellation.  A step that cannot pass the check
+    before h stops advancing time raises SolverError, as does running out
+    of the step budget.
     """
     stops = as_times(stops, "horizon", positive=True)
     if not stops.size or np.any(np.diff(stops) <= 0):
@@ -222,9 +231,6 @@ def _adaptive(
     kernel_args = (model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w)
     batch, n = f0_batch.shape
     u = f0_batch.copy()
-    no_steps = np.empty((0,), dtype=np.int64)
-    no_rec = np.empty((0, batch, n))
-    mid_end = np.array([1, 2], dtype=np.int64)
 
     T = float(stops[-1])
     rate = _local_rate(dc, float(np.max(u, initial=0.0)))
@@ -243,11 +249,14 @@ def _adaptive(
         if lands:
             h = stop - t
         uc = u.copy()
-        min_c = _kernels.rk4_evolve(*kernel_args, uc, h, 1, no_steps, no_rec)
-        uf = u.copy()
+        _kernels.rk4_evolve(*kernel_args, uc, h, 1)
+        # the fine run advances in place through the step's record block
         rec = np.empty((2, batch, n))
-        min_f = _kernels.rk4_evolve(*kernel_args, uf, 0.5 * h, 2, mid_end, rec)
-        gap = _rel_gap(uc, uf)
+        rec[0] = u
+        _kernels.rk4_evolve(*kernel_args, rec[0], 0.5 * h, 1)
+        rec[1] = rec[0]
+        _kernels.rk4_evolve(*kernel_args, rec[1], 0.5 * h, 1)
+        gap = _rel_gap(uc, rec[1])
         fac = 0.9 * (TOL_ODE / gap) ** 0.2 if gap > 0.0 else _GROW_MAX
         if not gap <= TOL_ODE:  # a NaN gap is rejected as well
             n_rejected += 1
@@ -259,9 +268,9 @@ def _adaptive(
                     f"above {TOL_ODE:g} down to step {h:.3e}"
                 )
             continue
-        u = uf + (uf - uc) / 15.0
-        rec[1] = u
-        _check_negative(min(min_c, min_f, float(u.min())), f0_batch)
+        rec[1] += (rec[1] - uc) / 15.0
+        u = rec[1]
+        _check_negative(min(float(uc.min()), float(rec.min())), f0_batch)
         times += [t + 0.5 * h, stop if lands else t + h]
         values.append(rec)
         worst = max(worst, gap)
@@ -469,9 +478,10 @@ def yaglom_transform(
     mu = as_measure(model, mu)
     f = as_field(model, f)
     if np.any(f < 0):
-        raise ValueError("the test field must be >= 0")
+        idx = int(np.argmin(f))
+        raise ModelError(f"the test field must be >= 0; f[{idx}] = {f[idx]}")
     if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+        raise ModelError(f"lambda must be finite and >= 0, got {lam}")
     (t,) = as_times(t, positive=True)
     target = 1.0 / (1.0 + nu_constant(model, sd) * lam * sd.psi_weight(f))
     p = survival_probability(model, mu, t)
@@ -519,10 +529,10 @@ def remainder_identity(
 
     Direct side: mean-semigroup image minus the solution.  Integral side:
     the integral over [0, t] of T_{t-tau} applied to the nonlinear
-    remainder r(u(tau)), by Simpson's rule on the trajectory's grid as
-    recorded.  The grid may be uneven (adaptive steps record each step's
-    midpoint and end), which Simpson's rule on uneven nodes handles.
-    They agree up to quadrature error.
+    remainder r(u(tau)), by Simpson's rule over each solver step, which
+    relies on the grid the solver records: 0, then each step's midpoint
+    and end, so every odd-indexed time halves the (uneven) step around it.
+    The two sides agree up to quadrature error.
     """
     t = float(traj.t_grid[-1])
     sg = MeanSemigroup(model)
@@ -531,7 +541,8 @@ def remainder_identity(
         [remainder_field(model, np.maximum(u, 0.0)) for u in traj.u_values]
     )
     vals = np.einsum("kxy,ky->kx", sg.matrix(t - traj.t_grid), rem)
-    integral = simpson(vals, x=traj.t_grid, axis=0)
+    width = (traj.t_grid[2::2] - traj.t_grid[:-2:2])[:, None]
+    integral = (width / 6.0 * (vals[:-2:2] + 4.0 * vals[1::2] + vals[2::2])).sum(axis=0)
     return direct, integral
 
 

@@ -165,10 +165,7 @@ def variance_from_transform(
     batch = np.stack([h * f, 2.0 * h * f, 3.0 * h * f])
     # one adaptive step sequence for the whole batch keeps the stencil's
     # cancellation of the solver error
-    sol = _adaptive(model, batch, [t])
-    g1 = pairing(sol.values[-1, 0], mu)
-    g2 = pairing(sol.values[-1, 1], mu)
-    g3 = pairing(sol.values[-1, 2], mu)
+    g1, g2, g3 = (pairing(u, mu) for u in _adaptive(model, batch, [t]).at_stops[0])
     return (5.0 * g1 - 4.0 * g2 + g3) / (h * h)
 
 

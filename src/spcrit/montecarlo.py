@@ -54,6 +54,10 @@ class SimulationError(RuntimeError):
     """Configuration or runtime failure of the path simulation."""
 
 
+class SimulationConfigError(SimulationError, ModelError):
+    """A rejected setting; as a ModelError the CLI exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Horizon, step, path count, seed and worker thread count."""
@@ -66,26 +70,26 @@ class SimConfig:
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise SimulationError(f"dt must be finite and > 0, got {self.dt}")
+            raise SimulationConfigError(f"dt must be finite and > 0, got {self.dt}")
         if not math.isfinite(self.t_end):
-            raise SimulationError(f"t_end must be finite, got {self.t_end}")
+            raise SimulationConfigError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
-            raise SimulationError("t_end must be at least one step")
+            raise SimulationConfigError(f"t_end {self.t_end} is under one step dt {self.dt}")
         for name, low in (("n_paths", 1), ("n_threads", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
-                raise SimulationError(
+                raise SimulationConfigError(
                     f"{name} must be an integer >= {low}, got {value!r}"
                 )
         if self.seed >= 2**64:
-            raise SimulationError(f"seed must be below 2**64, got {self.seed}")
+            raise SimulationConfigError(f"seed must be below 2**64, got {self.seed}")
         if not math.isfinite(self.t_end / self.dt):
-            raise SimulationError(
+            raise SimulationConfigError(
                 f"t_end / dt must be finite, got {self.t_end} / {self.dt}"
             )
         n = round(self.t_end / self.dt)
         if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise SimulationError("t_end must be an integer multiple of dt")
+            raise SimulationConfigError(f"t_end {self.t_end} is no multiple of dt {self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -217,7 +221,7 @@ def simulate_paths(
     require_critical(sd)
     dc = derived_coefficients(model)
     if cfg.dt * (dc.qnorm + dc.kbound) > 0.2:
-        raise SimulationError(
+        raise SimulationConfigError(
             f"dt = {cfg.dt} too large: dt*(|Q|_inf + kbound) = "
             f"{cfg.dt * (dc.qnorm + dc.kbound):.3f} exceeds 0.2"
         )

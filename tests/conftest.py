@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, as perfbench runs: on a shared machine OpenBLAS's default
+# thread pool makes each small expm take milliseconds; set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

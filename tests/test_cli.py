@@ -279,6 +279,26 @@ def test_bad_integer_simulate_flag_exits_2(m2_path, flag, bad, capsys):
     assert f"argument {flag}:" in err and repr(bad) in err
 
 
+_SIMULATE = ["simulate", "--mu", "1,0", "--paths", "10", "--seed", "1", "--f", "1,-1"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["yaglom", "--f", "1,1", "--lambda", "-1", "--t", "10"], "-1"),
+        (["yaglom", "--f=-1,1", "--lambda", "1", "--t", "10"], "f[0] = -1"),
+        (_SIMULATE + ["--t", "1", "--dt", "0.3"], "0.3"),
+        (_SIMULATE + ["--t", "0.001", "--dt", "0.01"], "0.001"),
+        (_SIMULATE + ["--t", "1", "--dt", "0.5"], "0.5"),
+    ],
+    ids=["yaglom-lambda", "yaglom-field", "simulate-no-multiple",
+         "simulate-under-one-step", "simulate-step-guard"],
+)
+def test_rejected_library_argument_exits_2(m2_path, argv, named, capsys):
+    assert main([argv[0], m2_path, *argv[1:]]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_missing_file_is_a_runtime_error(tmp_path):
     assert main(["spectral", str(tmp_path / "absent.json")]) == 1
 

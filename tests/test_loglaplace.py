@@ -52,6 +52,27 @@ def test_mechanism_vanishes_at_zero(m1, m2, m3):
             assert branching_mechanism(model, x, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3])
+def test_jump_term_keeps_its_digits_at_small_argument(m3, z):
+    # e^{-z} - 1 + z by its Taylor series, summed far past double precision
+    series = sum((-z) ** k / math.factorial(k) for k in range(2, 12))
+    assert branching_mechanism(m3, 0, z) == pytest.approx(series, rel=1e-12, abs=0)
+
+
+def test_kernel_jump_part_matches_mechanism_field(m3):
+    # m3 is one state with one atom and no drift, so its field is all jump
+    from spcrit import _kernels
+
+    dc = derived_coefficients(m3)
+    u = np.array([[1e-9]])
+    zero = np.zeros(1)
+    kernel = -_kernels._rhs_numpy(np.zeros((1, 1)), zero, zero, dc.jump_y, dc.jump_w, u)
+    field = mechanism_field(m3, u[0])
+    assert field[0] == pytest.approx(0.5e-18 - 1e-27 / 6.0, rel=1e-12, abs=0)
+    # expm1(-z) + z has an absolute error of about 1e-16 * z
+    np.testing.assert_allclose(kernel[0], field, rtol=1e-6)
+
+
 def test_mechanism_rejects_negative_argument(m1):
     with pytest.raises(ValueError):
         branching_mechanism(m1, 0, -0.1)
@@ -179,10 +200,15 @@ def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
          "lambda"),
         (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [1.0, 1.0], math.nan, 5.0),
          "lambda"),
+        (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [1.0, 1.0], -1.0, 5.0),
+         "lambda .* -1"),
+        (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [-1.0, 1.0], 1.0, 5.0),
+         r"f\[0\] = -1"),
         (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 2.5), "n must"),
         (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 0), "n must"),
     ],
-    ids=["yaglom-lambda-inf", "yaglom-lambda-nan", "slope-n-fraction", "slope-n-zero"],
+    ids=["yaglom-lambda-inf", "yaglom-lambda-nan", "yaglom-lambda-negative",
+         "yaglom-field-negative", "slope-n-fraction", "slope-n-zero"],
 )
 def test_scalar_arguments_rejected_by_name(m2, call, name):
     with pytest.raises(ValueError, match=name):
@@ -260,6 +286,18 @@ def test_mass_deficit_identity(m2, rng):
         cap = math.exp(kb * 1.5) * MeanSemigroup(model).apply(1.5, f0 * f0)
         assert np.all(direct >= -1e-9)
         assert np.all(direct <= cap + 1e-9)
+
+
+def test_remainder_identity_is_simpson_over_the_recorded_grid(m2, m3, rng):
+    from scipy.integrate import simpson
+
+    for model in (m2, m3, acceptance.random_model(rng, critical=True)):
+        traj = solve_log_laplace(model, rng.uniform(0.2, 1.5, model.n_states), 1.5)
+        t = traj.t_grid[-1]
+        rem = np.array([remainder_field(model, np.maximum(u, 0.0)) for u in traj.u_values])
+        vals = np.einsum("kxy,ky->kx", MeanSemigroup(model).matrix(t - traj.t_grid), rem)
+        want = simpson(vals, x=traj.t_grid, axis=0)
+        np.testing.assert_allclose(remainder_identity(model, traj)[1], want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +516,20 @@ def test_adaptive_failing_step_raises(m2, monkeypatch):
     from spcrit import _kernels
 
     real = _kernels.rk4_evolve
-    steps = []
+    calls, steps = [], []
 
-    def off_by_one_ppm(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec):
-        out = real(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec)
-        if n_steps == 1:  # the coarse step misses by 1e-6 at every h
+    def off_by_one_ppm(Q, lin, quad, jy, jw, u, h, n_steps):
+        real(Q, lin, quad, jy, jw, u, h, n_steps)
+        calls.append(h)
+        if len(calls) % 3 == 1:  # each attempt runs the coarse step first
             steps.append(h)
-            u *= 1.0 + 1e-6
-        return out
+            u *= 1.0 + 1e-6  # the coarse step misses by 1e-6 at every h
 
     monkeypatch.setattr(_kernels, "rk4_evolve", off_by_one_ppm)
     with pytest.raises(SolverError, match="step-halving"):
         solve_log_laplace(m2, [1.0, 0.5], 1.0)
     # every retry shrinks the step, and the floor ends the retries
+    assert calls[1::3] == calls[2::3] == [0.5 * h for h in steps]
     assert len(steps) < 100
     assert all(b < a for a, b in zip(steps, steps[1:]))
 
@@ -500,10 +539,11 @@ def test_adaptive_negative_step_raises(m2, monkeypatch):
 
     real = _kernels.rk4_evolve
 
-    def shifted_down(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec):
-        out = real(Q, lin, quad, jy, jw, u, h, n_steps, rec_steps, rec)
-        u -= 1.0  # both runs shift alike, so the halving check passes
-        return min(out, float(u.min()))
+    def shifted_down(Q, lin, quad, jy, jw, u, h, n_steps):
+        real(Q, lin, quad, jy, jw, u, h, n_steps)
+        # a shift in proportion to h moves the coarse step and the two half
+        # steps alike, so the halving check passes
+        u -= h
 
     monkeypatch.setattr(_kernels, "rk4_evolve", shifted_down)
     with pytest.raises(SolverError, match="negative"):
