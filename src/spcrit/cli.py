@@ -213,9 +213,24 @@ def _cmd_simulate(args) -> int:
         yield "path_id,survived," + ",".join(
             f"mass_{label}" for label in model.labels
         ) + ",V,Z"
-        for p in range(ens.n_paths):
-            masses = ",".join(_fmt(x) for x in ens.states_at_t[p])
-            yield f"{p},{int(ens.survived[p])},{masses},{_fmt(v[p])},{_fmt(z[p])}"
+        # A dead path's tail (masses, V, Z) is signed zeros, shared by most
+        # rows, so each distinct dead tail is formatted once, keyed by its
+        # bytes, which keep -0.0 apart from 0.0.  Values are gathered one
+        # chunk of paths at a time.
+        dead_tails: dict[bytes, str] = {}
+        for lo in range(0, ens.n_paths, montecarlo.CHUNK_PATHS):
+            hi = min(lo + montecarlo.CHUNK_PATHS, ens.n_paths)
+            values = np.column_stack((ens.states_at_t[lo:hi], v[lo:hi], z[lo:hi]))
+            alive_rows = ens.survived[lo:hi].tolist()
+            for p, row, alive in zip(range(lo, hi), values, alive_rows):
+                if alive:
+                    yield f"{p},1,{','.join(_fmt(x) for x in row)}"
+                    continue
+                key = row.tobytes()
+                tail = dead_tails.get(key)
+                if tail is None:
+                    tail = dead_tails[key] = ",".join(_fmt(x) for x in row)
+                yield f"{p},0,{tail}"
 
     _emit(rows(), args.out)
     return 0

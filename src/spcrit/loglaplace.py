@@ -544,11 +544,3 @@ def remainder_identity(
     width = (traj.t_grid[2::2] - traj.t_grid[:-2:2])[:, None]
     integral = (width / 6.0 * (vals[:-2:2] + 4.0 * vals[1::2] + vals[2::2])).sum(axis=0)
     return direct, integral
-
-
-def principal_profile_gap(sd: SpectralData, u: np.ndarray) -> float:
-    """Sup-norm of u normalized by its rank-one principal profile, minus 1."""
-    weight = sd.psi_weight(u)
-    if weight <= 0:
-        raise ValueError("profile gap needs a field with positive psi0-weight")
-    return float(np.abs(u / (weight * sd.phi0) - 1.0).max())

@@ -11,13 +11,18 @@ p // CHUNK_PATHS.
 With T worker threads, thread t advances chunks t, t + T, t + 2T, ... in
 lockstep, up to ``_GROUP_CHUNKS`` of them at a time: the alive paths of
 those chunks form one array, and each step is one array expression over
-it.  Paths that died are dropped every ``_COMPACT_EVERY`` steps.  Between
-two such compactions each chunk draws the normals of several steps as one
-slab, which consumes its stream exactly as one draw per step would; with
-jumps the slab is one step, because the Poisson draws come between the
-normals.  The drift is summed column by column rather than by a matrix
-product, so a path's arithmetic does not depend on where it sits in the
-array.  Results therefore do not depend on thread count or scheduling.
+it.  The array is state-major, one contiguous row per state and one
+column per path, so every expression runs along the long path axis
+rather than over a few states once per path.  Paths that died are dropped
+every ``_COMPACT_EVERY`` steps.  Between two such compactions each chunk
+draws the normals of several steps as one (steps, paths, states) slab,
+which consumes its stream exactly as one draw per step would; with jumps
+the slab is one step, because the Poisson draws come between the normals.
+Each element of a step sees only its own path's values: the drift is
+summed state row by state row in a fixed order rather than by a matrix
+product, whose BLAS kernel depends on the array's size, so a path's
+arithmetic does not depend on where it sits in the array.  Results
+therefore do not depend on thread count or scheduling.
 """
 
 from __future__ import annotations
@@ -123,18 +128,24 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _drift(X: np.ndarray, Q: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """X Q + alpha X, summed as sum_j X[:, j] Q[j] one column at a time.
+def _drift(
+    X: np.ndarray, Q: np.ndarray, alpha: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Drift of state-major paths: out[k] = sum_j X[j] Q[j, k] + alpha[k] X[k].
 
-    The BLAS kernel behind X @ Q depends on the row count and on a row's
-    place in its block, and can change the last bit of a row's result;
-    here every row is rounded the same way wherever it sits.
+    ``X`` holds one row per state and one column per path.  The sum runs
+    over j in ascending order, one row of ``X`` at a time, so each path is
+    rounded the same way wherever it sits; a matrix product would leave
+    the order to the BLAS kernel, which depends on the column count.
+    ``out`` receives the drift and ``tmp`` is scratch, both of ``X``'s shape.
     """
-    drift = X[:, :1] * Q[0]
-    for j in range(1, X.shape[1]):
-        drift += X[:, j : j + 1] * Q[j]
-    drift += alpha * X
-    return drift
+    np.multiply(Q[0, :, None], X[0], out=out)
+    for j in range(1, X.shape[0]):
+        np.multiply(Q[j, :, None], X[j], out=tmp)
+        out += tmp
+    np.multiply(alpha[:, None], X, out=tmp)
+    out += tmp
+    return out
 
 
 def _simulate_group(
@@ -146,17 +157,18 @@ def _simulate_group(
 ) -> None:
     """Advance the paths of ``chunks`` in lockstep; write them to ``out``.
 
-    The alive rows of all chunks sit in one array with their output rows
-    in ``pos``, which ascends, so each chunk's rows are one slice.  Each
-    step is one array expression over the whole group; only the draws are
-    made per chunk, from the chunk's own stream and in the order the chunk
-    would draw them alone.
+    The alive paths of all chunks are the columns of one state-major array
+    ``X`` of shape (n_states, paths), with their output rows in ``pos``,
+    which ascends, so each chunk's paths are one slice of columns.  Each
+    step is one array expression per state row over the whole group; only
+    the draws are made per chunk, from the chunk's own stream and in the
+    order the chunk would draw them alone.
     """
     rngs = [_chunk_rng(cfg.seed, c) for c in chunks]
     br = model.branching
     Q = model.Q
     alpha = derived_coefficients(model).alpha
-    diff_coeff = 2.0 * br.beta * br.b * cfg.dt
+    diff_coeff = (2.0 * br.beta * br.b * cfg.dt)[:, None]
     atoms = [
         (i, float(y), float(br.beta[i] * w * cfg.dt))
         for i in range(model.n_states)
@@ -169,17 +181,20 @@ def _simulate_group(
     pos = np.concatenate(
         [np.arange(lo, min(lo + CHUNK_PATHS, cfg.n_paths)) for lo in firsts]
     )
-    X = np.tile(mu, (pos.size, 1))
+    X = np.tile(mu[:, None], (1, pos.size))
     for start in range(0, cfg.n_steps, _COMPACT_EVERY):
-        mask = X.any(axis=1)
-        if not mask.all():
-            out[pos[~mask]] = X[~mask]
-            X, pos = X[mask], pos[mask]
+        alive = X.any(axis=0)
+        if not alive.all():
+            dead = ~alive
+            out[pos[dead]] = X[:, dead].T
+            X, pos = X.compress(alive, axis=1), pos[alive]
             if pos.size == 0:
                 return
         bounds = np.append(np.searchsorted(pos, firsts), pos.size)
         counts = np.diff(bounds)
         live = [c for c in range(len(chunks)) if counts[c]]
+        drift = np.empty_like(X)
+        tmp = np.empty_like(X)
         window = min(_COMPACT_EVERY, cfg.n_steps - start)
         # Poisson draws interleave with the normals, so jumps force 1 step
         slab = 1 if atoms else max(1, min(window, _SLAB_VALUES // X.size))
@@ -190,22 +205,22 @@ def _simulate_group(
                 axis=1,
             )
             for s in range(steps):
-                drift = _drift(X, Q, alpha)
+                _drift(X, Q, alpha, drift, tmp)
                 drift *= dt
                 X += drift
-                noise = np.maximum(X, 0.0)
+                noise = np.maximum(X, 0.0, out=tmp)
                 noise *= diff_coeff
                 np.sqrt(noise, out=noise)
-                noise *= xi[s]
+                noise *= xi[s].T
                 X += noise
                 for i, y, rate in atoms:
-                    lam = np.maximum(X[:, i], 0.0) * rate
+                    lam = np.maximum(X[i], 0.0) * rate
                     kicks = np.concatenate(
                         [rngs[c].poisson(lam[bounds[c] : bounds[c + 1]]) for c in live]
                     )
-                    X[:, i] += y * kicks
+                    X[i] += y * kicks
                 np.maximum(X, 0.0, out=X)
-    out[pos] = X
+    out[pos] = X.T
 
 
 def simulate_paths(

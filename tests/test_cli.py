@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcrit import acceptance
+from spcrit import acceptance, montecarlo
 from spcrit.cli import _parse_vector, main
-from spcrit.model import ModelError, dump_model
+from spcrit.model import ModelError, derived_coefficients, dump_model
+from spcrit.montecarlo import PathEnsemble, SimConfig, simulate_paths
+from spcrit.spectral import remove_principal_component, spectral_data
 
 
 @pytest.fixture
@@ -139,6 +141,67 @@ def test_simulate_output_shape_and_determinism(m2_path, tmp_path):
     assert header == ["path_id", "survived", "mass_A", "mass_B", "V", "Z"]
     assert len(rows) == 500
     assert {r[1] for r in rows} <= {"0", "1"}
+
+
+def _per_value_csv(model, ens, f):
+    # the simulate CSV written the plain way: one format() call per value
+    sd = spectral_data(model)
+    f_tilde = remove_principal_component(np.asarray(f, dtype=float), sd)
+    v = ens.states_at_t @ sd.phi0 / ens.t_end
+    z = ens.states_at_t @ f_tilde / math.sqrt(ens.t_end)
+    lines = ["path_id,survived," + ",".join(
+        f"mass_{label}" for label in model.labels) + ",V,Z"]
+    for p in range(ens.n_paths):
+        values = [*ens.states_at_t[p], v[p], z[p]]
+        lines.append(f"{p},{int(ens.survived[p])},"
+                     + ",".join(format(float(x), ".17g") for x in values))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def _jump_model():
+    rng = np.random.default_rng(77)
+    while True:
+        model = acceptance.random_model(rng, 2, critical=True)
+        if any(j.size for j in model.branching.jumps):
+            return model
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("which", ["m2", "jumps"])
+def test_simulate_csv_equals_per_value_formatting(which, threads, tmp_path):
+    # 5000 paths span two chunks of CSV rows, with dead and live paths
+    model = acceptance.model_m2() if which == "m2" else _jump_model()
+    dc = derived_coefficients(model)
+    dt = 0.01 if which == "m2" else 0.1 / (dc.qnorm + dc.kbound)
+    t = 200 * dt
+    path = tmp_path / "model.json"
+    path.write_text(dump_model(model))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", str(path), "--mu", "1,0", "--t", repr(t),
+                 "--dt", repr(dt), "--paths", "5000", "--seed", "3",
+                 "--f", "1,-1", "--threads", str(threads),
+                 "--out", str(out)]) == 0
+    ens = simulate_paths(model, [1.0, 0.0], SimConfig(
+        t_end=t, dt=dt, n_paths=5000, seed=3, n_threads=threads))
+    assert 0 < ens.survived.sum() < ens.n_paths
+    assert out.read_bytes() == _per_value_csv(model, ens, [1.0, -1.0])
+
+
+def test_simulate_csv_keeps_signed_zero_tails_apart(m2_path, tmp_path, monkeypatch):
+    # dead rows whose zeros differ only in sign must not share a tail
+    zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+    states = np.array([zeros[p % 4] if p % 5 else [1.5, 0.25]
+                       for p in range(5000)])
+    ens = PathEnsemble(states_at_t=states, survived=states.any(axis=1),
+                       t_end=2.0, dt=0.01, seed=1)
+    monkeypatch.setattr(montecarlo, "simulate_paths", lambda *a, **k: ens)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", m2_path, "--mu", "1,0", "--t", "2", "--dt",
+                 "0.01", "--paths", "5000", "--seed", "1", "--f", "1,-1",
+                 "--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert b",-0,0," in text and b",0,-0," in text
+    assert text == _per_value_csv(acceptance.model_m2(), ens, [1.0, -1.0])
 
 
 def test_vector_from_file(m2_path, tmp_path):

@@ -18,7 +18,6 @@ from spcrit.loglaplace import (
     mechanism_remainders,
     neg_log_extinction,
     nu_slope_estimate,
-    principal_profile_gap,
     remainder_field,
     remainder_identity,
     solve_log_laplace,
@@ -455,6 +454,13 @@ def test_nu_slope_preconditions(m2):
 
 # ---------------------------------------------------------------------------
 # shape of the solution at large times
+
+def principal_profile_gap(sd, u: np.ndarray) -> float:
+    """Sup-norm of u normalized by its rank-one principal profile, minus 1."""
+    weight = sd.psi_weight(u)
+    assert weight > 0, "profile gap needs a field with positive psi0-weight"
+    return float(np.abs(u / (weight * sd.phi0) - 1.0).max())
+
 
 def test_principal_profile_flattens(m2):
     sd = spectral_data(m2)

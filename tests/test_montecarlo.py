@@ -110,7 +110,9 @@ def test_determinism_across_runs_and_threads(m2):
 
 
 def _reference_chunk(model, mu, cfg, chunk, n_chunk):
-    # reference loop: one chunk at a time, one draw per step, X @ Q drift
+    # reference loop: one chunk at a time, one draw per step, path-major,
+    # with the drift summed over the columns of X in ascending order as the
+    # kernel sums it over its state rows
     rng = _chunk_rng(cfg.seed, chunk)
     br = model.branching
     Q = model.Q
@@ -133,7 +135,11 @@ def _reference_chunk(model, mu, cfg, chunk, n_chunk):
                 break
         Xa = X[alive]
         xi = rng.standard_normal(Xa.shape)
-        Xa = Xa + dt * (Xa @ Q + alpha * Xa)
+        drift = Xa[:, :1] * Q[0]
+        for j in range(1, Xa.shape[1]):
+            drift += Xa[:, j : j + 1] * Q[j]
+        drift += alpha * Xa
+        Xa = Xa + dt * drift
         Xa = Xa + np.sqrt(diff_coeff * np.maximum(Xa, 0.0)) * xi
         for i, y, rate in atoms:
             lam = np.maximum(Xa[:, i], 0.0) * rate
@@ -153,7 +159,6 @@ def _reference_paths(model, mu, cfg):
 
 @pytest.mark.parametrize("n_threads", [1, 2, 3, 5])
 def test_lockstep_kernel_is_byte_identical_on_reference_models(m1, m2, m3, n_threads):
-    # every product with Q is exact on m1-m3, so grouping changes no bit
     for model, mu in ((m1, [1.0]), (m2, [1.0, 0.0]), (m3, [1.0])):
         cfg = SimConfig(t_end=2.0, dt=0.01, n_paths=9000, seed=13,
                         n_threads=n_threads)
@@ -172,19 +177,26 @@ def test_lockstep_kernel_splits_long_chunk_lists_into_groups(m1):
 
 
 def test_drift_of_a_row_does_not_depend_on_its_place(rng):
+    # state-major: one row per state, one column per path
     Q = rng.normal(size=(5, 5))
     alpha = rng.normal(size=5)
-    X = rng.uniform(0.0, 3.0, (1000, 5))
-    whole = _drift(X, Q, alpha)
+    X = rng.uniform(0.0, 3.0, (5, 1000))
+
+    def drift(X):
+        return _drift(X, Q, alpha, np.empty_like(X), np.empty_like(X))
+
+    whole = drift(X)
     for size in (1, 7):
-        parts = [_drift(X[k : k + size], Q, alpha) for k in range(0, 1000, size)]
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
-    np.testing.assert_allclose(whole, X @ Q + alpha * X, rtol=1e-12, atol=1e-12)
+        parts = [drift(X[:, k : k + size]) for k in range(0, 1000, size)]
+        assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+    paths = X.T
+    np.testing.assert_allclose(whole.T, paths @ Q + alpha * paths,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_lockstep_kernel_matches_reference_on_random_models():
-    # a general Q rounds the elementwise drift differently from X @ Q, but
-    # the same way wherever a row sits in its group
+    # the reference sums the drift in the kernel's order, so a general Q
+    # gives the same bytes wherever a path sits in its group
     rng = np.random.default_rng(606)
     checked = 0
     while checked < 6:
@@ -200,9 +212,9 @@ def test_lockstep_kernel_matches_reference_on_random_models():
         ref = _reference_paths(model, mu, cfg)
         ens = simulate_paths(model, mu, cfg)
         np.testing.assert_array_equal(ens.survived, ref.any(axis=1))
-        np.testing.assert_allclose(ens.states_at_t, ref, rtol=1e-9, atol=0)
+        assert ens.states_at_t.tobytes() == ref.tobytes()
         # one group of two chunks against two groups of one, the second a
-        # single row, where X @ Q would take another BLAS kernel: same bytes
+        # single path, where X @ Q would take another BLAS kernel: same bytes
         split = simulate_paths(model, mu, SimConfig(**{**vars(cfg), "n_threads": 2}))
         assert split.states_at_t.tobytes() == ens.states_at_t.tobytes()
         checked += 1
