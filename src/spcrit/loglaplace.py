@@ -58,28 +58,39 @@ class LadderError(RuntimeError):
 # ---------------------------------------------------------------------------
 # branching mechanism evaluations
 
-def branching_mechanism(model: SuperprocessModel, x: int, z: float) -> float:
-    """Pointwise mechanism beta*(-a z + b z^2 + sum_k w_k (e^{-z y_k}-1+z y_k)).
+def _remainder(dc: DerivedCoefficients, u: np.ndarray) -> np.ndarray:
+    """Remainder quad*u^2 + sum_k w_k (e^{-u y_k} - 1 + u y_k) at u >= 0.
 
-    A jump term is the Taylor series through (z y_k)^7 below z y_k = 0.01,
-    where expm1 would lose digits to cancellation; it holds 2e-14 relative.
+    ``u`` is (..., n_states); the record's zero-weight atom padding adds
+    nothing.  Below u y_k = 0.01 a jump term is its Taylor series through
+    (u y_k)^7, where expm1 would lose digits; it holds 2e-14 relative.
+    Every term is >= 0, and the mechanism is the remainder minus alpha*u.
     """
-    if z < 0:
-        raise ValueError(f"mechanism argument must be >= 0, got {z}")
-    br = model.branching
-    atoms = br.jumps[x]
-    zy = z * atoms[:, 0]
-    series = zy[:, None] ** _JUMP_POWERS @ _JUMP_SERIES
-    jump = float(atoms[:, 1] @ np.where(zy < 0.01, series, np.expm1(-zy) + zy))
-    return float(br.beta[x] * (-br.a[x] * z + br.b[x] * z * z + jump))
+    zy = u[..., None] * dc.jump_y
+    series = zy[..., None] ** _JUMP_POWERS @ _JUMP_SERIES
+    jump = dc.jump_w * np.where(zy < 0.01, series, np.expm1(-zy) + zy)
+    return dc.quad * u * u + jump.sum(axis=-1)
+
+
+def _field(model: SuperprocessModel, u) -> tuple[DerivedCoefficients, np.ndarray]:
+    """The record and u as a field; the first negative entry is named."""
+    u = as_field(model, u)
+    if np.any(u < 0):
+        idx = int(np.argmax(u < 0))
+        raise ValueError(f"mechanism argument must be >= 0, got {u[idx]} at state {idx}")
+    return derived_coefficients(model), u
+
+
+def branching_mechanism(model: SuperprocessModel, x: int, z: float) -> float:
+    """Pointwise mechanism beta*(-a z + b z^2 + sum_k w_k (e^{-z y_k}-1+z y_k))."""
+    dc, u = _field(model, np.full(model.n_states, float(z)))
+    return float(_remainder(dc, u)[x] - dc.alpha[x] * u[x])
 
 
 def mechanism_field(model: SuperprocessModel, u: np.ndarray) -> np.ndarray:
     """Mechanism evaluated statewise at u(x)."""
-    u = as_field(model, u)
-    return np.array(
-        [branching_mechanism(model, x, float(u[x])) for x in range(model.n_states)]
-    )
+    dc, u = _field(model, u)
+    return _remainder(dc, u) - dc.alpha * u
 
 
 class RemainderParts(NamedTuple):
@@ -95,25 +106,17 @@ def mechanism_remainders(model: SuperprocessModel, x: int, z: float) -> Remainde
     bounded by defect_bound*z^2; both bounds are exact consequences of the
     mechanism's convexity and are exercised as properties in the tests.
     """
-    if z < 0:
-        raise ValueError(f"mechanism argument must be >= 0, got {z}")
-    br = model.branching
-    dc = derived_coefficients(model)
-    remainder = branching_mechanism(model, x, z) + dc.alpha[x] * z
+    dc, u = _field(model, np.full(model.n_states, float(z)))
+    remainder = float(_remainder(dc, u)[x])
     quad_defect = remainder - 0.5 * dc.avar[x] * z * z
-    atoms = br.jumps[x]
-    defect_bound = float(
-        br.beta[x]
-        * np.sum(atoms[:, 1] * atoms[:, 0] ** 2 * np.minimum(1.0, atoms[:, 0] * z / 6.0))
-    )
-    return RemainderParts(float(remainder), float(quad_defect), defect_bound)
+    y = dc.jump_y[x]
+    defect_bound = float(np.sum(dc.jump_w[x] * y ** 2 * np.minimum(1.0, y * z / 6.0)))
+    return RemainderParts(remainder, float(quad_defect), defect_bound)
 
 
 def remainder_field(model: SuperprocessModel, u: np.ndarray) -> np.ndarray:
     """Statewise nonlinear remainder r(x, u(x))."""
-    u = as_field(model, u)
-    dc = derived_coefficients(model)
-    return mechanism_field(model, u) + dc.alpha * u
+    return _remainder(*_field(model, u))
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +540,7 @@ def remainder_identity(
     t = float(traj.t_grid[-1])
     sg = MeanSemigroup(model)
     direct = sg.apply(t, traj.f0) - traj.final
-    rem = np.array(
-        [remainder_field(model, np.maximum(u, 0.0)) for u in traj.u_values]
-    )
+    rem = _remainder(derived_coefficients(model), np.maximum(traj.u_values, 0.0))
     vals = np.einsum("kxy,ky->kx", sg.matrix(t - traj.t_grid), rem)
     width = (traj.t_grid[2::2] - traj.t_grid[:-2:2])[:, None]
     integral = (width / 6.0 * (vals[:-2:2] + 4.0 * vals[1::2] + vals[2::2])).sum(axis=0)

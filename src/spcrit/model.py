@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.csgraph import connected_components
 
 # Roundoff slack for the time-dependent dual sub-Markov check.
 TOL_DUAL = 1e-10
@@ -256,14 +255,13 @@ def derived_coefficients(model: SuperprocessModel) -> DerivedCoefficients:
 
 
 def is_irreducible(model: SuperprocessModel) -> bool:
-    """Strong connectivity of the directed graph of positive rates."""
+    """Strong connectivity of the directed graph of positive rates: the
+    ceil(log2 n)-th boolean square of (Q > 0) | I is reachability."""
     n = model.n_states
-    if n == 1:
-        return True
-    adj = (model.Q > 0).astype(int)
-    np.fill_diagonal(adj, 0)
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    return n_comp == 1
+    reach = (model.Q > 0) | np.eye(n, dtype=bool)
+    for _ in range(math.ceil(math.log2(n))):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def validate_model(model: SuperprocessModel) -> SuperprocessModel:

@@ -160,7 +160,8 @@ def variance_from_transform(
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
     if np.any(f < 0):
-        raise ValueError("the transform oracle needs f >= 0")
+        idx = int(np.argmax(f < 0))
+        raise ValueError(f"the transform oracle needs f >= 0; f[{idx}] = {f[idx]}")
     h = 1e-4
     batch = np.stack([h * f, 2.0 * h * f, 3.0 * h * f])
     # one adaptive step sequence for the whole batch keeps the stencil's

@@ -3,7 +3,10 @@
 The process is discretized by a positivity-preserving (full-truncation)
 Euler scheme: linear drift through the transposed rate matrix plus the
 local growth rate, a square-root diffusion per state driven by the
-quadratic mechanism coefficient, and per-atom Poisson jump counts.  Paths
+quadratic mechanism coefficient, and per-atom Poisson jump counts.  The
+jump terms e^{-zy} - 1 + zy are compensated, so the drift grows at
+alpha - sum(y w) and the kicks, whose intensities are read at the step's
+start, restore alpha in the mean.  Paths
 are simulated in chunks of ``CHUNK_PATHS``, each drawing from its own
 counter-based stream keyed by (seed, chunk index); path p belongs to chunk
 p // CHUNK_PATHS.
@@ -165,17 +168,17 @@ def _simulate_group(
     order the chunk would draw them alone.
     """
     rngs = [_chunk_rng(cfg.seed, c) for c in chunks]
-    br = model.branching
+    dc = derived_coefficients(model)
     Q = model.Q
-    alpha = derived_coefficients(model).alpha
-    diff_coeff = (2.0 * br.beta * br.b * cfg.dt)[:, None]
-    atoms = [
-        (i, float(y), float(br.beta[i] * w * cfg.dt))
-        for i in range(model.n_states)
-        for y, w in br.jumps[i]
-    ]
     dt = cfg.dt
     n = model.n_states
+    # the jumps' compensator, -u * sum(y w), joins the linear growth rate
+    growth = dc.alpha - dc.jump_yw
+    diff_coeff = (2.0 * dc.quad * dt)[:, None]
+    atoms = [
+        (i, float(dc.jump_y[i, k]), float(w * dt))
+        for (i, k), w in np.ndenumerate(dc.jump_w) if w > 0
+    ]
 
     firsts = np.array(chunks) * CHUNK_PATHS
     pos = np.concatenate(
@@ -205,7 +208,14 @@ def _simulate_group(
                 axis=1,
             )
             for s in range(steps):
-                _drift(X, Q, alpha, drift, tmp)
+                # jump intensities come from the step's start, where X >= 0
+                kicks = []
+                for i, y, rate in atoms:
+                    lam = X[i] * rate
+                    kicks.append((i, y * np.concatenate(
+                        [rngs[c].poisson(lam[bounds[c] : bounds[c + 1]]) for c in live]
+                    )))
+                _drift(X, Q, growth, drift, tmp)
                 drift *= dt
                 X += drift
                 noise = np.maximum(X, 0.0, out=tmp)
@@ -213,12 +223,8 @@ def _simulate_group(
                 np.sqrt(noise, out=noise)
                 noise *= xi[s].T
                 X += noise
-                for i, y, rate in atoms:
-                    lam = np.maximum(X[i], 0.0) * rate
-                    kicks = np.concatenate(
-                        [rngs[c].poisson(lam[bounds[c] : bounds[c + 1]]) for c in live]
-                    )
-                    X[i] += y * kicks
+                for i, kick in kicks:
+                    X[i] += kick
                 np.maximum(X, 0.0, out=X)
     out[pos] = X.T
 
@@ -235,10 +241,11 @@ def simulate_paths(
         sd = spectral_data(model)
     require_critical(sd)
     dc = derived_coefficients(model)
-    if cfg.dt * (dc.qnorm + dc.kbound) > 0.2:
+    rate = dc.qnorm + float(np.max(np.abs(dc.alpha - dc.jump_yw) + dc.avar))
+    if cfg.dt * rate > 0.2:
         raise SimulationConfigError(
-            f"dt = {cfg.dt} too large: dt*(|Q|_inf + kbound) = "
-            f"{cfg.dt * (dc.qnorm + dc.kbound):.3f} exceeds 0.2"
+            f"dt = {cfg.dt} too large: dt*(|Q|_inf + max(|alpha - jump_yw| + avar)) = "
+            f"{cfg.dt * rate:.3f} exceeds 0.2"
         )
 
     n_chunks = (cfg.n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
@@ -323,8 +330,8 @@ class LimitLaw:
 
     The mass functional limit is exponential with mean nu_mean; the
     fluctuation limit is centered normal with variance sigma_sq, and their
-    product with the square root of the exponential has the two-sided
-    exponential density returned by product_density.
+    product with the square root of the exponential is two-sided
+    exponential with scale product_scale / 2, whose law product_cdf gives.
     """
 
     nu_mean: float
@@ -333,16 +340,6 @@ class LimitLaw:
     @property
     def product_scale(self) -> float:
         return math.sqrt(2.0 * self.nu_mean * self.sigma_sq)
-
-    def sample(self, rng: np.random.Generator, size: int):
-        """Pairs (W, G sqrt(W)) drawn from the limit law itself."""
-        w = rng.exponential(self.nu_mean, size)
-        g = rng.normal(0.0, math.sqrt(self.sigma_sq), size)
-        return w, g * np.sqrt(w)
-
-    def product_density(self, x) -> np.ndarray:
-        s = self.product_scale
-        return np.exp(-2.0 * np.abs(np.asarray(x, dtype=float)) / s) / s
 
     def product_cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -1,8 +1,8 @@
 """What ``import spcrit`` loads.
 
-scipy.integrate and scipy.optimize cost a large share of the package's
-import time and memory and no library path needs them, so a fresh
-interpreter must not load them for ``import spcrit``.
+scipy.integrate, scipy.optimize and scipy.sparse cost a large share of
+the package's import time and memory and no library path needs them, so
+a fresh interpreter must not load them for ``import spcrit``.
 """
 
 import os
@@ -13,10 +13,10 @@ from pathlib import Path
 import spcrit
 
 
-def test_import_loads_no_scipy_integrate_or_optimize():
+def test_import_loads_no_scipy_integrate_optimize_or_sparse():
     code = (
         "import sys, spcrit; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(spcrit.__file__).parents[1])}
     out = subprocess.run(

@@ -72,11 +72,15 @@ def test_kernel_jump_part_matches_mechanism_field(m3):
     np.testing.assert_allclose(kernel[0], field, rtol=1e-6)
 
 
-def test_mechanism_rejects_negative_argument(m1):
+def test_mechanism_rejects_negative_argument(m1, m2):
     with pytest.raises(ValueError):
         branching_mechanism(m1, 0, -0.1)
     with pytest.raises(ValueError):
         mechanism_remainders(m1, 0, -1.0)
+    with pytest.raises(ValueError, match=r"-1.0 at state 1"):
+        mechanism_field(m2, [0.5, -1.0])
+    with pytest.raises(ValueError, match=r"-1.0 at state 0"):
+        remainder_field(m2, [-1.0, 0.5])
 
 
 def test_remainders_single_atom(m3):
@@ -203,11 +207,14 @@ def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
          "lambda .* -1"),
         (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [-1.0, 1.0], 1.0, 5.0),
          r"f\[0\] = -1"),
+        (lambda m, sd: moments.variance_from_transform(m, [1.0, -0.5], 2.0, [1.0, 0.0]),
+         r"f\[1\] = -0.5"),
         (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 2.5), "n must"),
         (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 0), "n must"),
     ],
     ids=["yaglom-lambda-inf", "yaglom-lambda-nan", "yaglom-lambda-negative",
-         "yaglom-field-negative", "slope-n-fraction", "slope-n-zero"],
+         "yaglom-field-negative", "transform-field-negative", "slope-n-fraction",
+         "slope-n-zero"],
 )
 def test_scalar_arguments_rejected_by_name(m2, call, name):
     with pytest.raises(ValueError, match=name):
@@ -487,10 +494,11 @@ def test_step_meta_bookkeeping(m1):
 
 
 def _dop853_final(model, f0, T: float) -> np.ndarray:
-    """Reference solve by Dormand-Prince 8(5,3) on the pointwise mechanism.
+    """Reference solve by Dormand-Prince 8(5,3) on the mechanism views.
 
-    It shares no code with the solver under test: neither its right-hand
-    side kernel, nor the padded jump arrays, nor the step control.
+    It shares neither the solver's right-hand side kernel nor its step
+    control; both read the derived record's padded atoms, which
+    test_model checks against the model's own atoms.
     """
     def rhs(t, u):
         return model.Q @ u - mechanism_field(model, np.maximum(u, 0.0))

@@ -21,6 +21,7 @@ from spcrit.model import (
     derived_coefficients,
     dual_submarkov_static,
     dump_model,
+    is_irreducible,
     load_model,
     m_inner,
     pairing,
@@ -194,6 +195,30 @@ def test_reducible_generator_rejected_at_load():
         load_model(json.dumps(doc))
 
 
+def test_irreducibility_agrees_with_strong_components(rng):
+    # boolean reachability against scipy's strongly connected components,
+    # on sparse and dense random digraphs, so both answers occur
+    from scipy.sparse.csgraph import connected_components
+
+    answers = []
+    for _ in range(500):
+        n = int(rng.integers(1, 41))
+        adj = rng.random((n, n)) < rng.uniform(0.0, min(1.0, 4.0 * math.log(n + 1) / n))
+        np.fill_diagonal(adj, False)
+        Q = adj * rng.uniform(0.1, 1.0, (n, n))
+        Q -= np.diag(Q.sum(axis=1))
+        model = SuperprocessModel(
+            space=StateSpace(labels=tuple(map(str, range(n))), m=np.ones(n)),
+            motion=SpatialGenerator(Q=Q),
+            branching=BranchingData(beta=np.ones(n), a=np.zeros(n), b=np.ones(n),
+                                    jumps=(np.empty((0, 2)),) * n),
+        )
+        n_comp, _ = connected_components(adj, directed=True, connection="strong")
+        answers.append(is_irreducible(model))
+        assert answers[-1] == (n_comp == 1), (n, adj)
+    assert 50 <= sum(answers) <= 450
+
+
 def test_degenerate_branching_rejected():
     doc = json.loads(M1_TEXT)
     doc["b"] = [0]
@@ -233,6 +258,23 @@ def test_derived_coefficients_jump_atom(m3):
     dc = derived_coefficients(m3)
     np.testing.assert_allclose(dc.avar, [1.0])
     assert dc.kbound == 1.0
+
+
+def test_padded_jumps_hold_the_atoms_times_beta(rng):
+    # every mechanism evaluator reads the record's padded atoms, so check
+    # them against the model's own atoms
+    for _ in range(50):
+        model = acceptance.random_model(rng, int(rng.integers(1, 5)))
+        br, dc = model.branching, derived_coefficients(model)
+        for i, atoms in enumerate(br.jumps):
+            k = len(atoms)
+            np.testing.assert_array_equal(dc.jump_y[i, :k], atoms[:, 0])
+            np.testing.assert_array_equal(dc.jump_w[i, :k], br.beta[i] * atoms[:, 1])
+            assert not dc.jump_y[i, k:].any() and not dc.jump_w[i, k:].any()
+            yw = br.beta[i] * atoms[:, 1] * atoms[:, 0]
+            assert dc.jump_yw[i] == pytest.approx(yw.sum(), rel=1e-15, abs=0)
+            assert dc.jump_y2w[i] == pytest.approx((yw * atoms[:, 0]).sum(), rel=1e-15, abs=0)
+        np.testing.assert_array_equal(dc.quad, br.beta * br.b)
 
 
 def test_kbound_is_the_exact_max(rng):

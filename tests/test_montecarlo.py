@@ -112,11 +112,14 @@ def test_determinism_across_runs_and_threads(m2):
 def _reference_chunk(model, mu, cfg, chunk, n_chunk):
     # reference loop: one chunk at a time, one draw per step, path-major,
     # with the drift summed over the columns of X in ascending order as the
-    # kernel sums it over its state rows
+    # kernel sums it over its state rows; the jump compensator joins the
+    # growth rate and each jump intensity is read at the step's start
     rng = _chunk_rng(cfg.seed, chunk)
     br = model.branching
     Q = model.Q
-    alpha = derived_coefficients(model).alpha
+    growth = br.beta * br.a - np.array(
+        [(br.beta[i] * atoms[:, 1] * atoms[:, 0]).sum() for i, atoms in enumerate(br.jumps)]
+    )
     diff_coeff = 2.0 * br.beta * br.b * cfg.dt
     atoms = [
         (i, float(y), float(br.beta[i] * w * cfg.dt))
@@ -135,15 +138,15 @@ def _reference_chunk(model, mu, cfg, chunk, n_chunk):
                 break
         Xa = X[alive]
         xi = rng.standard_normal(Xa.shape)
+        kicks = [(i, y * rng.poisson(Xa[:, i] * rate)) for i, y, rate in atoms]
         drift = Xa[:, :1] * Q[0]
         for j in range(1, Xa.shape[1]):
             drift += Xa[:, j : j + 1] * Q[j]
-        drift += alpha * Xa
+        drift += growth * Xa
         Xa = Xa + dt * drift
         Xa = Xa + np.sqrt(diff_coeff * np.maximum(Xa, 0.0)) * xi
-        for i, y, rate in atoms:
-            lam = np.maximum(Xa[:, i], 0.0) * rate
-            Xa[:, i] += y * rng.poisson(lam)
+        for i, kick in kicks:
+            Xa[:, i] += kick
         np.maximum(Xa, 0.0, out=Xa)
         X[alive] = Xa
     return X
@@ -243,6 +246,36 @@ def test_unconditional_mean_and_variance(m1):
     m4 = ((masses - masses.mean()) ** 4).mean()
     se_var = math.sqrt(max(m4 - s2 * s2, 0.0) / masses.size)
     assert abs(s2 - var_oracle) <= 5 * se_var
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0])
+def test_jump_model_mean_matches_first_moment(m3, t):
+    # m3 has one state and b = 0, so nothing is truncated, and with the
+    # compensated drift and step-start intensities each Euler step keeps
+    # the mean exactly at any dt; the SE comes from the exact variance.
+    # Intensities read after the drift would shrink the mean by 1 - dt^2
+    # per step, so a coarse dt makes that defect show (z below -8)
+    cfg = SimConfig(t_end=t, dt=0.05, n_paths=40_000, seed=1)
+    mass = simulate_paths(m3, [1.0], cfg).states_at_t[:, 0]
+    se = math.sqrt(variance(m3, [1.0], t, [1.0]) / cfg.n_paths)
+    assert abs(mass.mean() - first_moment(m3, [1.0], t, [1.0])) <= 3 * se
+
+
+def test_random_jump_model_runs_long_at_its_mean_scale():
+    # without the jump compensator in the drift this model runs
+    # supercritical (mean mass about 1e13 at t = 40); the multistate
+    # full-truncation bias remains, so the mean is held only to the order
+    # of first_moment
+    rng = np.random.default_rng(11)
+    model = acceptance.random_model(rng, 2, critical=True)
+    while not any(j.size for j in model.branching.jumps):
+        model = acceptance.random_model(rng, 2, critical=True)
+    mu = [1.0, 0.0]
+    cfg = SimConfig(t_end=40.0, dt=0.02, n_paths=20_000, seed=2, n_threads=2)
+    mean = simulate_paths(model, mu, cfg).states_at_t.sum(axis=1).mean()
+    exact = first_moment(model, [1.0, 1.0], 40.0, mu)
+    assert math.isfinite(mean)
+    assert 0.5 * exact <= mean <= 2.0 * exact
 
 
 def test_survival_fraction_matches_ode_oracle(m1):
@@ -376,12 +409,24 @@ def test_ks_needs_enough_samples():
         ks_exponential_test(np.ones(50), 1.0)
 
 
+def _sample_limit_law(law, rng, size):
+    """Pairs (W, G sqrt(W)) drawn from the limit law itself."""
+    w = rng.exponential(law.nu_mean, size)
+    g = rng.normal(0.0, math.sqrt(law.sigma_sq), size)
+    return w, g * np.sqrt(w)
+
+
+def _product_density(law, x):
+    s = law.product_scale
+    return np.exp(-2.0 * np.abs(np.asarray(x, dtype=float)) / s) / s
+
+
 def test_limit_law_density_and_moments(rng):
     law = LimitLaw(nu_mean=0.5, sigma_sq=0.7)
     xs = np.linspace(-40, 40, 200_001)
-    total = np.trapezoid(law.product_density(xs), xs)
+    total = np.trapezoid(_product_density(law, xs), xs)
     assert total == pytest.approx(1.0, abs=1e-6)
-    w, gw = law.sample(rng, 200_000)
+    w, gw = _sample_limit_law(law, rng, 200_000)
     assert w.mean() == pytest.approx(0.5, abs=4 * w.std() / math.sqrt(w.size))
     # E[(G sqrt(W))^2] = sigma_sq * nu
     assert (gw ** 2).mean() == pytest.approx(0.35, rel=0.05)
@@ -391,7 +436,7 @@ def test_clt_checks_self_consistency():
     law = LimitLaw(nu_mean=0.7071067811865476, sigma_sq=0.7071067811865476)
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        w, gw = law.sample(rng, 50_000)
+        w, gw = _sample_limit_law(law, rng, 50_000)
         samples = ConditionalSamples(v=w, z=gw, n_survivors=w.size,
                                      n_paths=w.size)
         report = clt_checks(samples, law.nu_mean, law.sigma_sq)
