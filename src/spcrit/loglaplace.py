@@ -136,8 +136,7 @@ def _local_rate(dc: DerivedCoefficients, u_max: float) -> float:
     return dc.qnorm + float(per_state.max())
 
 
-def _check_negative(min_seen: float, u0: np.ndarray) -> None:
-    floor = -1e-12 * max(1.0, float(np.max(u0, initial=0.0)))
+def _check_negative(min_seen: float, floor: float) -> None:
     if min_seen < floor:
         raise SolverError(
             f"solution went negative (min {min_seen:.3e}); the step is too "
@@ -213,11 +212,15 @@ def _adaptive(
     (ending at T), so one run answers the whole grid.
 
     Each step runs one coarse step of h and two fine steps of h/2 from the
-    same state.  It is accepted only when their relative gap is at most
-    TOL_ODE.  The fine run's error is then about gap/15, and the step ends
-    on the Richardson-extrapolated value fine + (fine - coarse)/15, whose
-    error is of higher order; without it the fine run's errors add up over
-    the steps to several times TOL_ODE/15.  The fine run's midpoint and the
+    same state in two kernel calls: the coarse step and the first half
+    step run stacked as one (2*batch, n) array with the step column
+    [h..., h/2...], then the second half step runs alone.  The step is
+    accepted only when the relative gap between the coarse and the fine
+    end is at most TOL_ODE.  The fine run's error is then about gap/15,
+    and the step ends on the Richardson-extrapolated value
+    fine + (fine - coarse)/15, whose error is of higher order; without it
+    the fine run's errors add up over the steps to several times
+    TOL_ODE/15.  The fine run's midpoint and the
     extrapolated end are recorded, and the negativity check runs on them
     and on the coarse run; the fine end lies between the coarse and the
     extrapolated end.  A rejected step is retried smaller.  Either way the
@@ -234,9 +237,16 @@ def _adaptive(
     kernel_args = (model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w)
     batch, n = f0_batch.shape
     u = f0_batch.copy()
+    u_max = float(np.max(u, initial=0.0))
+    floor = -1e-12 * max(1.0, u_max)
+    # the stacked call's rows: the coarse step's, then the first half step's;
+    # times h, unit_steps is its step column [h..., h/2...]
+    stacked = np.empty((2 * batch, n))
+    starts = stacked.reshape(2, batch, n)
+    unit_steps = np.repeat([1.0, 0.5], batch)[:, None]
 
     T = float(stops[-1])
-    rate = _local_rate(dc, float(np.max(u, initial=0.0)))
+    rate = _local_rate(dc, u_max)
     h = min(T, 0.05 / rate if rate > 0 else T)
     t = 0.0
     grow = _GROW_MAX
@@ -246,18 +256,18 @@ def _adaptive(
     worst = 0.0
     h_lo, h_hi = math.inf, 0.0
     n_rejected = 0
+    stop_times = stops.tolist()
     for _ in range(_MAX_STEPS):
-        stop = float(stops[len(at_stops)])
+        stop = stop_times[len(at_stops)]
         lands = t + h >= stop
         if lands:
             h = stop - t
-        uc = u.copy()
-        _kernels.rk4_evolve(*kernel_args, uc, h, 1)
-        # the fine run advances in place through the step's record block
+        starts[:] = u
+        _kernels.rk4_evolve(*kernel_args, stacked, h * unit_steps, 1)
+        uc = starts[0]
+        # the second half step advances in place in the record block
         rec = np.empty((2, batch, n))
-        rec[0] = u
-        _kernels.rk4_evolve(*kernel_args, rec[0], 0.5 * h, 1)
-        rec[1] = rec[0]
+        rec[:] = starts[1]
         _kernels.rk4_evolve(*kernel_args, rec[1], 0.5 * h, 1)
         gap = _rel_gap(uc, rec[1])
         fac = 0.9 * (TOL_ODE / gap) ** 0.2 if gap > 0.0 else _GROW_MAX
@@ -273,7 +283,7 @@ def _adaptive(
             continue
         rec[1] += (rec[1] - uc) / 15.0
         u = rec[1]
-        _check_negative(min(float(uc.min()), float(rec.min())), f0_batch)
+        _check_negative(min(float(uc.min()), float(rec.min())), floor)
         times += [t + 0.5 * h, stop if lands else t + h]
         values.append(rec)
         worst = max(worst, gap)

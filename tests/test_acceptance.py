@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion; ``spcrit verify <model.json>`` prints the same table.
 """
 
-import pytest
-
 from spcrit import acceptance
 
 
@@ -45,7 +43,6 @@ def test_criterion_7_lemma_suite():
     _run(acceptance.criterion_7_lemma_suite)
 
 
-@pytest.mark.slow
 def test_criterion_8_montecarlo_pipeline():
     _run(acceptance.criterion_8_montecarlo)
 

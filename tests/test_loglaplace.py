@@ -535,15 +535,18 @@ def test_adaptive_failing_step_raises(m2, monkeypatch):
     def off_by_one_ppm(Q, lin, quad, jy, jw, u, h, n_steps):
         real(Q, lin, quad, jy, jw, u, h, n_steps)
         calls.append(h)
-        if len(calls) % 3 == 1:  # each attempt runs the coarse step first
-            steps.append(h)
-            u *= 1.0 + 1e-6  # the coarse step misses by 1e-6 at every h
+        if len(calls) % 2 == 1:
+            # each attempt runs the stacked call first: the coarse rows,
+            # then the first half step's rows
+            steps.append(float(h[0, 0]))
+            u[: len(u) // 2] *= 1.0 + 1e-6  # the coarse step misses by 1e-6 at every h
 
     monkeypatch.setattr(_kernels, "rk4_evolve", off_by_one_ppm)
     with pytest.raises(SolverError, match="step-halving"):
         solve_log_laplace(m2, [1.0, 0.5], 1.0)
     # every retry shrinks the step, and the floor ends the retries
-    assert calls[1::3] == calls[2::3] == [0.5 * h for h in steps]
+    assert [col.ravel().tolist() for col in calls[::2]] == [[h, 0.5 * h] for h in steps]
+    assert calls[1::2] == [0.5 * h for h in steps]
     assert len(steps) < 100
     assert all(b < a for a, b in zip(steps, steps[1:]))
 
@@ -562,3 +565,53 @@ def test_adaptive_negative_step_raises(m2, monkeypatch):
     monkeypatch.setattr(_kernels, "rk4_evolve", shifted_down)
     with pytest.raises(SolverError, match="negative"):
         solve_log_laplace(m2, [1.0, 0.0], 1.0)
+
+
+def _kernel_args(model):
+    dc = derived_coefficients(model)
+    return model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w
+
+
+def test_stacked_step_column_matches_scalar_steps(m1, m2, m3):
+    from spcrit import _kernels
+
+    rng = np.random.default_rng(20261018)
+    # one-state models with jumps: their u @ Q.T is a single product
+    jump_models = []
+    while len(jump_models) < 2:
+        model = acceptance.random_model(rng, n_states=1)
+        if derived_coefficients(model).jump_y.shape[1]:
+            jump_models.append(model)
+    # a one-row and a two-row u @ Q.T may take different BLAS routines and
+    # round the sum differently, so wider random models get 4 ulp
+    cases = [(model, 0.0) for model in [m1, m2, m3] + jump_models]
+    cases += [(acceptance.random_model(rng, n_states=n), 4.0) for n in (2, 2, 3, 3, 3)]
+    for model, max_ulps in cases:
+        for batch in (1, 3):
+            u = rng.uniform(0.0, 2.0, (batch, model.n_states))
+            h = float(rng.uniform(1e-3, 0.3))
+            stacked = np.concatenate((u, u))
+            steps = np.repeat([h, 0.5 * h], batch)[:, None]
+            _kernels.rk4_evolve(*_kernel_args(model), stacked, steps, 1)
+            coarse, fine = u.copy(), u.copy()
+            _kernels.rk4_evolve(*_kernel_args(model), coarse, h, 1)
+            _kernels.rk4_evolve(*_kernel_args(model), fine, 0.5 * h, 1)
+            expected = np.concatenate((coarse, fine))
+            ulps = np.abs(stacked - expected) / np.spacing(np.abs(expected))
+            assert ulps.max() <= max_ulps
+
+
+def test_two_kernel_calls_per_attempted_step(m2, monkeypatch):
+    from spcrit import _kernels
+
+    real = _kernels.rk4_evolve
+    calls = []
+
+    def counted(Q, lin, quad, jy, jw, u, h, n_steps):
+        calls.append(n_steps)
+        real(Q, lin, quad, jy, jw, u, h, n_steps)
+
+    monkeypatch.setattr(_kernels, "rk4_evolve", counted)
+    meta = solve_log_laplace(m2, [1.0, 0.5], 5.0).step_meta
+    attempts = meta.n_steps_fine // 2 + meta.n_rejected
+    assert calls == [1] * (2 * attempts)
