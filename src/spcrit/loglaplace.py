@@ -28,6 +28,7 @@ from .model import (
     SuperprocessModel,
     DerivedCoefficients,
     ModelError,
+    _require,
     as_field,
     as_measure,
     as_times,
@@ -75,9 +76,7 @@ def _remainder(dc: DerivedCoefficients, u: np.ndarray) -> np.ndarray:
 def _field(model: SuperprocessModel, u) -> tuple[DerivedCoefficients, np.ndarray]:
     """The record and u as a field; the first negative entry is named."""
     u = as_field(model, u)
-    if np.any(u < 0):
-        idx = int(np.argmax(u < 0))
-        raise ValueError(f"mechanism argument must be >= 0, got {u[idx]} at state {idx}")
+    _require("mechanism argument u", u, u >= 0, ">= 0")
     return derived_coefficients(model), u
 
 
@@ -317,9 +316,7 @@ def solve_log_laplace(
     image of the initial field.
     """
     f0 = as_field(model, f0)
-    if np.any(f0 < 0):
-        idx = int(np.argmin(f0))
-        raise ValueError(f"initial field must be >= 0; f0[{idx}] = {f0[idx]}")
+    _require("initial field f0", f0, f0 >= 0, ">= 0")
 
     sol = _adaptive(model, f0[None, :], [T])
     t_grid = np.concatenate(([0.0], sol.times))
@@ -490,9 +487,7 @@ def yaglom_transform(
     require_critical(sd)
     mu = as_measure(model, mu)
     f = as_field(model, f)
-    if np.any(f < 0):
-        idx = int(np.argmin(f))
-        raise ModelError(f"the test field must be >= 0; f[{idx}] = {f[idx]}")
+    _require("f", f, f >= 0, ">= 0")
     if not 0 <= lam < math.inf:
         raise ModelError(f"lambda must be finite and >= 0, got {lam}")
     (t,) = as_times(t, positive=True)

@@ -42,13 +42,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require(name: str, arr: np.ndarray, ok: np.ndarray, requirement: str) -> None:
+    """Reject the first entry of ``arr`` where ``ok`` is false, naming it as
+    ``name[i][j] must be <requirement>, got <value>``."""
+    if ok.all():
+        return
+    idx = np.unravel_index(np.argmin(ok), ok.shape)
+    where = "".join(f"[{i}]" for i in idx)
+    raise ModelError(f"{name}{where} must be {requirement}, got {arr[idx]}")
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     """Reject NaN and infinite entries, naming the first one."""
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        where = "".join(f"[{i}]" for i in idx)
-        raise ModelError(f"{name}{where} must be finite, got {arr[idx]}")
+    _require(name, arr, np.isfinite(arr), "finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +75,7 @@ class StateSpace:
         if len(set(self.labels)) != len(self.labels):
             raise ModelError("state labels must be pairwise distinct")
         _require_finite("m", self.m)
-        for i, v in enumerate(self.m):
-            if not v > 0:
-                raise ModelError(f"m[{i}] must be > 0, got {v}")
+        _require("m", self.m, self.m > 0, "> 0")
 
     @property
     def n(self) -> int:
@@ -90,15 +94,10 @@ class SpatialGenerator:
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ModelError(f"Q must be square, got shape {Q.shape}")
         _require_finite("Q", Q)
-        n = Q.shape[0]
+        _require("Q", Q, (Q >= 0) | np.eye(Q.shape[0], dtype=bool), ">= 0")
         scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-        for i in range(n):
-            for j in range(n):
-                if i != j and Q[i, j] < 0:
-                    raise ModelError(f"Q[{i}][{j}] must be >= 0, got {Q[i, j]}")
-            row = float(Q[i].sum())
-            if row > 1e-12 * scale:
-                raise ModelError(f"row sum of Q[{i}] must be <= 0, got {row}")
+        rows = Q.sum(axis=1)
+        _require("row sum of Q", rows, rows <= 1e-12 * scale, "<= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +140,8 @@ class BranchingData:
                 f"branching arrays must share one length, got beta:{n} "
                 f"a:{self.a.size} b:{self.b.size} jumps:{len(self.jumps)}"
             )
-        for i, v in enumerate(self.beta):
-            if v < 0:
-                raise ModelError(f"beta[{i}] must be >= 0, got {v}")
-        for i, v in enumerate(self.b):
-            if v < 0:
-                raise ModelError(f"b[{i}] must be >= 0, got {v}")
+        _require("beta", self.beta, self.beta >= 0, ">= 0")
+        _require("b", self.b, self.b >= 0, ">= 0")
 
     def jump_total_weight(self) -> np.ndarray:
         return np.array([a[:, 1].sum() for a in self.jumps])
@@ -295,9 +290,7 @@ def as_field(model: SuperprocessModel, values) -> np.ndarray:
 def as_measure(model: SuperprocessModel, values, allow_zero: bool = False) -> np.ndarray:
     """Coerce to a finite-measure vector: nonnegative, nonzero by default."""
     mu = as_field(model, values)
-    for i, v in enumerate(mu):
-        if v < 0:
-            raise ModelError(f"measure entry mu[{i}] must be >= 0, got {v}")
+    _require("measure entry mu", mu, mu >= 0, ">= 0")
     if not allow_zero and not np.any(mu > 0):
         raise ModelError("measure must have positive total mass")
     return mu
@@ -309,14 +302,12 @@ def as_times(values, name: str = "time", positive: bool = False) -> np.ndarray:
     Every entry must be >= 0, or > 0 when ``positive``; the first entry
     that is not, NaN and infinities included, is named in the error.
     """
-    ts = np.atleast_1d(np.asarray(values, dtype=float))
-    if ts.ndim != 1:
+    ts = np.asarray(values, dtype=float)
+    if ts.ndim > 1:
         raise ModelError(f"{name} must be a scalar or a 1-D grid, got shape {ts.shape}")
-    bad = ~(np.isfinite(ts) & ((ts > 0) if positive else (ts >= 0)))
-    if bad.any():
-        sign = ">" if positive else ">="
-        raise ModelError(f"{name} must be finite and {sign} 0, got {float(ts[bad][0])}")
-    return ts
+    ok = np.isfinite(ts) & ((ts > 0) if positive else (ts >= 0))
+    _require(name, ts, ok, "finite and > 0" if positive else "finite and >= 0")
+    return np.atleast_1d(ts)
 
 
 def pairing(f: np.ndarray, mu: np.ndarray) -> float:
@@ -331,6 +322,32 @@ def m_inner(f: np.ndarray, g: np.ndarray, m: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+def _json_array(name: str, value) -> list:
+    if type(value) is not list:
+        raise ParseError(f"{name} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(name: str, value) -> float:
+    # exact types: a JSON true or false parses to bool, a subclass of int
+    if type(value) not in (int, float):
+        raise ParseError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return value
+
+
+def _json_numbers(name: str, value, depth: int = 1) -> list:
+    """A JSON array of numbers, or with ``depth`` 2 an array of such arrays;
+    the first entry that is not is named."""
+    rows = _json_array(name, value)
+    if depth > 1:
+        for i, row in enumerate(rows):
+            _json_numbers(f"{name}[{i}]", row, depth - 1)
+    elif not {type(v) for v in rows} <= {int, float}:
+        for i, v in enumerate(rows):
+            _json_number(f"{name}[{i}]", v)
+    return rows
+
 
 def load_model(text: str) -> SuperprocessModel:
     """Parse and fully validate a JSON model description."""
@@ -348,24 +365,29 @@ def load_model(text: str) -> SuperprocessModel:
         raise ParseError(f"missing model keys: {', '.join(missing)}")
 
     jumps = []
-    for i, atoms in enumerate(raw["jumps"]):
+    for i, atoms in enumerate(_json_array("jumps", raw["jumps"])):
         state_atoms = []
-        for k, atom in enumerate(atoms):
+        for k, atom in enumerate(_json_array(f"jumps[{i}]", atoms)):
             if not isinstance(atom, dict) or set(atom) != {"y", "w"}:
                 raise ParseError(
                     f"jumps[{i}][{k}] must be an object with exactly "
                     f"the keys y and w"
                 )
-            state_atoms.append((atom["y"], atom["w"]))
+            y = _json_number(f"jumps[{i}][{k}].y", atom["y"])
+            w = _json_number(f"jumps[{i}][{k}].w", atom["w"])
+            state_atoms.append((y, w))
         jumps.append(np.array(state_atoms, dtype=float).reshape(-1, 2))
 
     model = SuperprocessModel(
-        space=StateSpace(labels=tuple(raw["states"]), m=np.asarray(raw["m"])),
-        motion=SpatialGenerator(Q=np.asarray(raw["Q"])),
+        space=StateSpace(
+            labels=tuple(_json_array("states", raw["states"])),
+            m=np.asarray(_json_numbers("m", raw["m"])),
+        ),
+        motion=SpatialGenerator(Q=np.asarray(_json_numbers("Q", raw["Q"], 2))),
         branching=BranchingData(
-            beta=np.asarray(raw["beta"]),
-            a=np.asarray(raw["a"]),
-            b=np.asarray(raw["b"]),
+            beta=np.asarray(_json_numbers("beta", raw["beta"])),
+            a=np.asarray(_json_numbers("a", raw["a"])),
+            b=np.asarray(_json_numbers("b", raw["b"])),
             jumps=tuple(jumps),
         ),
     )

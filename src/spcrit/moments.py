@@ -24,6 +24,7 @@ import scipy.linalg as sla
 from .loglaplace import _adaptive
 from .model import (
     SuperprocessModel,
+    _require,
     as_field,
     as_measure,
     as_times,
@@ -34,7 +35,9 @@ from .spectral import (
     MeanSemigroup,
     SpectralData,
     _fluctuation_gram,
+    _require_zero_psi_weight,
     fluctuation_variance,
+    remove_principal_component,
     require_critical,
 )
 
@@ -159,9 +162,7 @@ def variance_from_transform(
     """
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
-    if np.any(f < 0):
-        idx = int(np.argmax(f < 0))
-        raise ValueError(f"the transform oracle needs f >= 0; f[{idx}] = {f[idx]}")
+    _require("f", f, f >= 0, ">= 0")
     h = 1e-4
     batch = np.stack([h * f, 2.0 * h * f, 3.0 * h * f])
     # one adaptive step sequence for the whole batch keeps the stencil's
@@ -212,7 +213,7 @@ def _stable_deviation(
     and the principal part is minus the tail of the limit integral past t,
     read off the Lyapunov Gram matrix X as diag(e^{tA} X e^{tA^T}).
     """
-    f = f - sd.psi_weight(f) * sd.phi0
+    f = remove_principal_component(f, sd)
     avar = derived_coefficients(model).avar
     eig = MeanSemigroup(model).eigensystem
     if eig is not None:
@@ -248,18 +249,12 @@ def variance_limit_check(
     """
     f = as_field(model, f)
     require_critical(sd)
-    weight = sd.psi_weight(f)
-    if abs(weight) > 1e-9 * max(1.0, float(np.abs(f).max())):
-        raise ValueError(
-            f"psi0-weight of f must vanish (got {weight:.3e})"
-        )
+    _require_zero_psi_weight(sd, f)
     ts = as_times(t_grid, "t_grid")
     if ts.size < 2:
         raise ValueError(f"a decay rate needs at least two times, got {ts.size}")
-    if np.any(ts <= 2.0):
-        raise ValueError(
-            f"the variance limit holds past t = 2; use t_grid > 2, got {ts[ts <= 2.0][0]}"
-        )
+    # the variance limit holds past t = 2
+    _require("t_grid", ts, ts > 2.0, "> 2")
 
     zero_f = not np.any(f != 0)
     sigma_sq = fluctuation_variance(model, sd, f) if not zero_f else 0.0

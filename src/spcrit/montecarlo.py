@@ -41,6 +41,7 @@ from scipy.special import kolmogorov, ndtr
 from .model import (
     ModelError,
     SuperprocessModel,
+    _require,
     _require_finite,
     as_measure,
     derived_coefficients,
@@ -332,10 +333,16 @@ class LimitLaw:
     fluctuation limit is centered normal with variance sigma_sq, and their
     product with the square root of the exponential is two-sided
     exponential with scale product_scale / 2, whose law product_cdf gives.
+    Both parameters must be finite and > 0.
     """
 
     nu_mean: float
     sigma_sq: float
+
+    def __post_init__(self):
+        for name in ("nu_mean", "sigma_sq"):
+            v = np.float64(getattr(self, name))
+            _require(name, v, np.isfinite(v) & (v > 0), "finite and > 0")
 
     @property
     def product_scale(self) -> float:
@@ -376,8 +383,8 @@ def ks_exponential_test(samples, scale: float) -> KsResult:
     x = np.asarray(samples, dtype=float)
     if x.size < 100:
         raise SimulationError(f"need >= 100 samples for the KS test, got {x.size}")
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    scale = np.float64(scale)
+    _require("scale", scale, np.isfinite(scale) & (scale > 0), "finite and > 0")
     d = ks_statistic(x, lambda v: 1.0 - np.exp(-np.maximum(v, 0.0) / scale))
     return KsResult(d, _ks_pvalue(d, x.size), int(x.size))
 

@@ -28,7 +28,9 @@ import scipy.linalg as sla
 from .model import (
     BranchingData,
     DerivedCoefficients,
+    ModelError,
     SuperprocessModel,
+    _require,
     as_field,
     as_times,
     derived_coefficients,
@@ -117,9 +119,6 @@ class SpectralData:
     gamma: float
     m: np.ndarray
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return m_inner(f, g, self.m)
-
     def psi_weight(self, f: np.ndarray) -> float:
         """The m-weighted pairing of f with psi0."""
         return m_inner(f, self.psi0, self.m)
@@ -198,12 +197,6 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
     sg = MeanSemigroup(model)
     m = model.m
     rank_one = np.outer(phi0, psi0)
-    if not math.isfinite(gamma):
-        # single state: the kernel equals the product exactly
-        dev = np.abs(sg.density(t) * np.exp(-lambda0 * ts) - rank_one)
-        if dev.max(initial=0.0) > 1e-10 * rank_one.max():
-            raise SpectralError("one-state kernel deviates from its eigenproduct")
-        return 0.0
     eig = sg.eigensystem
     if eig is not None:
         w, v, vinv = eig
@@ -251,17 +244,17 @@ def spectral_data(model: SuperprocessModel) -> SpectralData:
 
 
 def criticalize(model: SuperprocessModel) -> SuperprocessModel:
-    """Shift the linear coefficient so the principal eigenvalue vanishes."""
+    """Shift the linear coefficient so the principal eigenvalue vanishes.
+
+    The residual is held to TOL_CRITICAL, so the result passes
+    ``require_critical`` whenever this returns.
+    """
     validate_model(model)
     lambda0 = _principal_pair(derived_coefficients(model))[0]
     if abs(lambda0) <= 1e-12:
         return model
     beta = model.branching.beta
-    if np.any(beta == 0):
-        idx = int(np.argmin(beta))
-        raise ValueError(
-            f"criticalize needs beta > 0 everywhere; beta[{idx}] = 0"
-        )
+    _require("beta", beta, beta > 0, "> 0")
     shifted = SuperprocessModel(
         space=model.space,
         motion=model.motion,
@@ -273,7 +266,7 @@ def criticalize(model: SuperprocessModel) -> SuperprocessModel:
         ),
     )
     residual = _principal_pair(derived_coefficients(shifted))[0]
-    if abs(residual) > 1e-12:
+    if abs(residual) > TOL_CRITICAL:
         raise SpectralError(
             f"criticalize left a residual principal eigenvalue {residual:.3e}"
         )
@@ -303,6 +296,16 @@ def remove_principal_component(f: np.ndarray, sd: SpectralData) -> np.ndarray:
     return f - sd.psi_weight(f) * sd.phi0
 
 
+def _require_zero_psi_weight(sd: SpectralData, f: np.ndarray) -> None:
+    """Reject a field whose psi0-weight does not vanish to 1e-9 relative."""
+    weight = sd.psi_weight(f)
+    if abs(weight) > 1e-9 * max(1.0, float(np.abs(f).max())):
+        raise ModelError(
+            f"psi0-weight of f must vanish (got {weight:.3e}); "
+            f"project it out first"
+        )
+
+
 def _deflated_generator(
     L: np.ndarray, phi0: np.ndarray, psi0: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
@@ -327,7 +330,7 @@ def _fluctuation_gram(
     X = int_0^inf e^{sA} f f^T e^{sA^T} ds solves A X + X A^T = -f f^T,
     and diag(e^{tA} X e^{tA^T}) is the integral of (T_s f)^2 over [t, inf).
     """
-    f = f - sd.psi_weight(f) * sd.phi0
+    f = remove_principal_component(f, sd)
     A = _deflated_generator(derived_coefficients(model).L, sd.phi0, sd.psi0, sd.m)
     return A, sla.solve_continuous_lyapunov(A, -np.outer(f, f))
 
@@ -345,12 +348,7 @@ def fluctuation_variance(
     """
     f = as_field(model, f)
     require_critical(sd)
-    weight = sd.psi_weight(f)
-    if abs(weight) > 1e-9 * max(1.0, float(np.abs(f).max())):
-        raise ValueError(
-            f"psi0-weight of f must vanish (got {weight:.3e}); "
-            f"project it out first"
-        )
+    _require_zero_psi_weight(sd, f)
     if not np.any(f != 0):
         return 0.0
     if sd.gamma <= 0:

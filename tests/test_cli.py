@@ -47,6 +47,15 @@ def test_validate_bad_model_exits_2(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_mistyped_model_entry_exits_2(tmp_path, capsys):
+    doc = json.loads(dump_model(acceptance.model_m2()))
+    doc["states"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "states must be a JSON array, got 5" in capsys.readouterr().err
+
+
 def test_spectral_critical(m2_path, tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectral", m2_path, "--out", str(out)]) == 0
@@ -349,7 +358,7 @@ _SIMULATE = ["simulate", "--mu", "1,0", "--paths", "10", "--seed", "1", "--f", "
     "argv, named",
     [
         (["yaglom", "--f", "1,1", "--lambda", "-1", "--t", "10"], "-1"),
-        (["yaglom", "--f=-1,1", "--lambda", "1", "--t", "10"], "f[0] = -1"),
+        (["yaglom", "--f=-1,1", "--lambda", "1", "--t", "10"], "f[0] must be >= 0, got -1"),
         (_SIMULATE + ["--t", "1", "--dt", "0.3"], "0.3"),
         (_SIMULATE + ["--t", "0.001", "--dt", "0.01"], "0.001"),
         (_SIMULATE + ["--t", "1", "--dt", "0.5"], "0.5"),
@@ -364,6 +373,34 @@ def test_rejected_library_argument_exits_2(m2_path, argv, named, capsys):
 
 def test_missing_file_is_a_runtime_error(tmp_path):
     assert main(["spectral", str(tmp_path / "absent.json")]) == 1
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+@pytest.mark.parametrize(
+    "second, code, summary",
+    [
+        ((True, 1.0), 0, "2/2 criteria passed"),
+        ((True, 12.0), 3, "1/2 criteria passed"),
+        ((False, 1.0), 3, "1/2 criteria passed"),
+    ],
+    ids=["all-pass", "over-budget", "failed"],
+)
+def test_verify_prints_each_criterion(m2_path, monkeypatch, capsys, fast, second, code,
+                                      summary):
+    results = [
+        acceptance.CriterionResult(1, "first", True, 0.5, 10.0, "ok"),
+        acceptance.CriterionResult(2, "second", *second, 10.0, "detail"),
+    ]
+    calls = []
+
+    def run_all(fast=False):
+        calls.append(fast)
+        return results
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    assert main(["verify", m2_path] + (["--fast"] if fast else [])) == code
+    assert capsys.readouterr().out.splitlines() == [r.line() for r in results] + [summary]
+    assert calls == [fast]
 
 
 def test_verify_bad_model_exits_2(tmp_path):

@@ -77,9 +77,9 @@ def test_mechanism_rejects_negative_argument(m1, m2):
         branching_mechanism(m1, 0, -0.1)
     with pytest.raises(ValueError):
         mechanism_remainders(m1, 0, -1.0)
-    with pytest.raises(ValueError, match=r"-1.0 at state 1"):
+    with pytest.raises(ValueError, match=r"u\[1\] must be >= 0, got -1.0"):
         mechanism_field(m2, [0.5, -1.0])
-    with pytest.raises(ValueError, match=r"-1.0 at state 0"):
+    with pytest.raises(ValueError, match=r"u\[0\] must be >= 0, got -1.0"):
         remainder_field(m2, [-1.0, 0.5])
 
 
@@ -206,9 +206,9 @@ def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
         (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [1.0, 1.0], -1.0, 5.0),
          "lambda .* -1"),
         (lambda m, sd: yaglom_transform(m, sd, [1.0, 0.0], [-1.0, 1.0], 1.0, 5.0),
-         r"f\[0\] = -1"),
+         r"f\[0\] must be >= 0, got -1"),
         (lambda m, sd: moments.variance_from_transform(m, [1.0, -0.5], 2.0, [1.0, 0.0]),
-         r"f\[1\] = -0.5"),
+         r"f\[1\] must be >= 0, got -0.5"),
         (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 2.5), "n must"),
         (lambda m, sd: nu_slope_estimate(m, sd, [1.0, 0.0], 0.5, 0), "n must"),
     ],

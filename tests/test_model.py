@@ -27,7 +27,9 @@ from spcrit.model import (
     pairing,
     validate_model,
 )
-from spcrit.moments import first_moment
+from spcrit.loglaplace import mechanism_field, solve_log_laplace, yaglom_transform
+from spcrit.moments import first_moment, variance_from_transform, variance_limit_check
+from spcrit.spectral import criticalize, fluctuation_variance, spectral_data
 
 M1_TEXT = json.dumps(
     {
@@ -124,6 +126,37 @@ def test_non_finite_entry_named(key, path, named, bad):
         target = target[step]
     target[path[-1]] = bad
     with pytest.raises(ModelError, match=rf"^{named} must be finite"):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("states", "AB", r'states must be a JSON array, got "AB"'),
+        ("states", 5, "states must be a JSON array, got 5"),
+        ("m", ["1", "1"], r'm\[0\] must be a JSON number, got "1"'),
+        ("m", "ab", r'm must be a JSON array, got "ab"'),
+        ("m", [1, None], r"m\[1\] must be a JSON number, got null"),
+        ("Q", [[-1, 1], ["1", -1]], r'Q\[1\]\[0\] must be a JSON number, got "1"'),
+        ("Q", [-1, 1], r"Q\[0\] must be a JSON array, got -1"),
+        ("beta", [True, True], r"beta\[0\] must be a JSON number, got true"),
+        ("a", [0, False], r"a\[1\] must be a JSON number, got false"),
+        ("b", [1, [1]], r"b\[1\] must be a JSON number, got \[1\]"),
+        ("jumps", "ab", r'jumps must be a JSON array, got "ab"'),
+        ("jumps", [3, []], r"jumps\[0\] must be a JSON array, got 3"),
+        ("jumps", [[{"y": "1", "w": 1}], []],
+         r'jumps\[0\]\[0\]\.y must be a JSON number, got "1"'),
+        ("jumps", [[], [{"y": 1, "w": None}]],
+         r"jumps\[1\]\[0\]\.w must be a JSON number, got null"),
+    ],
+    ids=["states-string", "states-number", "m-strings", "m-string", "m-null",
+         "Q-string", "Q-flat", "beta-bool", "a-bool", "b-nested", "jumps-string",
+         "jumps-number", "jump-y-string", "jump-w-null"],
+)
+def test_json_types_checked_and_named(key, value, named):
+    doc = json.loads(M2_TEXT)
+    doc[key] = value
+    with pytest.raises(ParseError, match=rf"^{named}$"):
         load_model(json.dumps(doc))
 
 
@@ -351,6 +384,59 @@ def test_non_finite_vectors_rejected(m2):
             as_measure(m2, [bad, 1.0])
         with pytest.raises(ModelError, match="must be finite"):
             first_moment(m2, [1.0, 1.0], 1.0, [1.0, bad])
+
+
+def _zero_beta(m2):
+    br = m2.branching
+    return SuperprocessModel(
+        space=m2.space, motion=m2.motion,
+        branching=BranchingData([1.0, 0.0], [0.5, 0.5], br.b, br.jumps),
+    )
+
+
+_NO_JUMPS = (np.empty((0, 2)), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda m2: StateSpace(("A", "B"), [1.0, -2.0]), r"m\[1\] must be > 0, got -2.0"),
+        (lambda m2: SpatialGenerator([[-1.0, 1.0], [-0.5, 0.0]]),
+         r"Q\[1\]\[0\] must be >= 0, got -0.5"),
+        (lambda m2: SpatialGenerator([[-1.0, 1.0], [1.0, -0.5]]),
+         r"row sum of Q\[1\] must be <= 0, got 0.5"),
+        (lambda m2: BranchingData([1.0, -0.5], [0.0, 0.0], [1.0, 1.0], _NO_JUMPS),
+         r"beta\[1\] must be >= 0, got -0.5"),
+        (lambda m2: BranchingData([1.0, 1.0], [0.0, 0.0], [-1.0, 1.0], _NO_JUMPS),
+         r"b\[0\] must be >= 0, got -1.0"),
+        (lambda m2: as_measure(m2, [1.0, -0.5]),
+         r"measure entry mu\[1\] must be >= 0, got -0.5"),
+        (lambda m2: mechanism_field(m2, [0.5, -1.0]),
+         r"mechanism argument u\[1\] must be >= 0, got -1.0"),
+        (lambda m2: solve_log_laplace(m2, [-1.0, 1.0], 1.0),
+         r"initial field f0\[0\] must be >= 0, got -1.0"),
+        (lambda m2: yaglom_transform(m2, spectral_data(m2), [1.0, 0.0], [1.0, -2.0], 1.0, 5.0),
+         r"f\[1\] must be >= 0, got -2.0"),
+        (lambda m2: variance_from_transform(m2, [-0.5, 1.0], 2.0, [1.0, 0.0]),
+         r"f\[0\] must be >= 0, got -0.5"),
+        (lambda m2: criticalize(_zero_beta(m2)), r"beta\[1\] must be > 0, got 0.0"),
+        (lambda m2: fluctuation_variance(m2, spectral_data(m2), [1.0, 0.0]),
+         r"psi0-weight of f must vanish \(got 7.071e-01\)"),
+        (lambda m2: variance_limit_check(m2, spectral_data(m2), [1.0, 0.0], [3.0, 4.0]),
+         r"psi0-weight of f must vanish \(got 7.071e-01\)"),
+        (lambda m2: variance_limit_check(m2, spectral_data(m2), [1.0, -1.0], [5.0, 2.0]),
+         r"t_grid\[1\] must be > 2, got 2.0"),
+        (lambda m2: check_dual_submarkov(m2, [1.0, math.nan]),
+         r"t_grid\[1\] must be finite and > 0, got nan"),
+    ],
+    ids=["m", "Q-off-diagonal", "Q-row-sum", "beta", "b", "measure", "mechanism",
+         "initial-field", "yaglom-field", "transform-field", "criticalize-beta",
+         "fluctuation-psi-weight", "limit-check-psi-weight", "limit-check-t-grid",
+         "time-grid"],
+)
+def test_rejection_is_a_model_error_naming_the_entry(m2, call, named):
+    with pytest.raises(ModelError, match=rf"^{named}"):
+        call(m2)
 
 
 def test_pairings(m2):

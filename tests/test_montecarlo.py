@@ -458,3 +458,19 @@ def test_clt_checks_need_enough_samples(rng):
     samples = ConditionalSamples(v=v, z=v, n_survivors=100, n_paths=100)
     with pytest.raises(SimulationError):
         clt_checks(samples, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("name", ["scale", "nu_mean", "sigma_sq"])
+def test_limit_constants_must_be_finite_and_positive(rng, name, bad):
+    # a NaN constant would give NaN p-values, which pass "p <= 0.001" gates
+    v = rng.exponential(0.5, 2_000)
+    samples = ConditionalSamples(v=v, z=v, n_survivors=v.size, n_paths=v.size)
+    calls = {
+        "scale": lambda: ks_exponential_test(v, bad),
+        "nu_mean": lambda: clt_checks(samples, bad, 0.5),
+        "sigma_sq": lambda: clt_checks(samples, 0.5, bad),
+    }
+    with pytest.raises(ModelError, match=rf"^{name} must be finite and > 0, got {bad}$"):
+        calls[name]()

@@ -6,6 +6,7 @@ import pytest
 from spcrit import acceptance
 from spcrit.model import (
     BranchingData,
+    SpatialGenerator,
     SuperprocessModel,
     derived_coefficients,
     m_inner,
@@ -19,6 +20,7 @@ from spcrit.spectral import (
     fluctuation_variance,
     nu,
     remove_principal_component,
+    require_critical,
     spectral_data,
 )
 
@@ -260,6 +262,24 @@ def test_criticalize_is_a_fixed_point(m1):
 def test_criticalize_asymmetric(m2):
     model = with_linear_coefficient(m2, [0.2, -0.2])
     assert abs(spectral_data(criticalize(model)).lambda0) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e5, 1e6])
+def test_criticalize_holds_large_rates_to_the_critical_tolerance(scale):
+    # the residual eigenvalue after the shift is roundoff of order
+    # scale * 1e-16, far above 1e-12 at these rates; criticalize must
+    # succeed exactly when its result passes require_critical
+    for seed in range(10):
+        raw = acceptance.random_model(np.random.default_rng(seed), 3)
+        br = raw.branching
+        model = SuperprocessModel(
+            space=raw.space,
+            motion=SpatialGenerator(Q=raw.Q * scale),
+            branching=BranchingData(
+                beta=br.beta, a=br.a * scale, b=br.b, jumps=br.jumps
+            ),
+        )
+        require_critical(spectral_data(criticalize(model)))
 
 
 def test_eigendata_and_criticalize_do_not_fit_the_expansion(m2, rng, monkeypatch):
