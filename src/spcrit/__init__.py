@@ -46,7 +46,6 @@ from .loglaplace import (
     kolmogorov_table,
     mechanism_remainders,
     neg_log_extinction,
-    nu_slope_estimate,
     solve_log_laplace,
     survival_probability,
     yaglom_transform,

@@ -6,10 +6,10 @@ branching mechanism.  Integrating it gives survival probabilities, the
 t*P(survival) limit table, and the finite-time Laplace transforms whose
 long-time targets are 1/(1 + nu*lambda*weight).
 
-The equation is integrated by classical RK4 with step doubling: every
-step is also taken as two half steps, and it stands only if the two
-results agree to a relative TOL_ODE.  That check also sizes the steps,
-which shrink against large data and grow as the solution decays, so one
+The equation is integrated by the Dormand-Prince 8(5,3) pair: every step
+carries an embedded error estimate, and it stands only if that estimate
+is at most a relative TOL_STEP.  The estimate also sizes the steps, which
+shrink against large data and grow as the solution decays, so one
 integrator serves short solves, the long extinction ladders and the
 transform oracle of ``moments`` alike.
 """
@@ -38,7 +38,12 @@ from .model import (
 )
 from .spectral import MeanSemigroup, SpectralData, nu as nu_constant, require_critical
 
-TOL_ODE = 1e-8
+TOL_ODE = 1e-8           # relative accuracy of a solve; slack of its bound checks
+# each step's error target: the accepted errors add up over the tens of
+# steps of a solve, and the estimate undercounts on steps near the pair's
+# stability edge; at 3e-10 the worst final error on seeded random models
+# stays at a few 1e-9 or below
+TOL_STEP = 3e-10
 TOL_LADDER = 1e-6
 THETA_LADDER = (1e2, 1e4, 1e6)
 _JUMP_POWERS = np.arange(2, 8)  # Taylor series of e^{-z} - 1 + z
@@ -46,10 +51,11 @@ _JUMP_SERIES = np.array([(-1.0) ** k / math.factorial(k) for k in _JUMP_POWERS])
 _MAX_STEPS = 1_000_000   # step budget of one solve
 _GROW_MAX = 5.0          # largest step growth per step
 _SHRINK_MIN = 0.2        # largest step shrink per step
+_FIRST_STEP = 0.25       # first step, in units of 1 / (the local rate)
 
 
 class SolverError(RuntimeError):
-    """Step-halving disagreement or a negative solution value."""
+    """An unmet step error target, a negative solution value or a broken bound."""
 
 
 class LadderError(RuntimeError):
@@ -86,12 +92,6 @@ def branching_mechanism(model: SuperprocessModel, x: int, z: float) -> float:
     return float(_remainder(dc, u)[x] - dc.alpha[x] * u[x])
 
 
-def mechanism_field(model: SuperprocessModel, u: np.ndarray) -> np.ndarray:
-    """Mechanism evaluated statewise at u(x)."""
-    dc, u = _field(model, u)
-    return _remainder(dc, u) - dc.alpha * u
-
-
 class RemainderParts(NamedTuple):
     remainder: float       # mechanism plus the linear drift part; >= 0
     quad_defect: float     # remainder minus the pure-quadratic approximation
@@ -111,11 +111,6 @@ def mechanism_remainders(model: SuperprocessModel, x: int, z: float) -> Remainde
     y = dc.jump_y[x]
     defect_bound = float(np.sum(dc.jump_w[x] * y ** 2 * np.minimum(1.0, y * z / 6.0)))
     return RemainderParts(remainder, float(quad_defect), defect_bound)
-
-
-def remainder_field(model: SuperprocessModel, u: np.ndarray) -> np.ndarray:
-    """Statewise nonlinear remainder r(x, u(x))."""
-    return _remainder(*_field(model, u))
 
 
 # ---------------------------------------------------------------------------
@@ -143,32 +138,20 @@ def _check_negative(min_seen: float, floor: float) -> None:
         )
 
 
-def _rel_gap(coarse: np.ndarray, fine: np.ndarray) -> float:
-    """Max relative gap between a coarse and a fine result."""
-    scale = float(np.abs(fine).max())
-    gap = float(np.abs(coarse - fine).max())
-    if scale == 0.0:
-        return 0.0 if gap == 0.0 else math.inf
-    return gap / scale
-
-
 @dataclass(frozen=True)
 class StepMeta:
-    """How one solve stepped; every step runs as a coarse/fine RK4 pair.
+    """How one solve stepped; every step is one Dormand-Prince 8(5,3) step.
 
-    ``dt_coarse`` is the largest accepted coarse step and ``dt_fine`` the
-    smallest accepted fine step, so every fine step lies in
-    [dt_fine, dt_coarse / 2]; ``n_steps_fine`` counts the fine steps of
-    accepted steps (two each) and ``rel_discrepancy`` is the worst gap of
-    an accepted step.  That gap bounds the local error of the fine run
-    (about gap/15), not of the Richardson-extrapolated step ends, whose
-    error is of higher order and carries no separate estimate.
-    ``n_rejected`` counts the steps that failed the halving check and were
-    retried smaller.
+    ``dt_max`` and ``dt_min`` are the largest and the smallest accepted
+    step (a step clipped to land on a stop counts as taken);
+    ``n_steps_fine`` counts the accepted steps, one record each, and
+    ``rel_discrepancy`` is the worst error estimate of an accepted step,
+    relative to the largest |u| at its end.  ``n_rejected`` counts the
+    steps whose estimate exceeded the target and were retried smaller.
     """
 
-    dt_coarse: float
-    dt_fine: float
+    dt_max: float
+    dt_min: float
     n_steps_fine: int
     rel_discrepancy: float
     n_rejected: int
@@ -178,9 +161,8 @@ class StepMeta:
 class LogLaplaceTrajectory:
     """Solution values on a time grid, starting at the initial field.
 
-    The grid holds each accepted step's midpoint and end, so it is as
-    uneven as the steps; a midpoint holds the fine run's value and an end
-    the Richardson-extrapolated value the next step starts from.
+    The grid holds 0 and then each accepted step's end, so it is as uneven
+    as the steps.
     """
 
     t_grid: np.ndarray
@@ -194,10 +176,24 @@ class LogLaplaceTrajectory:
 
 
 class _BatchSolution(NamedTuple):
-    times: np.ndarray        # record times, excluding 0
-    values: np.ndarray       # (n_rec, batch, n) records
+    times: np.ndarray        # step end times, excluding 0
+    values: np.ndarray       # (n_steps, batch, n) values at the step ends
     at_stops: np.ndarray     # (n_stops, batch, n) values at the stop times
     meta: StepMeta
+
+
+def _rel_error(err: np.ndarray, scale: float) -> float:
+    """Hairer's blend err5^2 / sqrt(err5^2 + 0.01 err3^2), relative to scale.
+
+    ``err`` is the step's (2, batch, n) pair of 5th- and 3rd-order error
+    estimates; each is measured by its largest entry.
+    """
+    err5, err3 = np.abs(err).max(axis=(1, 2)).tolist()
+    if err5 == 0.0:
+        return 0.0
+    if scale == 0.0:
+        return math.inf
+    return err5 * err5 / math.sqrt(err5 * err5 + 0.01 * err3 * err3) / scale
 
 
 def _adaptive(
@@ -205,27 +201,24 @@ def _adaptive(
     f0_batch: np.ndarray,
     stops,
 ) -> _BatchSolution:
-    """Step-doubling RK4 over [0, T] (Hairer, Norsett & Wanner, §II.4).
+    """Dormand-Prince 8(5,3) over [0, T] (Hairer, Norsett & Wanner, §II.10).
 
     Steps are clipped to land on each time of the ascending grid ``stops``
     (ending at T), so one run answers the whole grid.
 
-    Each step runs one coarse step of h and two fine steps of h/2 from the
-    same state in two kernel calls: the coarse step and the first half
-    step run stacked as one (2*batch, n) array with the step column
-    [h..., h/2...], then the second half step runs alone.  The step is
-    accepted only when the relative gap between the coarse and the fine
-    end is at most TOL_ODE.  The fine run's error is then about gap/15,
-    and the step ends on the Richardson-extrapolated value
-    fine + (fine - coarse)/15, whose error is of higher order; without it
-    the fine run's errors add up over the steps to several times
-    TOL_ODE/15.  The fine run's midpoint and the
-    extrapolated end are recorded, and the negativity check runs on them
-    and on the coarse run; the fine end lies between the coarse and the
-    extrapolated end.  A rejected step is retried smaller.  Either way the
-    next h is resized from the gap, whose leading term grows like h^5.
-    The whole batch shares one step sequence, so differences across the
-    batch keep their cancellation.  A step that cannot pass the check
+    The first step is _FIRST_STEP over the local Lipschitz bound of the
+    right-hand side; at h*L = 0.25 the pair's estimate on the Riccati
+    equation is about 1e-10, so a short solve can end in one step.  Each
+    attempt is one 12-stage step whose first stage is the right-hand side
+    at the step start, carried over from the previous step's end, so a
+    rejected attempt costs 11 right-hand sides and an accepted one 12,
+    save the last, whose end slope is never needed.  The step is accepted
+    when Hairer's blend of its 5th- and 3rd-order error estimates,
+    relative to max|u| over the batch at the step end, is at most
+    TOL_STEP; the step end is recorded and the negativity check runs on
+    it.  Either way the next h is resized from the estimate with exponent
+    1/8.  The whole batch shares one step sequence, so differences across
+    the batch keep their cancellation.  A step that cannot pass the check
     before h stops advancing time raises SolverError, as does running out
     of the step budget.
     """
@@ -234,19 +227,14 @@ def _adaptive(
         raise ValueError(f"horizon must be a nonempty ascending grid, got {stops}")
     dc = derived_coefficients(model)
     kernel_args = (model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w)
-    batch, n = f0_batch.shape
     u = f0_batch.copy()
     u_max = float(np.max(u, initial=0.0))
     floor = -1e-12 * max(1.0, u_max)
-    # the stacked call's rows: the coarse step's, then the first half step's;
-    # times h, unit_steps is its step column [h..., h/2...]
-    stacked = np.empty((2 * batch, n))
-    starts = stacked.reshape(2, batch, n)
-    unit_steps = np.repeat([1.0, 0.5], batch)[:, None]
+    k1 = _kernels._rhs_numpy(*kernel_args, u)
 
     T = float(stops[-1])
     rate = _local_rate(dc, u_max)
-    h = min(T, 0.05 / rate if rate > 0 else T)
+    h = min(T, _FIRST_STEP / rate if rate > 0 else T)
     t = 0.0
     grow = _GROW_MAX
     times: list[float] = []
@@ -261,39 +249,33 @@ def _adaptive(
         lands = t + h >= stop
         if lands:
             h = stop - t
-        starts[:] = u
-        _kernels.rk4_evolve(*kernel_args, stacked, h * unit_steps, 1)
-        uc = starts[0]
-        # the second half step advances in place in the record block
-        rec = np.empty((2, batch, n))
-        rec[:] = starts[1]
-        _kernels.rk4_evolve(*kernel_args, rec[1], 0.5 * h, 1)
-        gap = _rel_gap(uc, rec[1])
-        fac = 0.9 * (TOL_ODE / gap) ** 0.2 if gap > 0.0 else _GROW_MAX
-        if not gap <= TOL_ODE:  # a NaN gap is rejected as well
+        u_new, err = _kernels.dop853_step(*kernel_args, u, k1, h)
+        rel = _rel_error(err, float(np.abs(u_new).max()))
+        fac = 0.9 * (TOL_STEP / rel) ** 0.125 if rel > 0.0 else _GROW_MAX
+        if not rel <= TOL_STEP:  # a NaN estimate is rejected as well
             n_rejected += 1
             h *= max(_SHRINK_MIN, min(fac, 0.9))
             grow = 1.0
             if t + h == t or h <= 1e-14 * T:
                 raise SolverError(
-                    f"step-halving discrepancy {gap:.3e} at t={t:g} stays "
-                    f"above {TOL_ODE:g} down to step {h:.3e}"
+                    f"step error estimate {rel:.3e} at t={t:g} stays "
+                    f"above {TOL_STEP:g} down to step {h:.3e}"
                 )
             continue
-        rec[1] += (rec[1] - uc) / 15.0
-        u = rec[1]
-        _check_negative(min(float(uc.min()), float(rec.min())), floor)
-        times += [t + 0.5 * h, stop if lands else t + h]
-        values.append(rec)
-        worst = max(worst, gap)
+        _check_negative(float(u_new.min()), floor)
+        u = u_new
+        times.append(stop if lands else t + h)
+        values.append(u)
+        worst = max(worst, rel)
         h_lo, h_hi = min(h_lo, h), max(h_hi, h)
         if lands:
             at_stops.append(u)
             if len(at_stops) == stops.size:
-                meta = StepMeta(h_hi, 0.5 * h_lo, 2 * len(values), worst, n_rejected)
+                meta = StepMeta(h_hi, h_lo, len(values), worst, n_rejected)
                 return _BatchSolution(
-                    np.array(times), np.concatenate(values), np.stack(at_stops), meta
+                    np.array(times), np.stack(values), np.stack(at_stops), meta
                 )
+        k1 = _kernels._rhs_numpy(*kernel_args, u)
         t = stop if lands else t + h
         h *= min(grow, max(_SHRINK_MIN, fac))
         grow = _GROW_MAX
@@ -310,8 +292,8 @@ def solve_log_laplace(
 ) -> LogLaplaceTrajectory:
     """Integrate the evolution equation from a nonnegative initial field.
 
-    The step adapts: every step is taken twice, once whole and once as two
-    halves, and is accepted only when the two agree to a relative 1e-8.
+    The step adapts: each step carries an embedded error estimate and is
+    accepted only when that estimate is at most a relative TOL_STEP.
     The solution is then checked to lie between 0 and the mean-semigroup
     image of the initial field.
     """
@@ -498,55 +480,3 @@ def yaglom_transform(
     traj = solve_log_laplace(model, lam * f / t, t)
     value = 1.0 - (-math.expm1(-pairing(traj.final, mu))) / p
     return YaglomResult(value, target, p, lam, t)
-
-
-def nu_slope_estimate(
-    model: SuperprocessModel,
-    sd: SpectralData,
-    f,
-    delta: float,
-    n: int,
-) -> float:
-    """Finite-horizon slope of the reciprocal psi0-weight of the solution.
-
-    Converges to the constant nu as the horizon n*delta grows; exact at
-    every horizon for purely quadratic mechanisms.
-    """
-    require_critical(sd)
-    f = as_field(model, f)
-    (delta,) = as_times(delta, "delta", positive=True)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    w0 = sd.psi_weight(f)
-    if not w0 > 0:
-        raise ValueError(f"psi0-weight of f must be positive, got {w0}")
-    horizon = n * delta
-    traj = solve_log_laplace(model, f, horizon)
-    wt = sd.psi_weight(traj.final)
-    return (1.0 / wt - 1.0 / w0) / horizon
-
-
-# ---------------------------------------------------------------------------
-# diagnostics used by the property suites
-
-def remainder_identity(
-    model: SuperprocessModel,
-    traj: LogLaplaceTrajectory,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the mass-deficit identity at the final time t.
-
-    Direct side: mean-semigroup image minus the solution.  Integral side:
-    the integral over [0, t] of T_{t-tau} applied to the nonlinear
-    remainder r(u(tau)), by Simpson's rule over each solver step, which
-    relies on the grid the solver records: 0, then each step's midpoint
-    and end, so every odd-indexed time halves the (uneven) step around it.
-    The two sides agree up to quadrature error.
-    """
-    t = float(traj.t_grid[-1])
-    sg = MeanSemigroup(model)
-    direct = sg.apply(t, traj.f0) - traj.final
-    rem = _remainder(derived_coefficients(model), np.maximum(traj.u_values, 0.0))
-    vals = np.einsum("kxy,ky->kx", sg.matrix(t - traj.t_grid), rem)
-    width = (traj.t_grid[2::2] - traj.t_grid[:-2:2])[:, None]
-    integral = (width / 6.0 * (vals[:-2:2] + 4.0 * vals[1::2] + vals[2::2])).sum(axis=0)
-    return direct, integral

@@ -336,13 +336,26 @@ def _json_number(name: str, value) -> float:
     return value
 
 
+def _json_strings(name: str, value) -> list:
+    labels = _json_array(name, value)
+    for i, v in enumerate(labels):
+        if type(v) is not str:
+            raise ParseError(f"{name}[{i}] must be a JSON string, got {json.dumps(v)}")
+    return labels
+
+
 def _json_numbers(name: str, value, depth: int = 1) -> list:
-    """A JSON array of numbers, or with ``depth`` 2 an array of such arrays;
-    the first entry that is not is named."""
+    """A JSON array of numbers, or with ``depth`` 2 a square array of such
+    arrays; the first entry or row that is not is named."""
     rows = _json_array(name, value)
     if depth > 1:
         for i, row in enumerate(rows):
             _json_numbers(f"{name}[{i}]", row, depth - 1)
+            if len(row) != len(rows):
+                raise ParseError(
+                    f"{name}[{i}] must have {len(rows)} entries, one per row, "
+                    f"got {len(row)}"
+                )
     elif not {type(v) for v in rows} <= {int, float}:
         for i, v in enumerate(rows):
             _json_number(f"{name}[{i}]", v)
@@ -380,7 +393,7 @@ def load_model(text: str) -> SuperprocessModel:
 
     model = SuperprocessModel(
         space=StateSpace(
-            labels=tuple(_json_array("states", raw["states"])),
+            labels=tuple(_json_strings("states", raw["states"])),
             m=np.asarray(_json_numbers("m", raw["m"])),
         ),
         motion=SpatialGenerator(Q=np.asarray(_json_numbers("Q", raw["Q"], 2))),

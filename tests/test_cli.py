@@ -56,6 +56,15 @@ def test_mistyped_model_entry_exits_2(tmp_path, capsys):
     assert "states must be a JSON array, got 5" in capsys.readouterr().err
 
 
+def test_ragged_generator_exits_2_naming_the_row(tmp_path, capsys):
+    doc = json.loads(dump_model(acceptance.model_m2()))
+    doc["Q"] = [[-1, 1], [1]]
+    bad = tmp_path / "ragged.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "Q[1] must have 2 entries, one per row, got 1" in capsys.readouterr().err
+
+
 def test_spectral_critical(m2_path, tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectral", m2_path, "--out", str(out)]) == 0

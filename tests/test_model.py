@@ -27,7 +27,7 @@ from spcrit.model import (
     pairing,
     validate_model,
 )
-from spcrit.loglaplace import mechanism_field, solve_log_laplace, yaglom_transform
+from spcrit.loglaplace import _field, solve_log_laplace, yaglom_transform
 from spcrit.moments import first_moment, variance_from_transform, variance_limit_check
 from spcrit.spectral import criticalize, fluctuation_variance, spectral_data
 
@@ -139,6 +139,12 @@ def test_non_finite_entry_named(key, path, named, bad):
         ("m", [1, None], r"m\[1\] must be a JSON number, got null"),
         ("Q", [[-1, 1], ["1", -1]], r'Q\[1\]\[0\] must be a JSON number, got "1"'),
         ("Q", [-1, 1], r"Q\[0\] must be a JSON array, got -1"),
+        ("Q", [[-1, 1], [1]], r"Q\[1\] must have 2 entries, one per row, got 1"),
+        ("Q", [[-1, 1, 0], [1, -1, 0]],
+         r"Q\[0\] must have 2 entries, one per row, got 3"),
+        ("states", [{"x": 1}, [2]], r'states\[0\] must be a JSON string, got \{"x": 1\}'),
+        ("states", ["A", [2]], r"states\[1\] must be a JSON string, got \[2\]"),
+        ("states", [1, "1"], r"states\[0\] must be a JSON string, got 1"),
         ("beta", [True, True], r"beta\[0\] must be a JSON number, got true"),
         ("a", [0, False], r"a\[1\] must be a JSON number, got false"),
         ("b", [1, [1]], r"b\[1\] must be a JSON number, got \[1\]"),
@@ -150,7 +156,8 @@ def test_non_finite_entry_named(key, path, named, bad):
          r"jumps\[1\]\[0\]\.w must be a JSON number, got null"),
     ],
     ids=["states-string", "states-number", "m-strings", "m-string", "m-null",
-         "Q-string", "Q-flat", "beta-bool", "a-bool", "b-nested", "jumps-string",
+         "Q-string", "Q-flat", "Q-ragged", "Q-wide", "states-object", "states-list",
+         "states-number-and-string", "beta-bool", "a-bool", "b-nested", "jumps-string",
          "jumps-number", "jump-y-string", "jump-w-null"],
 )
 def test_json_types_checked_and_named(key, value, named):
@@ -411,7 +418,7 @@ _NO_JUMPS = (np.empty((0, 2)), np.empty((0, 2)))
          r"b\[0\] must be >= 0, got -1.0"),
         (lambda m2: as_measure(m2, [1.0, -0.5]),
          r"measure entry mu\[1\] must be >= 0, got -0.5"),
-        (lambda m2: mechanism_field(m2, [0.5, -1.0]),
+        (lambda m2: _field(m2, [0.5, -1.0]),
          r"mechanism argument u\[1\] must be >= 0, got -1.0"),
         (lambda m2: solve_log_laplace(m2, [-1.0, 1.0], 1.0),
          r"initial field f0\[0\] must be >= 0, got -1.0"),
