@@ -17,7 +17,6 @@ from .model import (
     as_field,
     as_measure,
     as_times,
-    check_dual_submarkov,
     check_grey_domination,
     derived_coefficients,
     dump_model,

@@ -7,7 +7,8 @@ absolute error of about 1e-16*z stays far below the rounding of u, so the
 small-z series of ``loglaplace.branching_mechanism`` is not needed here.
 Jump atoms arrive padded to a rectangular (n_states, k_max) pair of arrays
 with zero weights as filler; the weight array already carries the beta
-factor.
+factor.  ``_rhs_reciprocal`` is the same equation for w = 1/u, which the
+extinction limit integrates from w = 0.
 
 The adaptive solver advances by ``dop853_step``, one Dormand-Prince
 8(5,3) step.  ``rk4_evolve`` is the solver's former classical RK4 step;
@@ -113,13 +114,39 @@ def _rhs_numpy(Q, lin, quad, jy, jw, u):
     return out
 
 
-def dop853_step(Q, lin, quad, jy, jw, u, k1, h):
+def _rhs_reciprocal(Q, lin, quad, jy, jw, w):
+    """Right-hand side of w = 1/u, statewise: w' = -w^2 F(1/w) at w > 0.
+
+    Expanded, beta*b - beta*a*w - w^2 (Q(1/w)) + w^2 sum_k w_k (e^{-y_k/w}
+    - 1 + y_k/w): the quadratic term is the constant beta*b.  It is
+    evaluated as beta*b - w (beta*a + w (Q(1/w) - jumps)), in place.  At
+    w = 0 the value is beta*b, which the caller passes as the first slope;
+    w = 0 is never evaluated here.  At large w the jump term's rounding,
+    about 1e-16 w y_k w_k in w', adds up to 1e-16 y_k w_k t relative by
+    time t.
+    """
+    r = 1.0 / w
+    out = r @ Q.T
+    if jy.shape[1]:
+        z = r[:, :, None] * jy
+        jump = np.negative(z)
+        np.expm1(jump, out=jump)
+        jump += z
+        out -= np.vecdot(jump, jw)
+    out *= w
+    out += lin
+    out *= w
+    return np.subtract(quad, out, out=out)
+
+
+def dop853_step(Q, lin, quad, jy, jw, u, k1, h, rhs=_rhs_numpy):
     """One Dormand-Prince 8(5,3) step of size h from u (batch, n).
 
     ``k1`` is the right-hand side at u, which the caller carries over from
-    the previous step's end.  The 11 further stages cost one right-hand
-    side each.  Returns the step end and the (2, batch, n) pair of the 5th-
-    and 3rd-order error estimates, both already scaled by h.
+    the previous step's end.  The 11 further stages cost one call of the
+    right-hand side ``rhs`` each.  Returns the step end and the (2, batch,
+    n) pair of the 5th- and 3rd-order error estimates, both already scaled
+    by h.
     """
     k = np.empty((12,) + u.shape)
     k[0] = k1
@@ -130,7 +157,7 @@ def dop853_step(Q, lin, quad, jy, jw, u, k1, h):
     for i in range(1, 12):
         np.matmul(ha[i, :i], flat[:i], out=flat_stage)
         stage += u
-        k[i] = _rhs_numpy(Q, lin, quad, jy, jw, stage)
+        k[i] = rhs(Q, lin, quad, jy, jw, stage)
     out = (h * _WEIGHTS) @ flat
     end = out[0].reshape(u.shape)
     end += u

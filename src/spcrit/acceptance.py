@@ -399,6 +399,11 @@ def criterion_9_determinism() -> CriterionResult:
     from .model import dump_model
 
     start = time.perf_counter()
+    # the CLI runs this very package, installed or not: its parent directory
+    # goes first on the child's import path
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m2.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -412,7 +417,7 @@ def criterion_9_determinism() -> CriterionResult:
                 "--paths", "6000", "--seed", "7", "--f", "1,-1",
                 "--threads", str(threads), "--out", out,
             ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             if proc.returncode != 0:
                 return CriterionResult(
                     9, "determinism", False, time.perf_counter() - start, 60.0,

@@ -9,9 +9,10 @@ long-time targets are 1/(1 + nu*lambda*weight).
 The equation is integrated by the Dormand-Prince 8(5,3) pair: every step
 carries an embedded error estimate, and it stands only if that estimate
 is at most a relative TOL_STEP.  The estimate also sizes the steps, which
-shrink against large data and grow as the solution decays, so one
-integrator serves short solves, the long extinction ladders and the
-transform oracle of ``moments`` alike.
+grow as the solution decays.  The extinction limit, the solution from
+infinite data, is integrated in the reciprocal w = 1/u from w = 0, where
+nothing is singular, so one integrator serves short solves, long
+extinction grids and the transform oracle of ``moments`` alike.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ TOL_ODE = 1e-8           # relative accuracy of a solve; slack of its bound chec
 # stability edge; at 3e-10 the worst final error on seeded random models
 # stays at a few 1e-9 or below
 TOL_STEP = 3e-10
-TOL_LADDER = 1e-6
-THETA_LADDER = (1e2, 1e4, 1e6)
 _JUMP_POWERS = np.arange(2, 8)  # Taylor series of e^{-z} - 1 + z
 _JUMP_SERIES = np.array([(-1.0) ** k / math.factorial(k) for k in _JUMP_POWERS])
 _MAX_STEPS = 1_000_000   # step budget of one solve
@@ -59,7 +58,9 @@ class SolverError(RuntimeError):
 
 
 class LadderError(RuntimeError):
-    """The large-initial-data ladder failed to converge."""
+    """No finite extinction limit: Grey's condition beta*b > 0 fails in
+    some state, and the solution from infinite initial data stays infinite
+    there."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +197,27 @@ def _rel_error(err: np.ndarray, scale: float) -> float:
     return err5 * err5 / math.sqrt(err5 * err5 + 0.01 * err3 * err3) / scale
 
 
+def _stop_grid(stops) -> np.ndarray:
+    stops = as_times(stops, "horizon", positive=True)
+    if not stops.size or np.any(np.diff(stops) <= 0):
+        raise ValueError(f"horizon must be a nonempty ascending grid, got {stops}")
+    return stops
+
+
 def _adaptive(
     model: SuperprocessModel,
     f0_batch: np.ndarray,
     stops,
+    rhs=None,
+    k1: np.ndarray | None = None,
 ) -> _BatchSolution:
     """Dormand-Prince 8(5,3) over [0, T] (Hairer, Norsett & Wanner, §II.10).
 
     Steps are clipped to land on each time of the ascending grid ``stops``
-    (ending at T), so one run answers the whole grid.
+    (ending at T), so one run answers the whole grid.  ``rhs`` is the
+    kernel's right-hand side, ``_kernels._rhs_numpy`` when None (looked up
+    at call time); ``k1`` is its value at ``f0_batch`` when the caller
+    knows it, else one call computes it.
 
     The first step is _FIRST_STEP over the local Lipschitz bound of the
     right-hand side; at h*L = 0.25 the pair's estimate on the Riccati
@@ -222,15 +235,15 @@ def _adaptive(
     before h stops advancing time raises SolverError, as does running out
     of the step budget.
     """
-    stops = as_times(stops, "horizon", positive=True)
-    if not stops.size or np.any(np.diff(stops) <= 0):
-        raise ValueError(f"horizon must be a nonempty ascending grid, got {stops}")
+    stops = _stop_grid(stops)
     dc = derived_coefficients(model)
     kernel_args = (model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w)
+    rhs = rhs or _kernels._rhs_numpy
     u = f0_batch.copy()
     u_max = float(np.max(u, initial=0.0))
     floor = -1e-12 * max(1.0, u_max)
-    k1 = _kernels._rhs_numpy(*kernel_args, u)
+    if k1 is None:
+        k1 = rhs(*kernel_args, u)
 
     T = float(stops[-1])
     rate = _local_rate(dc, u_max)
@@ -249,7 +262,7 @@ def _adaptive(
         lands = t + h >= stop
         if lands:
             h = stop - t
-        u_new, err = _kernels.dop853_step(*kernel_args, u, k1, h)
+        u_new, err = _kernels.dop853_step(*kernel_args, u, k1, h, rhs)
         rel = _rel_error(err, float(np.abs(u_new).max()))
         fac = 0.9 * (TOL_STEP / rel) ** 0.125 if rel > 0.0 else _GROW_MAX
         if not rel <= TOL_STEP:  # a NaN estimate is rejected as well
@@ -275,7 +288,7 @@ def _adaptive(
                 return _BatchSolution(
                     np.array(times), np.stack(values), np.stack(at_stops), meta
                 )
-        k1 = _kernels._rhs_numpy(*kernel_args, u)
+        k1 = rhs(*kernel_args, u)
         t = stop if lands else t + h
         h *= min(grow, max(_SHRINK_MIN, fac))
         grow = _GROW_MAX
@@ -351,47 +364,39 @@ def neg_log_extinction(
 ) -> np.ndarray:
     """Negative log extinction probability by time t, statewise.
 
-    Computed as the large-theta limit of the evolution started from the
-    constant field theta, along the ladder (1e2, 1e4, 1e6).  Convergence
-    requires the increments between rungs to shrink geometrically (the gap
-    to the limit decays like 1/theta) or the Richardson-estimated
-    remainder past the last rung to fall below 1e-6 relatively.
+    This is v_t, the solution of the evolution equation started from
+    infinite data (Grey, J. Appl. Probab. 11, 1974).  It is computed
+    exactly at that limit: w = 1/v solves w' = -w^2 F(1/w), with F the
+    equation's right-hand side, from w = 0, where the slope is beta*b.
+    The adaptive solver integrates w with its usual step error target,
+    relative to max|w|, so v carries the relative accuracy of any other
+    solve.  An ascending grid of times gives one row per time from a
+    single run.
 
-    The rungs run as one batch through the adaptive solver, whose steps
-    start tiny against the large data and grow as the solution collapses.
-    An ascending grid of times gives one row per time from a single run,
-    with the convergence check at each time.
+    When beta*b = 0 in some state, Grey's condition fails there: w stays
+    0, v is infinite, and LadderError names that state.
     """
+    stops = _stop_grid(t)
+    dc = derived_coefficients(model)
     if not check_grey_domination(model):
         warnings.warn(
-            "finite-time extinction is not certified (min beta*b = 0); "
-            "the ladder may fail to converge",
+            "finite-time extinction is not certified (min beta*b = 0)",
             stacklevel=2,
         )
-    n = model.n_states
-    u0 = np.tile(np.asarray(THETA_LADDER)[:, None], (1, n))
-    stops = as_times(t, "horizon", positive=True)
-    at_stops = _adaptive(model, u0, stops).at_stops
-    for stop, u in zip(stops, at_stops):
-        if np.any(u[:-1] > u[1:] * (1.0 + 1e-9) + 1e-30):
-            raise LadderError(f"ladder is not monotone in the initial level at t={stop:g}")
-        # the gap to the limit decays like 1/theta; the remainder past the
-        # last rung is the last increment shrunk by theta[-2]/theta[-1], and
-        # healthy convergence shows successive increments shrinking by that
-        # same factor
-        inc_prev = float(np.abs(u[-2] - u[-3]).max())
-        inc_last = float(np.abs(u[-1] - u[-2]).max())
-        remainder = inc_last * THETA_LADDER[-2] / (THETA_LADDER[-1] - THETA_LADDER[-2])
-        scale = float(np.abs(u[-1]).max())
-        small = remainder <= TOL_LADDER * max(scale, 1e-300)
-        geometric = inc_prev >= 20.0 * inc_last
-        if not (small or geometric):
-            raise LadderError(
-                f"ladder not converged at t={stop:g}: estimated remaining gap "
-                f"{remainder:.3e} vs scale {scale:.3e}; the mechanism may be "
-                f"too weak"
-            )
-    return at_stops[:, -1] if np.ndim(t) else at_stops[0, -1]
+        x = int(np.argmin(dc.quad))
+        raise LadderError(
+            f"no finite extinction limit at t={stops[0]:g}: beta*b = 0 in "
+            f"state {x} ({model.labels[x]!r}), so the solution from infinite "
+            f"data stays infinite there"
+        )
+    w0 = np.zeros((1, model.n_states))
+    # a trial step too long for the initial layer can overflow 1/w or
+    # e^{y/w}; its error estimate is then not finite and the step is retried
+    # shorter, so such a trial is no fault
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sol = _adaptive(model, w0, stops, _kernels._rhs_reciprocal, dc.quad[None, :])
+    v = 1.0 / sol.at_stops[:, 0]
+    return v if np.ndim(t) else v[0]
 
 
 def _survival(w: np.ndarray, mu: np.ndarray) -> float:
@@ -429,7 +434,7 @@ def kolmogorov_table(
     t_grid,
 ) -> KolmogorovReport:
     """t * P(survival) against its constant long-time limit, from one
-    extinction ladder over the distinct grid times; rows keep the caller's
+    extinction solve over the distinct grid times; rows keep the caller's
     order and repeats."""
     require_critical(sd)
     mu = as_measure(model, mu)

@@ -21,8 +21,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-# Roundoff slack for the time-dependent dual sub-Markov check.
-TOL_DUAL = 1e-10
 _COND_LIMIT = 1e8     # eigenvector condition number above which we fall back
 
 MODEL_KEYS = ("states", "m", "Q", "beta", "a", "b", "jumps")
@@ -433,45 +431,6 @@ def dump_model(model: SuperprocessModel) -> str:
 # standing-assumption checks
 
 @dataclass(frozen=True)
-class DualMarkovReport:
-    """Outcome of the dual sub-Markov check with the worst violation seen."""
-
-    ok: bool
-    static_ok: bool
-    worst_excess: float
-    worst_t: float
-    worst_state: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def dual_submarkov_static(model: SuperprocessModel) -> bool:
-    """Column sums of diag(m) Q <= 0; implies the bound at every time."""
-    col = model.m @ model.Q
-    scale = max(1.0, float(np.abs(model.Q).max()), float(model.m.max()))
-    return bool(np.all(col <= 1e-12 * scale))
-
-
-def check_dual_submarkov(model: SuperprocessModel, t_grid) -> DualMarkovReport:
-    """Check sum_x m(x) p(t,x,y) <= 1 at each grid time and state y."""
-    ts = as_times(t_grid, "t_grid", positive=True)
-    if ts.size == 0:
-        raise ModelError("t_grid must be nonempty")
-    # p(t,x,y) = exp(tQ)[x,y] / m(y); the mass integral cancels m(y).
-    cols = model.m @ sla.expm(ts[:, None, None] * model.Q) / model.m
-    k, y = np.unravel_index(np.argmax(cols), cols.shape)
-    excess = float(cols[k, y] - 1.0)
-    return DualMarkovReport(
-        ok=excess <= TOL_DUAL,
-        static_ok=dual_submarkov_static(model),
-        worst_excess=excess,
-        worst_t=float(ts[k]),
-        worst_state=int(y),
-    )
-
-
-@dataclass(frozen=True)
 class GreyReport:
     """Sufficient finite-time-extinction certificate.
 
@@ -484,9 +443,6 @@ class GreyReport:
     satisfied: bool
     b_tilde: float
     kbound: float
-
-    def dominating_mechanism(self, z: float) -> float:
-        return -self.kbound * z + self.b_tilde * z * z
 
     def __bool__(self) -> bool:
         return self.satisfied

@@ -49,3 +49,10 @@ def test_criterion_8_montecarlo_pipeline():
 
 def test_criterion_9_determinism():
     _run(acceptance.criterion_9_determinism)
+
+
+def test_criterion_9_runs_without_pythonpath(monkeypatch):
+    # pytest's own import path does not reach the CLI subprocess, so the
+    # criterion must find the package without the caller's PYTHONPATH
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    _run(acceptance.criterion_9_determinism)

@@ -22,13 +22,20 @@ from spcrit.loglaplace import (
     survival_probability,
     yaglom_transform,
 )
-from spcrit.model import as_field, as_times, check_dual_submarkov, derived_coefficients
+from spcrit.model import (
+    BranchingData,
+    SuperprocessModel,
+    as_field,
+    as_times,
+    derived_coefficients,
+)
 from spcrit.spectral import (
     MeanSemigroup,
     fit_expansion_constant,
     require_critical,
     spectral_data,
 )
+from test_model import check_dual_submarkov
 
 
 def riccati(theta: float, b: float, t: float) -> float:
@@ -382,9 +389,81 @@ def test_extinction_symmetric_two_state(m2):
     np.testing.assert_allclose(w, [0.1, 0.1], atol=1e-6)
 
 
+def test_extinction_is_the_exact_limit_at_every_scale(m1, m2):
+    # v_t = 2/t on m1 and 1/t on m2; a finite initial level theta would
+    # miss by 2/(theta t) relative, most at small t
+    for t in (0.01, 0.1, 1.0, 10.0, 100.0):
+        assert neg_log_extinction(m1, t)[0] == pytest.approx(2.0 / t, rel=1e-12)
+        np.testing.assert_allclose(neg_log_extinction(m2, t), 1.0 / t, rtol=1e-12)
+
+
+def _extinction_oracle(model, times) -> np.ndarray:
+    """v at ``times`` by scipy's DOP853 on the u-equation from theta = 1e7
+    and 1e8, Richardson-extrapolated in 1/theta.
+
+    The gap u_theta - v is c/theta + O(1/theta^2), so the extrapolation
+    leaves about 1e-16 relative; the solves share neither the reciprocal
+    form nor the solver's step control.
+    """
+    def rhs(t, u):
+        return model.Q @ u - mechanism_field(model, np.maximum(u, 0.0))
+
+    finals = []
+    for theta in (1e7, 1e8):
+        sol = solve_ivp(
+            rhs, (0.0, times[-1]), np.full(model.n_states, theta), method="DOP853",
+            rtol=1e-13, atol=1e-300, t_eval=times,
+        )
+        assert sol.success, sol.message
+        finals.append(sol.y.T)
+    return (1e8 * finals[1] - 1e7 * finals[0]) / (1e8 - 1e7)
+
+
+def test_extinction_agrees_with_richardson_oracle():
+    rng = np.random.default_rng(3)
+    models = []
+    while len(models) < 6:
+        model = acceptance.random_model(rng, int(rng.integers(2, 4)), critical=True)
+        if derived_coefficients(model).jump_y.shape[1]:
+            models.append(model)
+    times = [1.0, 10.0]
+    for model in models:
+        np.testing.assert_allclose(
+            neg_log_extinction(model, times), _extinction_oracle(model, times), rtol=1e-9
+        )
+
+
+def _with_b(model, b):
+    br = model.branching
+    branching = BranchingData(beta=br.beta, a=br.a, b=np.array(b), jumps=br.jumps)
+    return SuperprocessModel(model.space, model.motion, branching)
+
+
+def test_extinction_through_a_stiff_initial_layer(m2):
+    # beta*b = 1e-6 in state 1: v there is 1e8 at t = 0.01, and the
+    # coupling term w_0^2 Q_01 / w_1 makes the first trial steps overflow;
+    # they are retried shorter with no floating-point warning, and the
+    # result is one flow, so v_{1.5} = S_1(v_{0.5})
+    model = _with_b(m2, [1.0, 1e-6])
+    v = neg_log_extinction(model, [0.01, 0.5, 1.5])
+    assert np.all(np.isfinite(v)) and v[0, 1] > 1e7
+    np.testing.assert_allclose(v[2], _dop853_final(model, v[1], 1.0), rtol=1e-9)
+
+
+def test_extinction_names_the_state_without_grey(m2):
+    # beta*b = 0 in state 1 only: w = 1/v stays 0 there, so v is infinite
+    model = _with_b(m2, [1.0, 0.0])
+    with pytest.warns(UserWarning, match="not certified"):
+        with pytest.raises(LadderError, match=r"at t=2\b.*state 1 "):
+            neg_log_extinction(model, [2.0, 3.0])
+    # a grid with no first time is a bad argument before it is a bad model
+    with pytest.raises(ValueError, match="nonempty ascending"):
+        neg_log_extinction(model, [])
+
+
 def test_extinction_warns_and_fails_without_grey(m3):
-    # jump-only mechanism: no finite-time extinction, the ladder diverges;
-    # the error names the time it failed at
+    # jump-only mechanism: no finite-time extinction, the solution from
+    # infinite data stays infinite; the error names the first time asked
     with pytest.warns(UserWarning, match="not certified"):
         with pytest.raises(LadderError, match="at t=4"):
             neg_log_extinction(m3, 4.0)
@@ -590,8 +669,8 @@ def test_solver_agrees_with_dop853_reference(m1, m2, m3):
         got = solve_log_laplace(model, f0, 1.0).final
         np.testing.assert_allclose(got, _dop853_final(model, f0, 1.0), rtol=1e-7)
         if model is m3:
-            continue  # no grey domination: the extinction ladder diverges
-        # the ladder's top rung is one flow, so w_{1.5} = S_1(w_{0.5})
+            continue  # no grey domination: no finite extinction limit
+        # the limit from infinite data is one flow, so w_{1.5} = S_1(w_{0.5})
         w_half = neg_log_extinction(model, 0.5)
         np.testing.assert_allclose(
             neg_log_extinction(model, 1.5),
@@ -660,8 +739,8 @@ def test_adaptive_failing_step_raises(m2, monkeypatch):
     real = _kernels.dop853_step
     steps = []
 
-    def off_by_one_ppm(Q, lin, quad, jy, jw, u, k1, h):
-        end, err = real(Q, lin, quad, jy, jw, u, k1, h)
+    def off_by_one_ppm(Q, lin, quad, jy, jw, u, k1, h, rhs):
+        end, err = real(Q, lin, quad, jy, jw, u, k1, h, rhs)
         steps.append(h)
         # the 5th-order estimate misses by 1e-6 of the solution at every h
         return end, err + 1e-6 * np.abs(end)
@@ -679,8 +758,8 @@ def test_adaptive_negative_step_raises(m2, monkeypatch):
 
     real = _kernels.dop853_step
 
-    def shifted_down(Q, lin, quad, jy, jw, u, k1, h):
-        end, err = real(Q, lin, quad, jy, jw, u, k1, h)
+    def shifted_down(Q, lin, quad, jy, jw, u, k1, h, rhs):
+        end, err = real(Q, lin, quad, jy, jw, u, k1, h, rhs)
         # the shift leaves the error estimate alone, so the step passes it
         return end - h, err
 
@@ -724,16 +803,18 @@ def test_stacked_step_column_matches_scalar_steps(m1, m2, m3):
 
 
 def _count_rhs(monkeypatch):
+    """One counter over both right-hand side kernels."""
     from spcrit import _kernels
 
-    real = _kernels._rhs_numpy
     calls = [0]
+    for name in ("_rhs_numpy", "_rhs_reciprocal"):
+        real = getattr(_kernels, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+        def counted(*args, real=real):
+            calls[0] += 1
+            return real(*args)
 
-    monkeypatch.setattr(_kernels, "_rhs_numpy", counted)
+        monkeypatch.setattr(_kernels, name, counted)
     return calls
 
 
@@ -743,9 +824,9 @@ def test_one_kernel_step_and_eleven_rhs_per_attempted_step(m2, monkeypatch):
     real = _kernels.dop853_step
     attempts = []
 
-    def counted_step(*args):
-        attempts.append(args[-1])
-        return real(*args)
+    def counted_step(Q, lin, quad, jy, jw, u, k1, h, rhs):
+        attempts.append(h)
+        return real(Q, lin, quad, jy, jw, u, k1, h, rhs)
 
     monkeypatch.setattr(_kernels, "dop853_step", counted_step)
     rhs = _count_rhs(monkeypatch)
@@ -756,18 +837,20 @@ def test_one_kernel_step_and_eleven_rhs_per_attempted_step(m2, monkeypatch):
     assert rhs[0] == 1 + 11 * len(attempts) + meta.n_steps_fine - 1
 
 
-# right-hand sides of the benchmark's ladder and of its longest Riccati
-# solve, measured at 2316 and 696 and pinned with under 10% headroom; the
-# step-doubling RK4 this solver replaced took 4000 and 1200
-KOLMOGOROV_RHS = 2500
+# right-hand sides of the benchmark's extinction grid and of its longest
+# Riccati solve, measured at 95 and 696 and pinned with under 10% headroom;
+# the three-rung theta ladder that the reciprocal solve replaced took 2316,
+# and the step-doubling RK4 before it 4000 and 1200
+KOLMOGOROV_RHS = 104
 RICCATI_RHS = 760
 
 
 def test_right_hand_side_work_is_pinned(m1, m2, monkeypatch):
-    # counts, not times, so the guard cannot flake
+    # counts, not times, so the guard cannot flake; a count of 0 would mean
+    # the solver went round the counted kernels
     rhs = _count_rhs(monkeypatch)
     kolmogorov_table(m2, spectral_data(m2), [1.0, 0.0], [10.0, 100.0, 1000.0])
-    assert rhs[0] <= KOLMOGOROV_RHS
+    assert 0 < rhs[0] <= KOLMOGOROV_RHS
     rhs[0] = 0
     solve_log_laplace(m1, [100.0], 10.0)
-    assert rhs[0] <= RICCATI_RHS
+    assert 0 < rhs[0] <= RICCATI_RHS

@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +18,9 @@ from spcrit.model import (
     SuperprocessModel,
     as_field,
     as_measure,
-    check_dual_submarkov,
+    as_times,
     check_grey_domination,
     derived_coefficients,
-    dual_submarkov_static,
     dump_model,
     is_irreducible,
     load_model,
@@ -30,6 +31,57 @@ from spcrit.model import (
 from spcrit.loglaplace import _field, solve_log_laplace, yaglom_transform
 from spcrit.moments import first_moment, variance_from_transform, variance_limit_check
 from spcrit.spectral import criticalize, fluctuation_variance, spectral_data
+
+# Roundoff slack for the time-dependent dual sub-Markov check.
+TOL_DUAL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# standing-assumption views that only the tests read
+
+@dataclass(frozen=True)
+class DualMarkovReport:
+    """Outcome of the dual sub-Markov check with the worst violation seen."""
+
+    ok: bool
+    static_ok: bool
+    worst_excess: float
+    worst_t: float
+    worst_state: int
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def dual_submarkov_static(model: SuperprocessModel) -> bool:
+    """Column sums of diag(m) Q <= 0; implies the bound at every time."""
+    col = model.m @ model.Q
+    scale = max(1.0, float(np.abs(model.Q).max()), float(model.m.max()))
+    return bool(np.all(col <= 1e-12 * scale))
+
+
+def check_dual_submarkov(model: SuperprocessModel, t_grid) -> DualMarkovReport:
+    """Check sum_x m(x) p(t,x,y) <= 1 at each grid time and state y."""
+    ts = as_times(t_grid, "t_grid", positive=True)
+    if ts.size == 0:
+        raise ModelError("t_grid must be nonempty")
+    # p(t,x,y) = exp(tQ)[x,y] / m(y); the mass integral cancels m(y).
+    cols = model.m @ sla.expm(ts[:, None, None] * model.Q) / model.m
+    k, y = np.unravel_index(np.argmax(cols), cols.shape)
+    excess = float(cols[k, y] - 1.0)
+    return DualMarkovReport(
+        ok=excess <= TOL_DUAL,
+        static_ok=dual_submarkov_static(model),
+        worst_excess=excess,
+        worst_t=float(ts[k]),
+        worst_state=int(y),
+    )
+
+
+def dominating_mechanism(report, z: float) -> float:
+    """Grey's spatially homogeneous minorant -kbound*z + b_tilde*z^2."""
+    return -report.kbound * z + report.b_tilde * z * z
+
 
 M1_TEXT = json.dumps(
     {
@@ -372,7 +424,7 @@ def test_grey_domination(m1, m2, m3):
     r3 = check_grey_domination(m3)
     assert not r3.satisfied and r3.b_tilde == 0.0
     # dominating mechanism is -kbound z + b_tilde z^2
-    assert r1.dominating_mechanism(2.0) == pytest.approx(-2.0 * r1.kbound + 4 * 0.5)
+    assert dominating_mechanism(r1, 2.0) == pytest.approx(-2.0 * r1.kbound + 4 * 0.5)
 
 
 def test_measure_validation(m2):
