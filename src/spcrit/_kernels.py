@@ -1,14 +1,16 @@
 """Right-hand side and one-step kernels for the nonlinear mass evolution.
 
-The right-hand side is du/dt = Q u - Psi(., u) written with the mechanism
-expanded: linear part beta*a*u, quadratic part -beta*b*u^2 and one
-exponential term per jump atom, expm1(-z) + z.  Scaled by the step, its
-absolute error of about 1e-16*z stays far below the rounding of u, so the
-small-z series of ``loglaplace.branching_mechanism`` is not needed here.
+The right-hand side is du/dt = L u - Psi_nl(., u), with L = Q + diag(beta*a)
+the mean-semigroup generator and the nonlinear part of the mechanism
+expanded: quadratic part beta*b*u^2 and one exponential term per jump atom,
+expm1(-z) + z.  Scaled by the step, its absolute error of about 1e-16*z
+stays far below the rounding of u, so the small-z series of
+``loglaplace.branching_mechanism`` is not needed here.  The generator
+arrives transposed, as L^T, so a batch of rows u is one product u @ L^T.
 Jump atoms arrive padded to a rectangular (n_states, k_max) pair of arrays
 with zero weights as filler; the weight array already carries the beta
 factor.  ``_rhs_reciprocal`` is the same equation for w = 1/u, which the
-extinction limit integrates from w = 0.
+extinction limit integrates from w = 0.  Both write into a caller's array.
 
 The adaptive solver advances by ``dop853_step``, one Dormand-Prince
 8(5,3) step.  ``rk4_evolve`` is the solver's former classical RK4 step;
@@ -16,9 +18,11 @@ no library path calls it, and it stays only because the benchmark in
 perfbench/ traces it by name.
 
 The arrays are a few states wide, so a step costs its numpy calls, not
-its arithmetic: each stage's combination of the earlier slopes is one
-matrix product over the flattened batch.  Everything is plain numpy and
-deterministic.
+its arithmetic.  The step keeps u and its 12 slopes as the rows of one
+workspace, so each stage is one vector-matrix product over the flattened
+batch followed by one right-hand side written into the workspace, and
+the step end and both error estimates are one more product.  Everything
+is plain numpy and deterministic.
 """
 
 from __future__ import annotations
@@ -98,13 +102,22 @@ _E5 = np.array([
     0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
     -0.2235530786388629525884427845e-1,
 ])
-# the end weights and both error weights, applied to the stages as one product
+# the end weights and both error weights
 _WEIGHTS = np.stack([_B, _E5, _B - _BHH])
+# every combination one step forms, over the workspace rows [u, k_0 .. k_11]:
+# row i - 1 is stage i (i = 1..11), row 11 the step end and rows 12-13 the
+# two error estimates.  A step scales the slope columns by h; column 0, the
+# weight of u, is 1 on the stage rows and the end row and 0 on the error rows.
+_C = np.zeros((14, 13))
+_C[:11, 1:] = _A[1:]
+_C[11:, 1:] = _WEIGHTS
+_C[:12, 0] = 1.0
 
 
-def _rhs_numpy(Q, lin, quad, jy, jw, u):
-    out = u @ Q.T
-    out += (lin - quad * u) * u
+def _rhs_numpy(LT, quad, jy, jw, u, out):
+    """L u - quad u^2 - jumps(u) for the rows of u (batch, n), into out."""
+    np.dot(u, LT, out=out)
+    out -= quad * u * u
     if jy.shape[1]:
         z = u[:, :, None] * jy
         jump = np.negative(z)
@@ -114,19 +127,18 @@ def _rhs_numpy(Q, lin, quad, jy, jw, u):
     return out
 
 
-def _rhs_reciprocal(Q, lin, quad, jy, jw, w):
+def _rhs_reciprocal(LT, quad, jy, jw, w, out):
     """Right-hand side of w = 1/u, statewise: w' = -w^2 F(1/w) at w > 0.
 
-    Expanded, beta*b - beta*a*w - w^2 (Q(1/w)) + w^2 sum_k w_k (e^{-y_k/w}
-    - 1 + y_k/w): the quadratic term is the constant beta*b.  It is
-    evaluated as beta*b - w (beta*a + w (Q(1/w) - jumps)), in place.  At
-    w = 0 the value is beta*b, which the caller passes as the first slope;
-    w = 0 is never evaluated here.  At large w the jump term's rounding,
-    about 1e-16 w y_k w_k in w', adds up to 1e-16 y_k w_k t relative by
-    time t.
+    Expanded, beta*b - w^2 (L(1/w) - sum_k w_k (e^{-y_k/w} - 1 + y_k/w)):
+    the quadratic term is the constant beta*b.  It is evaluated in place
+    in ``out``.  At w = 0 the value is beta*b, which the caller passes as
+    the first slope; w = 0 is never evaluated here.  At large w the jump
+    term's rounding, about 1e-16 w y_k w_k in w', adds up to 1e-16 y_k w_k
+    t relative by time t.
     """
     r = 1.0 / w
-    out = r @ Q.T
+    np.dot(r, LT, out=out)
     if jy.shape[1]:
         z = r[:, :, None] * jy
         jump = np.negative(z)
@@ -134,34 +146,32 @@ def _rhs_reciprocal(Q, lin, quad, jy, jw, w):
         jump += z
         out -= np.vecdot(jump, jw)
     out *= w
-    out += lin
     out *= w
     return np.subtract(quad, out, out=out)
 
 
-def dop853_step(Q, lin, quad, jy, jw, u, k1, h, rhs=_rhs_numpy):
+def dop853_step(LT, quad, jy, jw, u, k1, h, rhs=_rhs_numpy):
     """One Dormand-Prince 8(5,3) step of size h from u (batch, n).
 
     ``k1`` is the right-hand side at u, which the caller carries over from
-    the previous step's end.  The 11 further stages cost one call of the
-    right-hand side ``rhs`` each.  Returns the step end and the (2, batch,
-    n) pair of the 5th- and 3rd-order error estimates, both already scaled
+    the previous step's end.  The 11 further stages cost one product and
+    one call of the right-hand side ``rhs`` each, written into the
+    workspace row of its slope.  Returns one (3, batch, n) block: the step
+    end, then the 5th- and 3rd-order error estimates, both already scaled
     by h.
     """
-    k = np.empty((12,) + u.shape)
-    k[0] = k1
-    flat = k.reshape(12, -1)
+    K = np.empty((13, u.size))
+    rows = K.reshape((13,) + u.shape)
+    rows[0] = u
+    rows[1] = k1
+    c = h * _C
+    c[:, 0] = _C[:, 0]
     stage = np.empty_like(u)
     flat_stage = stage.reshape(-1)
-    ha = h * _A
     for i in range(1, 12):
-        np.matmul(ha[i, :i], flat[:i], out=flat_stage)
-        stage += u
-        k[i] = rhs(Q, lin, quad, jy, jw, stage)
-    out = (h * _WEIGHTS) @ flat
-    end = out[0].reshape(u.shape)
-    end += u
-    return end, out[1:].reshape((2,) + u.shape)
+        np.dot(c[i - 1, : i + 1], K[: i + 1], out=flat_stage)
+        rhs(LT, quad, jy, jw, stage, rows[i + 1])
+    return np.dot(c[11:], K).reshape((3,) + u.shape)
 
 
 def rk4_evolve(Q, lin, quad, jy, jw, u, h, n_steps):
@@ -171,13 +181,14 @@ def rk4_evolve(Q, lin, quad, jy, jw, u, h, n_steps):
     path calls this; perfbench traces it and reads ``n_steps`` as the 8th
     argument of each call, so it keeps its name and signature.
     """
+    LT = (Q + np.diag(lin)).T
     half = 0.5 * h
     sixth = h / 6.0
     for _ in range(int(n_steps)):
-        k1 = _rhs_numpy(Q, lin, quad, jy, jw, u)
-        k2 = _rhs_numpy(Q, lin, quad, jy, jw, u + half * k1)
-        k3 = _rhs_numpy(Q, lin, quad, jy, jw, u + half * k2)
-        k4 = _rhs_numpy(Q, lin, quad, jy, jw, u + h * k3)
+        k1 = _rhs_numpy(LT, quad, jy, jw, u, np.empty_like(u))
+        k2 = _rhs_numpy(LT, quad, jy, jw, u + half * k1, np.empty_like(u))
+        k3 = _rhs_numpy(LT, quad, jy, jw, u + half * k2, np.empty_like(u))
+        k4 = _rhs_numpy(LT, quad, jy, jw, u + h * k3, np.empty_like(u))
         k2 += k3
         k2 *= 2.0
         k2 += k1 + k4

@@ -183,13 +183,14 @@ class _BatchSolution(NamedTuple):
     meta: StepMeta
 
 
-def _rel_error(err: np.ndarray, scale: float) -> float:
-    """Hairer's blend err5^2 / sqrt(err5^2 + 0.01 err3^2), relative to scale.
+def _rel_error(block: np.ndarray) -> float:
+    """Hairer's blend err5^2 / sqrt(err5^2 + 0.01 err3^2), relative to max|end|.
 
-    ``err`` is the step's (2, batch, n) pair of 5th- and 3rd-order error
-    estimates; each is measured by its largest entry.
+    ``block`` is the step's (3, batch, n) block of the step end and its 5th-
+    and 3rd-order error estimates; each is measured by its largest entry,
+    all three in one reduction.
     """
-    err5, err3 = np.abs(err).max(axis=(1, 2)).tolist()
+    scale, err5, err3 = np.abs(block).max(axis=(1, 2)).tolist()
     if err5 == 0.0:
         return 0.0
     if scale == 0.0:
@@ -237,13 +238,13 @@ def _adaptive(
     """
     stops = _stop_grid(stops)
     dc = derived_coefficients(model)
-    kernel_args = (model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w)
+    kernel_args = (dc.L.T, dc.quad, dc.jump_y, dc.jump_w)
     rhs = rhs or _kernels._rhs_numpy
     u = f0_batch.copy()
     u_max = float(np.max(u, initial=0.0))
     floor = -1e-12 * max(1.0, u_max)
     if k1 is None:
-        k1 = rhs(*kernel_args, u)
+        k1 = rhs(*kernel_args, u, np.empty_like(u))
 
     T = float(stops[-1])
     rate = _local_rate(dc, u_max)
@@ -262,8 +263,8 @@ def _adaptive(
         lands = t + h >= stop
         if lands:
             h = stop - t
-        u_new, err = _kernels.dop853_step(*kernel_args, u, k1, h, rhs)
-        rel = _rel_error(err, float(np.abs(u_new).max()))
+        block = _kernels.dop853_step(*kernel_args, u, k1, h, rhs)
+        rel = _rel_error(block)
         fac = 0.9 * (TOL_STEP / rel) ** 0.125 if rel > 0.0 else _GROW_MAX
         if not rel <= TOL_STEP:  # a NaN estimate is rejected as well
             n_rejected += 1
@@ -275,8 +276,8 @@ def _adaptive(
                     f"above {TOL_STEP:g} down to step {h:.3e}"
                 )
             continue
-        _check_negative(float(u_new.min()), floor)
-        u = u_new
+        u = block[0]
+        _check_negative(float(u.min()), floor)
         times.append(stop if lands else t + h)
         values.append(u)
         worst = max(worst, rel)
@@ -288,7 +289,7 @@ def _adaptive(
                 return _BatchSolution(
                     np.array(times), np.stack(values), np.stack(at_stops), meta
                 )
-        k1 = rhs(*kernel_args, u)
+        k1 = rhs(*kernel_args, u, np.empty_like(u))
         t = stop if lands else t + h
         h *= min(grow, max(_SHRINK_MIN, fac))
         grow = _GROW_MAX

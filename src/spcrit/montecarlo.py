@@ -25,13 +25,16 @@ Each element of a step sees only its own path's values: the drift is
 summed state row by state row in a fixed order rather than by a matrix
 product, whose BLAS kernel depends on the array's size, so a path's
 arithmetic does not depend on where it sits in the array.  Results
-therefore do not depend on thread count or scheduling.
+therefore do not depend on thread count or scheduling.  T is the
+requested thread count, capped at the chunk count and at the CPUs
+available to the process.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,6 +60,14 @@ CHUNK_PATHS = 4096
 _COMPACT_EVERY = 32
 _GROUP_CHUNKS = 16       # chunks in one lockstep array; bounds its memory
 _SLAB_VALUES = 1 << 16   # normals drawn at once per group, at most
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on; the worker pool never exceeds them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class SimulationError(RuntimeError):
@@ -251,7 +262,9 @@ def simulate_paths(
 
     n_chunks = (cfg.n_paths + CHUNK_PATHS - 1) // CHUNK_PATHS
     out = np.empty((cfg.n_paths, model.n_states))
-    n_groups = min(cfg.n_threads, n_chunks)
+    # more threads than CPUs only add start-up and switching; results do not
+    # depend on the thread count
+    n_groups = min(cfg.n_threads, n_chunks, _available_cpus())
 
     def run(g: int) -> None:
         chunks = list(range(g, n_chunks, n_groups))

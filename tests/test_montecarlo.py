@@ -109,6 +109,35 @@ def test_determinism_across_runs_and_threads(m2):
     np.testing.assert_array_equal(a.survived, c.survived)
 
 
+def test_worker_pool_is_capped_at_available_cpus(m2, monkeypatch):
+    # the stand-in pool records the size asked for and never runs more than
+    # 2 real threads, so a missing cap shows as a number, not as threads
+    import os
+    from concurrent.futures import ThreadPoolExecutor
+
+    from spcrit import montecarlo
+
+    asked = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    base = dict(t_end=0.1, dt=0.01, n_paths=8 * CHUNK_PATHS, seed=5)
+    one = simulate_paths(m2, [1.0, 0.0], SimConfig(**base))
+    # the affinity mask where the platform has one, else the CPU count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    capped = simulate_paths(m2, [1.0, 0.0], SimConfig(**base, n_threads=100_000))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    simulate_paths(m2, [1.0, 0.0], SimConfig(**base, n_threads=100_000))
+    assert asked == [3, 4]
+    np.testing.assert_array_equal(capped.states_at_t, one.states_at_t)
+
+
 def _reference_chunk(model, mu, cfg, chunk, n_chunk):
     # reference loop: one chunk at a time, one draw per step, path-major,
     # with the drift summed over the columns of X in ascending order as the
