@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 _COND_LIMIT = 1e8     # eigenvector condition number above which we fall back
 
@@ -166,9 +165,10 @@ class SuperprocessModel:
             )
         # Degenerate branching (no diffusion and no jumps anywhere beta > 0)
         # makes the process deterministic in law; excluded.
-        activity = self.branching.beta * (
-            self.branching.b + self.branching.jump_total_weight()
-        )
+        with np.errstate(over="ignore"):  # an infinite activity is still > 0
+            activity = self.branching.beta * (
+                self.branching.b + self.branching.jump_total_weight()
+            )
         if not np.any(activity > 0):
             raise ModelError(
                 "beta*(b + total jump weight) vanishes at every state; "
@@ -195,30 +195,43 @@ class SuperprocessModel:
     def _derived(self) -> DerivedCoefficients:
         # the model is immutable, so this is built once, on first use
         br = self.branching
-        alpha = br.beta * br.a
-        y2w = np.array([(a[:, 0] ** 2 * a[:, 1]).sum() for a in br.jumps])
-        avar = br.beta * (2.0 * br.b + y2w)
-        L = self.Q + np.diag(alpha)
         jy = np.zeros((self.n_states, max(a.shape[0] for a in br.jumps)))
         jw = np.zeros_like(jy)
-        for i, atoms in enumerate(br.jumps):
-            jy[i, : len(atoms)] = atoms[:, 0]
-            jw[i, : len(atoms)] = br.beta[i] * atoms[:, 1]
+        # finite data can still have an infinite product (or inf * 0 after
+        # an underflow); each product is checked below, naming the state
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = br.beta * br.a
+            y2w = np.array([(a[:, 0] ** 2 * a[:, 1]).sum() for a in br.jumps])
+            avar = br.beta * (2.0 * br.b + y2w)
+            quad = br.beta * br.b
+            for i, atoms in enumerate(br.jumps):
+                jy[i, : len(atoms)] = atoms[:, 0]
+                jw[i, : len(atoms)] = br.beta[i] * atoms[:, 1]
+            jump_y2w = (jw * jy ** 2).sum(axis=1)
+            jump_yw = (jw * jy).sum(axis=1)
+            rate = np.abs(alpha) + avar
+            L = self.Q + np.diag(alpha)
+        for name, arr in (
+            ("beta*a", alpha), ("beta*b", quad), ("avar = beta*(2b + sum y^2 w)", avar),
+            ("beta * sum y^2 w", jump_y2w), ("beta * sum y w", jump_yw),
+            ("|beta*a| + avar", rate), ("Q[x][x] + beta*a", L.diagonal()),
+        ):
+            _require(name, arr, np.isfinite(arr), "finite")
         eig = eigensystem = None
         try:
-            eig = sla.eig(L, left=True, right=True)
-            cond = np.linalg.cond(eig[2])
+            eig = np.linalg.eig(L)
+            cond = np.linalg.cond(eig[1])
             if np.isfinite(cond) and cond < _COND_LIMIT:
-                eigensystem = (eig[0], eig[2], sla.inv(eig[2]))
+                eigensystem = (eig[0], eig[1], np.linalg.inv(eig[1]))
         except np.linalg.LinAlgError:
             pass
         return DerivedCoefficients(
             alpha=_freeze(alpha), avar=_freeze(avar),
-            kbound=float(np.max(np.abs(alpha) + avar)), L=_freeze(L),
+            kbound=float(rate.max()), L=_freeze(L),
             qnorm=float(np.abs(self.Q).sum(axis=1).max()),
-            quad=_freeze(br.beta * br.b), jump_y=_freeze(jy), jump_w=_freeze(jw),
-            jump_y2w=_freeze((jw * jy ** 2).sum(axis=1)),
-            jump_yw=_freeze((jw * jy).sum(axis=1)), eig=eig, eigensystem=eigensystem,
+            quad=_freeze(quad), jump_y=_freeze(jy), jump_w=_freeze(jw),
+            jump_y2w=_freeze(jump_y2w), jump_yw=_freeze(jump_yw),
+            eig=eig, eigensystem=eigensystem,
         )
 
 
@@ -236,9 +249,10 @@ class DerivedCoefficients:
     jump_w: np.ndarray    # matching atom weights times beta, zero as filler
     jump_y2w: np.ndarray  # per-state sum of y^2 w over jump_y, jump_w
     jump_yw: np.ndarray   # per-state sum of y w
-    # (w, VL, VR) from one scipy.linalg.eig(L, left=True, right=True), None
-    # if it did not converge; (w, VR, VR^{-1}) when cond(VR) < 1e8, else None
-    eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    # (w, VR) from one np.linalg.eig(L), None if it did not converge; the
+    # left eigenvectors are not computed (spectral derives psi0 from phi0)
+    eig: tuple[np.ndarray, np.ndarray] | None
+    # (w, VR, VR^{-1}) when cond(VR) < 1e8, else None
     eigensystem: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .loglaplace import _adaptive
 from .model import (
@@ -87,13 +86,15 @@ def _block_profile(G: np.ndarray, avar: np.ndarray, f: np.ndarray, t: float) -> 
     applied to f (x) f, where G (+) G is the Kronecker sum and D picks out
     the diagonal entries of an n^2 vector (Van Loan, IEEE TAC 23(3), 1978).
     """
+    from scipy.linalg import expm
+
     n = G.shape[0]
     eye = np.eye(n)
     block = np.zeros((n + n * n, n + n * n))
     block[:n, :n] = G
     block[np.arange(n), n + np.arange(n) * (n + 1)] = avar
     block[n:, n:] = np.kron(G, eye) + np.kron(eye, G)
-    return sla.expm(t * block)[:n, n:] @ np.kron(f, f)
+    return expm(t * block)[:n, n:] @ np.kron(f, f)
 
 
 def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.ndarray:
@@ -226,8 +227,10 @@ def _stable_deviation(
         weights[p] = np.exp(rates * t) / rates
         dev = (v @ np.einsum("mij,mij->m", terms, weights)).real
     else:
+        from scipy.linalg import expm
+
         A, X = _fluctuation_gram(model, sd, f)
-        E = sla.expm(t * A)
+        E = expm(t * A)
         tail = float(np.dot(avar * np.diag(E @ X @ E.T) * sd.psi0, sd.m))
         P = np.eye(model.n_states) - np.outer(sd.phi0, sd.psi0 * sd.m)
         dev = P @ _block_profile(A, avar, f, t) - tail * sd.phi0

@@ -39,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from .model import (
     ModelError,
@@ -377,6 +376,8 @@ class KsResult:
 
 def _ks_pvalue(d: float, n: int) -> float:
     """Tail of the asymptotic Kolmogorov law at sqrt(n) * d."""
+    from scipy.special import kolmogorov
+
     return float(kolmogorov(math.sqrt(n) * d))
 
 
@@ -423,6 +424,8 @@ def clt_checks(samples: ConditionalSamples, nu_mean: float, sigma_sq: float) -> 
         raise SimulationError(
             f"need >= 1e3 conditional samples, got {samples.v.size}"
         )
+    from scipy.special import ndtr
+
     law = LimitLaw(nu_mean, sigma_sq)
     n = samples.z.size
     d1 = ks_statistic(samples.z, law.product_cdf)

@@ -4,6 +4,10 @@ The mean semigroup acts on field vectors as exp(t*(Q + diag(alpha))) and
 evaluates a whole time grid as one stack of matrices.  Its principal
 eigenpair (phi0 right, psi0 left in the m-weighted sense), the spectral
 gap and the constants nu and sigma_f^2 feed every limit check downstream.
+phi0 comes from the model's one eigendecomposition; psi0 from phi0, as
+the stationary law of the Doob transform of the generator by phi0,
+computed by GTH state reduction without a subtraction (Grassmann, Taksar
+& Heyman, Oper. Res. 33(5), 1985).
 Both constants are closed form: nu is a weighted sum, and sigma_f^2 comes
 from one continuous Lyapunov solve with the generator deflated at its
 principal eigenvalue (Bartels & Stewart, CACM 15(9), 1972).
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import (
     BranchingData,
@@ -85,7 +88,9 @@ class MeanSemigroup:
             w, v, vinv = eig
             out = ((v * np.exp(ts * w)) @ vinv).real
         else:
-            out = sla.expm(ts * self.L)
+            from scipy.linalg import expm
+
+            out = expm(ts * self.L)
         out[t == 0] = np.eye(self.L.shape[0])
         return out
 
@@ -128,11 +133,12 @@ class SpectralData:
         return abs(self.lambda0) <= TOL_CRITICAL
 
 
-def _principal_pair(dc: DerivedCoefficients) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Principal eigenvalue, right/left eigenvectors and the spectral gap."""
+def _principal_pair(dc: DerivedCoefficients) -> tuple[float, np.ndarray, float]:
+    """Principal eigenvalue, its positive right eigenvector and the
+    spectral gap, from the model's one eigendecomposition."""
     if dc.eig is None:
         raise SpectralError("the eigensolver did not converge on L")
-    w, vl, vr = dc.eig
+    w, vr = dc.eig
     scale = max(1.0, float(np.abs(dc.L).max()))
     order = np.argsort(-w.real)
     i0 = order[0]
@@ -148,27 +154,46 @@ def _principal_pair(dc: DerivedCoefficients) -> tuple[float, np.ndarray, np.ndar
             f"principal eigenvalue {lam.real} is not simple "
             f"(multiplicity {int(close.sum())})"
         )
-
-    def positive_real(vec: np.ndarray, name: str) -> np.ndarray:
-        v = vec.real if abs(vec.imag).max() < 1e-9 else None
-        if v is None:
-            raise SpectralError(f"{name} eigenvector has a nonreal component")
-        if v.sum() < 0:
-            v = -v
-        if not np.all(v > 0):
-            raise SpectralError(
-                f"{name} eigenvector is not strictly positive; "
-                f"the generator may be reducible"
-            )
-        return v
-
-    right = positive_real(vr[:, i0] / np.abs(vr[:, i0]).max(), "right")
-    left = positive_real(vl[:, i0] / np.abs(vl[:, i0]).max(), "left")
+    right = vr[:, i0] / np.abs(vr[:, i0]).max()
+    if abs(right.imag).max() >= 1e-9:
+        raise SpectralError("right eigenvector has a nonreal component")
+    right = right.real if right.real.sum() >= 0 else -right.real
+    if not np.all(right > 0):
+        raise SpectralError(
+            "right eigenvector is not strictly positive; "
+            "the generator may be reducible"
+        )
     if w.size == 1:
         gap = math.inf
     else:
         gap = float(lam.real - w.real[order[1]])
-    return float(lam.real), right, left, gap
+    return float(lam.real), right, gap
+
+
+def _left_vector(L: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Positive left eigenvector of an irreducible L at the principal
+    eigenvalue, up to scale, from the right one phi.
+
+    The Doob transform of L by phi has off-diagonal rates L_xy phi_y /
+    phi_x and zero row sums, and its stationary law pi gives the left
+    eigenvector pi / phi.  pi comes from GTH state reduction (Grassmann,
+    Taksar & Heyman, Oper. Res. 33(5), 1985): states are censored out one
+    at a time, last first, and every pivot is a sum of positive rates and
+    every update adds nonnegative terms, so nothing is subtracted.  No
+    eigenvalue enters, so the left vector carries no error of lambda0.
+    """
+    r = L * phi / phi[:, None]  # the diagonal is never read
+    n = phi.size
+    for k in range(n - 1, 0, -1):
+        r[:k, k] /= r[k, :k].sum()
+        r[:k, :k] += r[:k, k, None] * r[k, :k]
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ r[:k, k]
+    left = pi / phi
+    if not np.all(np.isfinite(left) & (left > 0)):
+        raise SpectralError("left eigenvector is not finite and strictly positive")
+    return left
 
 
 def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=None) -> float:
@@ -204,9 +229,11 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
         rates = w[rest] - lambda0 + gamma
         scaled = ((v[:, rest] * np.exp(ts * rates)) @ vinv[rest]).real
     else:
+        from scipy.linalg import expm
+
         eye = np.eye(m.size)
         A = _deflated_generator(sg.L, phi0, psi0, m) + (gamma - lambda0) * eye
-        scaled = sla.expm(ts * A) @ (eye - np.outer(phi0, psi0 * m))
+        scaled = expm(ts * A) @ (eye - np.outer(phi0, psi0 * m))
     return float((np.abs(scaled) / (rank_one * m)).max(initial=0.0))
 
 
@@ -216,7 +243,9 @@ def spectral_data(model: SuperprocessModel) -> SpectralData:
     constant from the result."""
     validate_model(model)
     m = model.m
-    lambda0, right, left, gamma = _principal_pair(derived_coefficients(model))
+    dc = derived_coefficients(model)
+    lambda0, right, gamma = _principal_pair(dc)
+    left = _left_vector(dc.L, right)
 
     phi0 = right / math.sqrt(m_inner(right, right, m))
     # psi0 relates to the left eigenvector of L by an elementwise 1/m factor.
@@ -330,9 +359,11 @@ def _fluctuation_gram(
     X = int_0^inf e^{sA} f f^T e^{sA^T} ds solves A X + X A^T = -f f^T,
     and diag(e^{tA} X e^{tA^T}) is the integral of (T_s f)^2 over [t, inf).
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     f = remove_principal_component(f, sd)
     A = _deflated_generator(derived_coefficients(model).L, sd.phi0, sd.psi0, sd.m)
-    return A, sla.solve_continuous_lyapunov(A, -np.outer(f, f))
+    return A, solve_continuous_lyapunov(A, -np.outer(f, f))
 
 
 def fluctuation_variance(

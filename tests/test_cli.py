@@ -65,6 +65,19 @@ def test_ragged_generator_exits_2_naming_the_row(tmp_path, capsys):
     assert "Q[1] must have 2 entries, one per row, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "spectral"])
+def test_overflowing_product_exits_2_naming_the_state(tmp_path, capsys, command):
+    # beta[0] and a[0] are finite but beta*a overflows
+    doc = json.loads(dump_model(acceptance.model_m2()))
+    doc["beta"], doc["a"] = [1e200, 1], [1e200, 0]
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spcrit: beta*a[0] must be finite, got inf\n"
+
+
 def test_spectral_critical(m2_path, tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectral", m2_path, "--out", str(out)]) == 0

@@ -378,6 +378,34 @@ def test_kbound_is_the_exact_max(rng):
         assert np.isclose(combined.max(), dc.kbound)
 
 
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"beta": [1e200, 1], "a": [1e200, 0]}, r"beta\*a\[0\]"),
+        ({"beta": [1, 1e200], "b": [1, 1e200]}, r"beta\*b\[1\]"),
+        ({"b": [1, 1e308]}, r"avar = beta\*\(2b \+ sum y\^2 w\)\[1\]"),
+        ({"beta": [1e200, 1], "jumps": [[{"y": 1e-150, "w": 1e200}], []]},
+         r"beta \* sum y\^2 w\[0\]"),
+        ({"jumps": [[{"y": 0.9, "w": 1e308}, {"y": 0.9, "w": 1e308}], []]},
+         r"beta \* sum y w\[0\]"),
+        ({"a": [1e308, 0], "b": [5e307, 1]}, r"\|beta\*a\| \+ avar\[0\]"),
+        ({"Q": [[-1e308, 1e308], [1, -1]], "a": [-1e308, 0]},
+         r"Q\[x\]\[x\] \+ beta\*a\[0\]"),
+    ],
+    ids=["beta-a", "beta-b", "avar", "jump-y2w", "jump-yw", "kbound", "L-diagonal"],
+)
+def test_overflowing_products_are_model_errors_naming_the_state(changes, named):
+    # every entry is finite but a product in the derived record is not; the
+    # overflow is a ModelError, not a RuntimeWarning or an eigensolver error
+    doc = json.loads(M2_TEXT)
+    doc.update(changes)
+    model = load_model(json.dumps(doc))
+    with pytest.raises(ModelError, match=rf"^{named} must be finite, got -?inf"):
+        derived_coefficients(model)
+    with pytest.raises(ModelError, match=rf"^{named} must be finite"):
+        spectral_data(model)
+
+
 def test_dual_submarkov_symmetric_cases(m1, m2):
     assert check_dual_submarkov(m1, [0.5, 1.0, 5.0]).ok
     report = check_dual_submarkov(m2, [0.1, 1.0, 10.0])

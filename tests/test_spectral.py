@@ -7,6 +7,7 @@ from spcrit import acceptance
 from spcrit.model import (
     BranchingData,
     SpatialGenerator,
+    StateSpace,
     SuperprocessModel,
     derived_coefficients,
     m_inner,
@@ -189,6 +190,53 @@ def test_normalizations_on_random_models(rng):
         np.testing.assert_allclose(
             sg.dual_apply(1.0, sd.psi0), math.exp(sd.lambda0) * sd.psi0, rtol=1e-10
         )
+
+
+def test_left_vector_matches_lapack_left_eigenvector(m1, m2, m3):
+    # psi0 from the stationary law of the Doob transform against LAPACK's
+    # left eigenvector of L at the principal eigenvalue
+    import scipy.linalg
+
+    rng = np.random.default_rng(20260419)
+    models = [m1, m2, m3] + [
+        acceptance.random_model(rng, n_states=int(rng.integers(1, 9)))
+        for _ in range(200)
+    ]
+    for model in models:
+        sd = spectral_data(model)
+        w, vl = scipy.linalg.eig(derived_coefficients(model).L, left=True, right=False)
+        left = vl[:, np.argmax(w.real)].real / model.m
+        psi_ref = left / m_inner(sd.phi0, left, model.m)
+        np.testing.assert_allclose(sd.psi0, psi_ref, rtol=1e-12, atol=0)
+
+
+def killed_birth_death_chain(n, backward):
+    """Unit-weight chain stepping up at rate 1 and down at ``backward``;
+    every state loses 1 + backward, so both ends are killed.  Its
+    eigenvectors grow ill-conditioned fast in n / backward."""
+    Q = np.diag(np.ones(n - 1), 1) + backward * np.diag(np.ones(n - 1), -1)
+    np.fill_diagonal(Q, -1.0 - backward)
+    return SuperprocessModel(
+        space=StateSpace(tuple(f"s{i}" for i in range(n)), np.ones(n)),
+        motion=SpatialGenerator(Q=Q),
+        branching=BranchingData(
+            beta=np.ones(n), a=np.zeros(n), b=np.ones(n),
+            jumps=tuple(np.empty((0, 2)) for _ in range(n)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("backward", [1e-2, 1e-3, 1e-4])
+def test_spectral_data_on_killed_birth_death_chains(n, backward):
+    # non-normal generators, cond(VR) 1e5 to 1e22, so that six of the nine
+    # have no usable eigensystem; spectral_data checks both eigen relations
+    # to 1e-10
+    model = killed_birth_death_chain(n, backward)
+    sd = spectral_data(model)
+    assert np.all(sd.phi0 > 0) and np.all(sd.psi0 > 0)
+    ill_conditioned = n == 12 or (n, backward) in {(6, 1e-4), (8, 1e-3), (8, 1e-4)}
+    assert (derived_coefficients(model).eigensystem is None) == ill_conditioned
 
 
 def test_expansion_bound_holds_on_the_grid(m2, rng):
@@ -392,14 +440,12 @@ def test_fluctuation_variance_is_profile_limit(m2, rng):
 
 def test_one_eigendecomposition_per_model(monkeypatch):
     # the derived record is built once per model and every layer reads it
-    import scipy.linalg
-
     from spcrit import loglaplace, moments
 
     base = acceptance.random_model(np.random.default_rng(3), n_states=3, critical=True)
     model = SuperprocessModel(base.space, base.motion, base.branching)
     calls = {"eig": 0, "adaptive": 0}
-    real_eig, real_adaptive = scipy.linalg.eig, loglaplace._adaptive
+    real_eig, real_adaptive = np.linalg.eig, loglaplace._adaptive
 
     def eig(*args, **kwargs):
         calls["eig"] += 1
@@ -409,7 +455,7 @@ def test_one_eigendecomposition_per_model(monkeypatch):
         calls["adaptive"] += 1
         return real_adaptive(*args)
 
-    monkeypatch.setattr(scipy.linalg, "eig", eig)
+    monkeypatch.setattr(np.linalg, "eig", eig)
     monkeypatch.setattr(loglaplace, "_adaptive", adaptive)
     mu = np.array([1.0, 0.5, 0.2])
     g = np.array([0.5, 1.0, 0.2])
