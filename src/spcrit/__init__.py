@@ -7,12 +7,9 @@ survival-rate, conditional-exponential and central limit theorems.
 """
 
 from .model import (
-    BranchingData,
     DerivedCoefficients,
     ModelError,
     ParseError,
-    SpatialGenerator,
-    StateSpace,
     SuperprocessModel,
     as_field,
     as_measure,

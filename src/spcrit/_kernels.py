@@ -5,7 +5,7 @@ the mean-semigroup generator and the nonlinear part of the mechanism
 expanded: quadratic part beta*b*u^2 and one exponential term per jump atom,
 expm1(-z) + z.  Scaled by the step, its absolute error of about 1e-16*z
 stays far below the rounding of u, so the small-z series of
-``loglaplace.branching_mechanism`` is not needed here.  The generator
+``loglaplace._remainder`` is not needed here.  The generator
 arrives transposed, as L^T, so a batch of rows u is one product u @ L^T.
 Jump atoms arrive padded to a rectangular (n_states, k_max) pair of arrays
 with zero weights as filler; the weight array already carries the beta

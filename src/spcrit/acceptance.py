@@ -19,49 +19,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import loglaplace, moments, montecarlo, spectral
-from .model import BranchingData, SpatialGenerator, StateSpace, SuperprocessModel
+from .model import SuperprocessModel
 from .spectral import fit_expansion_constant, spectral_data
 
 
 def model_m1() -> SuperprocessModel:
     """One conservative state, purely quadratic mechanism b = 1/2."""
     return SuperprocessModel(
-        space=StateSpace(labels=("o",), m=np.array([1.0])),
-        motion=SpatialGenerator(Q=np.array([[0.0]])),
-        branching=BranchingData(
-            beta=np.array([1.0]),
-            a=np.array([0.0]),
-            b=np.array([0.5]),
-            jumps=(np.empty((0, 2)),),
-        ),
+        labels=("o",), m=[1.0], Q=[[0.0]],
+        beta=[1.0], a=[0.0], b=[0.5], jumps=([],),
     )
 
 
 def model_m2() -> SuperprocessModel:
     """Symmetric two-state flip with unit quadratic mechanism."""
     return SuperprocessModel(
-        space=StateSpace(labels=("A", "B"), m=np.array([1.0, 1.0])),
-        motion=SpatialGenerator(Q=np.array([[-1.0, 1.0], [1.0, -1.0]])),
-        branching=BranchingData(
-            beta=np.array([1.0, 1.0]),
-            a=np.array([0.0, 0.0]),
-            b=np.array([1.0, 1.0]),
-            jumps=(np.empty((0, 2)), np.empty((0, 2))),
-        ),
+        labels=("A", "B"), m=[1.0, 1.0], Q=[[-1.0, 1.0], [1.0, -1.0]],
+        beta=[1.0, 1.0], a=[0.0, 0.0], b=[1.0, 1.0], jumps=([], []),
     )
 
 
 def model_m3() -> SuperprocessModel:
     """One state, jump-only mechanism with a single unit atom."""
     return SuperprocessModel(
-        space=StateSpace(labels=("o",), m=np.array([1.0])),
-        motion=SpatialGenerator(Q=np.array([[0.0]])),
-        branching=BranchingData(
-            beta=np.array([1.0]),
-            a=np.array([0.0]),
-            b=np.array([0.0]),
-            jumps=(np.array([[1.0, 1.0]]),),
-        ),
+        labels=("o",), m=[1.0], Q=[[0.0]],
+        beta=[1.0], a=[0.0], b=[0.0], jumps=([(1.0, 1.0)],),
     )
 
 
@@ -73,7 +55,8 @@ def random_model(
     """Random irreducible model whose dual semigroup is sub-Markov.
 
     The weighted rate matrix diag(m) Q is drawn with nonpositive row and
-    column sums, which makes the static dual check pass by construction.
+    column sums, so the dual semigroup is sub-Markov by construction (the
+    static dual check in ``tests/test_model.py`` reads this).
     """
     n = int(rng.integers(1, 4)) if n_states is None else n_states
     m = rng.uniform(0.5, 2.0, n)
@@ -99,9 +82,8 @@ def random_model(
         else:
             jumps.append(np.empty((0, 2)))
     model = SuperprocessModel(
-        space=StateSpace(labels=tuple(f"s{i}" for i in range(n)), m=m),
-        motion=SpatialGenerator(Q=Q),
-        branching=BranchingData(beta=beta, a=a, b=b, jumps=tuple(jumps)),
+        labels=tuple(f"s{i}" for i in range(n)), m=m, Q=Q,
+        beta=beta, a=a, b=b, jumps=tuple(jumps),
     )
     return spectral.criticalize(model) if critical else model
 

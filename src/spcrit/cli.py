@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 runtime error, 2 validation or criticality
-failure, 3 acceptance failure.  All numeric output is CSV with a header
-row and 17 significant digits, so identical invocations produce
-byte-identical files.
+failure (a model without a finite extinction limit included), 3
+acceptance failure.  All numeric output is CSV with a header row and 17
+significant digits, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from . import loglaplace, moments, montecarlo, spectral
+from .loglaplace import LadderError
 from .model import ModelError, as_field, load_model_file
 from .spectral import NotCriticalError
 
@@ -299,7 +300,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ModelError, NotCriticalError) as exc:
+    # Grey's condition is read off the model before any solving, so its
+    # failure is a property of the model, not of a run
+    except (ModelError, NotCriticalError, LadderError) as exc:
         print(f"spcrit: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -18,7 +18,6 @@ extinction grids and the transform oracle of ``moments`` alike.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -380,10 +379,6 @@ def neg_log_extinction(
     stops = _stop_grid(t)
     dc = derived_coefficients(model)
     if not check_grey_domination(model):
-        warnings.warn(
-            "finite-time extinction is not certified (min beta*b = 0)",
-            stacklevel=2,
-        )
         x = int(np.argmin(dc.quad))
         raise LadderError(
             f"no finite extinction limit at t={stops[0]:g}: beta*b = 0 in "

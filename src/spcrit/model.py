@@ -1,10 +1,13 @@
 """Finite-state superprocess models.
 
-A model bundles three ingredients: a finite state space with strictly
-positive reference weights, a spatial transition-rate generator (killing
-encoded as row-sum deficit), and branching data consisting of a rate
-``beta``, a linear coefficient ``a``, a quadratic (diffusion) coefficient
-``b`` and a per-state list of jump atoms representing a finite jump kernel.
+A model is one immutable record, ``SuperprocessModel``, whose fields are
+the seven keys of a model file: the state labels (key ``states``), the
+strictly positive reference weights ``m``, the spatial transition-rate
+generator ``Q`` (killing encoded as row-sum deficit), and the branching
+data: a rate ``beta``, a linear coefficient ``a``, a quadratic (diffusion)
+coefficient ``b`` and a per-state list of jump atoms ``jumps``
+representing a finite jump kernel.  The record checks every constraint
+when it is built, naming the first offending entry.
 
 Model files are JSON objects with keys ``states``, ``m``, ``Q``, ``beta``,
 ``a``, ``b``, ``jumps``.  ``jumps`` holds one array per state whose entries
@@ -55,120 +58,62 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class StateSpace:
-    """Finite set of states and strictly positive reference weights."""
+class SuperprocessModel:
+    """The seven model-file keys as one immutable record; ``states`` is
+    ``labels``.  ``jumps[i]`` is a (k_i, 2) array of (size, weight) atoms,
+    both finite and > 0.  Safe to share read-only across threads.
+    """
 
     labels: tuple[str, ...]
     m: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        object.__setattr__(self, "m", _freeze(self.m))
-        if self.m.ndim != 1 or len(self.labels) != self.m.size or self.m.size < 1:
-            raise ModelError(
-                f"states and m must be equal-length and nonempty, got "
-                f"{len(self.labels)} labels and m of shape {self.m.shape}"
-            )
-        if len(set(self.labels)) != len(self.labels):
-            raise ModelError("state labels must be pairwise distinct")
-        _require_finite("m", self.m)
-        _require("m", self.m, self.m > 0, "> 0")
-
-    @property
-    def n(self) -> int:
-        return self.m.size
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialGenerator:
-    """Transition-rate matrix; nonnegative off-diagonal, row sums <= 0."""
-
     Q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", _freeze(self.Q))
-        Q = self.Q
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ModelError(f"Q must be square, got shape {Q.shape}")
-        _require_finite("Q", Q)
-        _require("Q", Q, (Q >= 0) | np.eye(Q.shape[0], dtype=bool), ">= 0")
-        scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-        rows = Q.sum(axis=1)
-        _require("row sum of Q", rows, rows <= 1e-12 * scale, "<= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class BranchingData:
-    """Per-state branching rate, mechanism coefficients and jump atoms.
-
-    ``jumps[i]`` is an (k_i, 2) array of (size, weight) atoms, both finite
-    and > 0.
-    """
-
     beta: np.ndarray
     a: np.ndarray
     b: np.ndarray
     jumps: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _freeze(self.beta))
-        object.__setattr__(self, "a", _freeze(self.a))
-        object.__setattr__(self, "b", _freeze(self.b))
-        for name in ("beta", "a", "b"):
+        labels = tuple(str(s) for s in self.labels)
+        object.__setattr__(self, "labels", labels)
+        for name in ("m", "Q", "beta", "a", "b"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        jumps = tuple(np.array(atoms, dtype=float).reshape(-1, 2) for atoms in self.jumps)
+        object.__setattr__(self, "jumps", jumps)
+        n = len(labels)
+        if n < 1:
+            raise ModelError("states must be nonempty")
+        if len(set(labels)) != n:
+            raise ModelError("state labels must be pairwise distinct")
+        for name, shape, want in (
+            ("m", self.m.shape, (n,)), ("Q", self.Q.shape, (n, n)),
+            ("beta", self.beta.shape, (n,)), ("a", self.a.shape, (n,)),
+            ("b", self.b.shape, (n,)), ("jumps", (len(jumps),), (n,)),
+        ):
+            if shape != want:
+                raise ModelError(
+                    f"{name} must have shape {want} for the {n} states, got {shape}"
+                )
+        for name in ("m", "Q", "beta", "a", "b"):
             _require_finite(name, getattr(self, name))
-        norm = []
-        for i, atoms in enumerate(self.jumps):
-            arr = np.array(atoms, dtype=float).reshape(-1, 2)
-            for k in range(arr.shape[0]):
-                if not 0 < arr[k, 0] < math.inf:
-                    raise ModelError(
-                        f"jumps[{i}][{k}].y must be finite and > 0, got {arr[k, 0]}"
-                    )
-                if not 0 < arr[k, 1] < math.inf:
-                    raise ModelError(
-                        f"jumps[{i}][{k}].w must be finite and > 0, got {arr[k, 1]}"
-                    )
-            arr.setflags(write=False)
-            norm.append(arr)
-        object.__setattr__(self, "jumps", tuple(norm))
-        n = self.beta.size
-        if not (self.a.size == n and self.b.size == n and len(self.jumps) == n):
-            raise ModelError(
-                f"branching arrays must share one length, got beta:{n} "
-                f"a:{self.a.size} b:{self.b.size} jumps:{len(self.jumps)}"
-            )
+        _require("m", self.m, self.m > 0, "> 0")
+        Q = self.Q
+        _require("Q", Q, (Q >= 0) | np.eye(n, dtype=bool), ">= 0")
+        scale = max(1.0, float(np.abs(Q).max()))
+        rows = Q.sum(axis=1)
+        _require("row sum of Q", rows, rows <= 1e-12 * scale, "<= 0")
+        for i, atoms in enumerate(jumps):
+            for k, (y, w) in enumerate(atoms):
+                if not 0 < y < math.inf:
+                    raise ModelError(f"jumps[{i}][{k}].y must be finite and > 0, got {y}")
+                if not 0 < w < math.inf:
+                    raise ModelError(f"jumps[{i}][{k}].w must be finite and > 0, got {w}")
+            atoms.setflags(write=False)
         _require("beta", self.beta, self.beta >= 0, ">= 0")
         _require("b", self.b, self.b >= 0, ">= 0")
-
-    def jump_total_weight(self) -> np.ndarray:
-        return np.array([a[:, 1].sum() for a in self.jumps])
-
-
-@dataclass(frozen=True, eq=False)
-class SuperprocessModel:
-    """Immutable model; safe to share read-only across threads."""
-
-    space: StateSpace
-    motion: SpatialGenerator
-    branching: BranchingData
-
-    def __post_init__(self):
-        n = self.space.n
-        if self.motion.Q.shape[0] != n:
-            raise ModelError(
-                f"Q has {self.motion.Q.shape[0]} states but the space has {n}"
-            )
-        if self.branching.beta.size != n:
-            raise ModelError(
-                f"branching data has {self.branching.beta.size} states "
-                f"but the space has {n}"
-            )
         # Degenerate branching (no diffusion and no jumps anywhere beta > 0)
         # makes the process deterministic in law; excluded.
         with np.errstate(over="ignore"):  # an infinite activity is still > 0
-            activity = self.branching.beta * (
-                self.branching.b + self.branching.jump_total_weight()
-            )
+            activity = self.beta * (self.b + [atoms[:, 1].sum() for atoms in jumps])
         if not np.any(activity > 0):
             raise ModelError(
                 "beta*(b + total jump weight) vanishes at every state; "
@@ -177,36 +122,24 @@ class SuperprocessModel:
 
     @property
     def n_states(self) -> int:
-        return self.space.n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.space.labels
-
-    @property
-    def m(self) -> np.ndarray:
-        return self.space.m
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self.motion.Q
+        return len(self.labels)
 
     @cached_property
     def _derived(self) -> DerivedCoefficients:
         # the model is immutable, so this is built once, on first use
-        br = self.branching
-        jy = np.zeros((self.n_states, max(a.shape[0] for a in br.jumps)))
+        beta, jumps = self.beta, self.jumps
+        jy = np.zeros((self.n_states, max(a.shape[0] for a in jumps)))
         jw = np.zeros_like(jy)
         # finite data can still have an infinite product (or inf * 0 after
         # an underflow); each product is checked below, naming the state
         with np.errstate(over="ignore", invalid="ignore"):
-            alpha = br.beta * br.a
-            y2w = np.array([(a[:, 0] ** 2 * a[:, 1]).sum() for a in br.jumps])
-            avar = br.beta * (2.0 * br.b + y2w)
-            quad = br.beta * br.b
-            for i, atoms in enumerate(br.jumps):
+            alpha = beta * self.a
+            y2w = np.array([(a[:, 0] ** 2 * a[:, 1]).sum() for a in jumps])
+            avar = beta * (2.0 * self.b + y2w)
+            quad = beta * self.b
+            for i, atoms in enumerate(jumps):
                 jy[i, : len(atoms)] = atoms[:, 0]
-                jw[i, : len(atoms)] = br.beta[i] * atoms[:, 1]
+                jw[i, : len(atoms)] = beta[i] * atoms[:, 1]
             jump_y2w = (jw * jy ** 2).sum(axis=1)
             jump_yw = (jw * jy).sum(axis=1)
             rate = np.abs(alpha) + avar
@@ -404,17 +337,13 @@ def load_model(text: str) -> SuperprocessModel:
         jumps.append(np.array(state_atoms, dtype=float).reshape(-1, 2))
 
     model = SuperprocessModel(
-        space=StateSpace(
-            labels=tuple(_json_strings("states", raw["states"])),
-            m=np.asarray(_json_numbers("m", raw["m"])),
-        ),
-        motion=SpatialGenerator(Q=np.asarray(_json_numbers("Q", raw["Q"], 2))),
-        branching=BranchingData(
-            beta=np.asarray(_json_numbers("beta", raw["beta"])),
-            a=np.asarray(_json_numbers("a", raw["a"])),
-            b=np.asarray(_json_numbers("b", raw["b"])),
-            jumps=tuple(jumps),
-        ),
+        labels=tuple(_json_strings("states", raw["states"])),
+        m=np.asarray(_json_numbers("m", raw["m"])),
+        Q=np.asarray(_json_numbers("Q", raw["Q"], 2)),
+        beta=np.asarray(_json_numbers("beta", raw["beta"])),
+        a=np.asarray(_json_numbers("a", raw["a"])),
+        b=np.asarray(_json_numbers("b", raw["b"])),
+        jumps=tuple(jumps),
     )
     return validate_model(model)
 
@@ -430,12 +359,11 @@ def dump_model(model: SuperprocessModel) -> str:
         "states": list(model.labels),
         "m": model.m.tolist(),
         "Q": model.Q.tolist(),
-        "beta": model.branching.beta.tolist(),
-        "a": model.branching.a.tolist(),
-        "b": model.branching.b.tolist(),
+        "beta": model.beta.tolist(),
+        "a": model.a.tolist(),
+        "b": model.b.tolist(),
         "jumps": [
-            [{"y": float(y), "w": float(w)} for y, w in atoms]
-            for atoms in model.branching.jumps
+            [{"y": float(y), "w": float(w)} for y, w in atoms] for atoms in model.jumps
         ],
     }
     return json.dumps(doc, indent=2)

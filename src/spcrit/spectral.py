@@ -23,13 +23,13 @@ Loan, SIAM Rev. 45(1), 2003).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    BranchingData,
     DerivedCoefficients,
     ModelError,
     SuperprocessModel,
@@ -282,18 +282,8 @@ def criticalize(model: SuperprocessModel) -> SuperprocessModel:
     lambda0 = _principal_pair(derived_coefficients(model))[0]
     if abs(lambda0) <= 1e-12:
         return model
-    beta = model.branching.beta
-    _require("beta", beta, beta > 0, "> 0")
-    shifted = SuperprocessModel(
-        space=model.space,
-        motion=model.motion,
-        branching=BranchingData(
-            beta=beta,
-            a=model.branching.a - lambda0 / beta,
-            b=model.branching.b,
-            jumps=model.branching.jumps,
-        ),
-    )
+    _require("beta", model.beta, model.beta > 0, "> 0")
+    shifted = dataclasses.replace(model, a=model.a - lambda0 / model.beta)
     residual = _principal_pair(derived_coefficients(shifted))[0]
     if abs(residual) > TOL_CRITICAL:
         raise SpectralError(

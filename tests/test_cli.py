@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spcrit
 from spcrit import acceptance, montecarlo
 from spcrit.cli import _parse_vector, main
 from spcrit.model import ModelError, derived_coefficients, dump_model
@@ -103,6 +108,29 @@ def test_spectral_noncritical_exits_2(tmp_path):
     assert main(["spectral", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, t",
+    [(["kolmogorov", "--mu", "1", "--t-grid", "1:100:3"], "1"),
+     (["yaglom", "--f", "1", "--lambda", "1", "--t", "10"], "10")],
+    ids=["kolmogorov", "yaglom"],
+)
+def test_no_finite_extinction_exits_2_naming_the_state(tmp_path, argv, t):
+    # m3 is jump-only, so beta*b = 0 and Grey's condition fails; run in a
+    # fresh interpreter, where a warning would reach stderr as for a user
+    path = tmp_path / "m3.json"
+    path.write_text(dump_model(acceptance.model_m3()))
+    env = {**os.environ, "PYTHONPATH": str(Path(spcrit.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "spcrit", argv[0], str(path), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
+        f"spcrit: no finite extinction limit at t={t}: beta*b = 0 in state 0 "
+        "('o'), so the solution from infinite data stays infinite there"
+    ]
+
+
 def test_kolmogorov_table(m1_path, tmp_path):
     out = tmp_path / "kol.csv"
     code = main(
@@ -193,7 +221,7 @@ def _jump_model():
     rng = np.random.default_rng(77)
     while True:
         model = acceptance.random_model(rng, 2, critical=True)
-        if any(j.size for j in model.branching.jumps):
+        if any(j.size for j in model.jumps):
             return model
 
 

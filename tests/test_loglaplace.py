@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +27,6 @@ from spcrit.loglaplace import (
     yaglom_transform,
 )
 from spcrit.model import (
-    BranchingData,
-    SuperprocessModel,
     as_field,
     as_times,
     derived_coefficients,
@@ -437,18 +437,12 @@ def test_extinction_agrees_with_richardson_oracle():
         )
 
 
-def _with_b(model, b):
-    br = model.branching
-    branching = BranchingData(beta=br.beta, a=br.a, b=np.array(b), jumps=br.jumps)
-    return SuperprocessModel(model.space, model.motion, branching)
-
-
 def test_extinction_through_a_stiff_initial_layer(m2):
     # beta*b = 1e-6 in state 1: v there is 1e8 at t = 0.01, and the
     # coupling term w_0^2 Q_01 / w_1 makes the first trial steps overflow;
     # they are retried shorter with no floating-point warning, and the
     # result is one flow, so v_{1.5} = S_1(v_{0.5})
-    model = _with_b(m2, [1.0, 1e-6])
+    model = dataclasses.replace(m2, b=[1.0, 1e-6])
     v = neg_log_extinction(model, [0.01, 0.5, 1.5])
     assert np.all(np.isfinite(v)) and v[0, 1] > 1e7
     np.testing.assert_allclose(v[2], _dop853_final(model, v[1], 1.0), rtol=1e-9)
@@ -456,8 +450,9 @@ def test_extinction_through_a_stiff_initial_layer(m2):
 
 def test_extinction_names_the_state_without_grey(m2):
     # beta*b = 0 in state 1 only: w = 1/v stays 0 there, so v is infinite
-    model = _with_b(m2, [1.0, 0.0])
-    with pytest.warns(UserWarning, match="not certified"):
+    model = dataclasses.replace(m2, b=[1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(LadderError, match=r"at t=2\b.*state 1 "):
             neg_log_extinction(model, [2.0, 3.0])
     # a grid with no first time is a bad argument before it is a bad model
@@ -465,10 +460,12 @@ def test_extinction_names_the_state_without_grey(m2):
         neg_log_extinction(model, [])
 
 
-def test_extinction_warns_and_fails_without_grey(m3):
+def test_extinction_fails_without_grey(m3):
     # jump-only mechanism: no finite-time extinction, the solution from
-    # infinite data stays infinite; the error names the first time asked
-    with pytest.warns(UserWarning, match="not certified"):
+    # infinite data stays infinite; the error names the first time asked,
+    # and it is the only report: no warning precedes it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(LadderError, match="at t=4"):
             neg_log_extinction(m3, 4.0)
 

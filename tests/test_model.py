@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -10,11 +11,9 @@ from hypothesis import strategies as st
 
 from spcrit import acceptance
 from spcrit.model import (
-    BranchingData,
+    MODEL_KEYS,
     ModelError,
     ParseError,
-    SpatialGenerator,
-    StateSpace,
     SuperprocessModel,
     as_field,
     as_measure,
@@ -97,11 +96,26 @@ M2_TEXT = json.dumps(
 )
 
 
+def assert_same_fields(back, model):
+    """Compare every field of the record, so that a field the text form
+    drops or alters fails here."""
+    for field in dataclasses.fields(SuperprocessModel):
+        got, want = getattr(back, field.name), getattr(model, field.name)
+        assert len(got) == len(want), field.name
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w, err_msg=field.name)
+
+
+def test_record_fields_are_the_model_file_keys():
+    names = [field.name for field in dataclasses.fields(SuperprocessModel)]
+    assert names == ["labels" if key == "states" else key for key in MODEL_KEYS]
+
+
 def test_load_m1():
     model = load_model(M1_TEXT)
     assert model.labels == ("o",)
     assert model.n_states == 1
-    assert model.branching.b[0] == 0.5
+    assert model.b[0] == 0.5
 
 
 def test_load_m2():
@@ -258,19 +272,8 @@ def test_dump_load_roundtrip_is_exact(seed, n, data):
     doc["a"] = data.draw(st.lists(finite, min_size=n, max_size=n))
     model = load_model(json.dumps(doc))
     back = load_model(dump_model(model))
-    assert back.labels == model.labels
-    for get in (
-        lambda x: x.m,
-        lambda x: x.Q,
-        lambda x: x.branching.beta,
-        lambda x: x.branching.a,
-        lambda x: x.branching.b,
-    ):
-        np.testing.assert_array_equal(get(back), get(model))
-    np.testing.assert_array_equal(back.branching.a, doc["a"])
-    assert len(back.branching.jumps) == len(model.branching.jumps)
-    for j1, j2 in zip(back.branching.jumps, model.branching.jumps):
-        np.testing.assert_array_equal(j1, j2)
+    assert_same_fields(back, model)
+    np.testing.assert_array_equal(back.a, doc["a"])
 
 
 def test_dimension_mismatch_rejected():
@@ -300,10 +303,8 @@ def test_irreducibility_agrees_with_strong_components(rng):
         Q = adj * rng.uniform(0.1, 1.0, (n, n))
         Q -= np.diag(Q.sum(axis=1))
         model = SuperprocessModel(
-            space=StateSpace(labels=tuple(map(str, range(n))), m=np.ones(n)),
-            motion=SpatialGenerator(Q=Q),
-            branching=BranchingData(beta=np.ones(n), a=np.zeros(n), b=np.ones(n),
-                                    jumps=(np.empty((0, 2)),) * n),
+            labels=tuple(map(str, range(n))), m=np.ones(n), Q=Q,
+            beta=np.ones(n), a=np.zeros(n), b=np.ones(n), jumps=((),) * n,
         )
         n_comp, _ = connected_components(adj, directed=True, connection="strong")
         answers.append(is_irreducible(model))
@@ -320,15 +321,7 @@ def test_degenerate_branching_rejected():
 
 def test_roundtrip_is_identical(m3, rng):
     for model in (m3, acceptance.random_model(rng), acceptance.random_model(rng)):
-        back = load_model(dump_model(model))
-        assert back.labels == model.labels
-        np.testing.assert_array_equal(back.m, model.m)
-        np.testing.assert_array_equal(back.Q, model.Q)
-        np.testing.assert_array_equal(back.branching.beta, model.branching.beta)
-        np.testing.assert_array_equal(back.branching.a, model.branching.a)
-        np.testing.assert_array_equal(back.branching.b, model.branching.b)
-        for j1, j2 in zip(back.branching.jumps, model.branching.jumps):
-            np.testing.assert_array_equal(j1, j2)
+        assert_same_fields(load_model(dump_model(model)), model)
 
 
 def test_derived_coefficients_m1(m1):
@@ -357,16 +350,16 @@ def test_padded_jumps_hold_the_atoms_times_beta(rng):
     # them against the model's own atoms
     for _ in range(50):
         model = acceptance.random_model(rng, int(rng.integers(1, 5)))
-        br, dc = model.branching, derived_coefficients(model)
-        for i, atoms in enumerate(br.jumps):
+        dc = derived_coefficients(model)
+        for i, atoms in enumerate(model.jumps):
             k = len(atoms)
             np.testing.assert_array_equal(dc.jump_y[i, :k], atoms[:, 0])
-            np.testing.assert_array_equal(dc.jump_w[i, :k], br.beta[i] * atoms[:, 1])
+            np.testing.assert_array_equal(dc.jump_w[i, :k], model.beta[i] * atoms[:, 1])
             assert not dc.jump_y[i, k:].any() and not dc.jump_w[i, k:].any()
-            yw = br.beta[i] * atoms[:, 1] * atoms[:, 0]
+            yw = model.beta[i] * atoms[:, 1] * atoms[:, 0]
             assert dc.jump_yw[i] == pytest.approx(yw.sum(), rel=1e-15, abs=0)
             assert dc.jump_y2w[i] == pytest.approx((yw * atoms[:, 0]).sum(), rel=1e-15, abs=0)
-        np.testing.assert_array_equal(dc.quad, br.beta * br.b)
+        np.testing.assert_array_equal(dc.quad, model.beta * model.b)
 
 
 def test_kbound_is_the_exact_max(rng):
@@ -415,14 +408,8 @@ def test_dual_submarkov_symmetric_cases(m1, m2):
 def test_dual_submarkov_detects_violation():
     # one-way chain: mass piles up at the second state, the dual gains mass
     model = SuperprocessModel(
-        space=StateSpace(labels=("A", "B"), m=np.array([1.0, 1.0])),
-        motion=SpatialGenerator(Q=np.array([[-1.0, 1.0], [0.0, 0.0]])),
-        branching=BranchingData(
-            beta=np.array([1.0, 1.0]),
-            a=np.array([0.0, 0.0]),
-            b=np.array([1.0, 1.0]),
-            jumps=(np.empty((0, 2)), np.empty((0, 2))),
-        ),
+        labels=("A", "B"), m=[1.0, 1.0], Q=[[-1.0, 1.0], [0.0, 0.0]],
+        beta=[1.0, 1.0], a=[0.0, 0.0], b=[1.0, 1.0], jumps=([], []),
     )
     assert not dual_submarkov_static(model)
     report = check_dual_submarkov(model, [0.1, 1.0])
@@ -473,29 +460,20 @@ def test_non_finite_vectors_rejected(m2):
             first_moment(m2, [1.0, 1.0], 1.0, [1.0, bad])
 
 
-def _zero_beta(m2):
-    br = m2.branching
-    return SuperprocessModel(
-        space=m2.space, motion=m2.motion,
-        branching=BranchingData([1.0, 0.0], [0.5, 0.5], br.b, br.jumps),
-    )
-
-
-_NO_JUMPS = (np.empty((0, 2)), np.empty((0, 2)))
-
-
 @pytest.mark.parametrize(
     "call, named",
     [
-        (lambda m2: StateSpace(("A", "B"), [1.0, -2.0]), r"m\[1\] must be > 0, got -2.0"),
-        (lambda m2: SpatialGenerator([[-1.0, 1.0], [-0.5, 0.0]]),
+        (lambda m2: dataclasses.replace(m2, m=[1.0, -2.0]), r"m\[1\] must be > 0, got -2.0"),
+        (lambda m2: dataclasses.replace(m2, Q=[[-1.0, 1.0], [-0.5, 0.0]]),
          r"Q\[1\]\[0\] must be >= 0, got -0.5"),
-        (lambda m2: SpatialGenerator([[-1.0, 1.0], [1.0, -0.5]]),
+        (lambda m2: dataclasses.replace(m2, Q=[[-1.0, 1.0], [1.0, -0.5]]),
          r"row sum of Q\[1\] must be <= 0, got 0.5"),
-        (lambda m2: BranchingData([1.0, -0.5], [0.0, 0.0], [1.0, 1.0], _NO_JUMPS),
+        (lambda m2: dataclasses.replace(m2, beta=[1.0, -0.5]),
          r"beta\[1\] must be >= 0, got -0.5"),
-        (lambda m2: BranchingData([1.0, 1.0], [0.0, 0.0], [-1.0, 1.0], _NO_JUMPS),
+        (lambda m2: dataclasses.replace(m2, b=[-1.0, 1.0]),
          r"b\[0\] must be >= 0, got -1.0"),
+        (lambda m2: dataclasses.replace(m2, jumps=([],)),
+         r"jumps must have shape \(2,\) for the 2 states, got \(1,\)"),
         (lambda m2: as_measure(m2, [1.0, -0.5]),
          r"measure entry mu\[1\] must be >= 0, got -0.5"),
         (lambda m2: _field(m2, [0.5, -1.0]),
@@ -506,7 +484,8 @@ _NO_JUMPS = (np.empty((0, 2)), np.empty((0, 2)))
          r"f\[1\] must be >= 0, got -2.0"),
         (lambda m2: variance_from_transform(m2, [-0.5, 1.0], 2.0, [1.0, 0.0]),
          r"f\[0\] must be >= 0, got -0.5"),
-        (lambda m2: criticalize(_zero_beta(m2)), r"beta\[1\] must be > 0, got 0.0"),
+        (lambda m2: criticalize(dataclasses.replace(m2, beta=[1.0, 0.0], a=[0.5, 0.5])),
+         r"beta\[1\] must be > 0, got 0.0"),
         (lambda m2: fluctuation_variance(m2, spectral_data(m2), [1.0, 0.0]),
          r"psi0-weight of f must vanish \(got 7.071e-01\)"),
         (lambda m2: variance_limit_check(m2, spectral_data(m2), [1.0, 0.0], [3.0, 4.0]),
@@ -516,7 +495,7 @@ _NO_JUMPS = (np.empty((0, 2)), np.empty((0, 2)))
         (lambda m2: check_dual_submarkov(m2, [1.0, math.nan]),
          r"t_grid\[1\] must be finite and > 0, got nan"),
     ],
-    ids=["m", "Q-off-diagonal", "Q-row-sum", "beta", "b", "measure", "mechanism",
+    ids=["m", "Q-off-diagonal", "Q-row-sum", "beta", "b", "size", "measure", "mechanism",
          "initial-field", "yaglom-field", "transform-field", "criticalize-beta",
          "fluctuation-psi-weight", "limit-check-psi-weight", "limit-check-t-grid",
          "time-grid"],

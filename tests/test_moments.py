@@ -12,7 +12,8 @@ from spcrit.moments import (
     variance_from_transform,
     variance_limit_check,
 )
-from spcrit.spectral import MeanSemigroup, fluctuation_variance, spectral_data
+from spcrit.spectral import MeanSemigroup, criticalize, fluctuation_variance, spectral_data
+from test_spectral import killed_birth_death_chain
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -88,6 +89,23 @@ def test_variance_block_fallback_agrees(m2, rng, monkeypatch):
     assert np.all(np.abs(dev_block - dev_modes) <= 1e-10 * dev_modes + floor)
 
 
+def test_stable_deviation_fallback_on_a_non_normal_chain(monkeypatch):
+    # the killed birth-death chain with n = 6 and backward rate 1e-2 has
+    # cond(VR) = 1.1e5, so both routes run on it; the fallback agrees with
+    # the eigenmodes to 1.6e-8.  The agreement decays as the chain grows
+    # ill-conditioned (1.1e-6 at rate 3e-3, 5.8e-4 at n = 8), and at n = 12,
+    # where only the fallback runs, it no longer decays at gamma
+    model = criticalize(killed_birth_death_chain(6, 1e-2))
+    sd = spectral_data(model)
+    f = np.cos(np.arange(6.0))
+    f = f - sd.psi_weight(f) * sd.phi0
+    ts = np.array([3.0, 6.0, 9.0]) / sd.gamma
+    by_modes = [moments._stable_deviation(model, sd, f, t) for t in ts]
+    monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+    by_block = [moments._stable_deviation(model, sd, f, t) for t in ts]
+    np.testing.assert_allclose(by_block, by_modes, rtol=1e-7)
+
+
 def test_variance_negative_time_rejected(m1):
     with pytest.raises(ValueError):
         variance(m1, [1.0], -1.0, [1.0])
@@ -144,6 +162,20 @@ def test_variance_a_priori_bound(rng):
         kb = derived_coefficients(model).kbound
         cap = math.exp(kb * t) * first_moment(model, f * f, t, mu)
         assert val <= cap * (1 + 1e-6) + 1e-9
+
+
+def test_variance_above_its_a_priori_bound_raises(m2, monkeypatch):
+    # the closed forms never break the bound, so a profile above it is
+    # planted; the error names the variance and the bound
+    f, t, mu = np.array([1.0, -1.0]), 1.0, np.array([1.0, 0.0])
+    kbound = derived_coefficients(m2).kbound
+    cap = math.exp(kbound * t) * first_moment(m2, f * f, t, mu)
+    monkeypatch.setattr(moments, "_variance_profile", lambda *args: np.full(2, 2.0 * cap))
+    with pytest.raises(moments.QuadratureError) as exc:
+        variance(m2, f, t, mu)
+    assert str(exc.value) == (
+        f"variance {2.0 * cap:.6e} exceeds its a priori bound {cap:.6e}"
+    )
 
 
 def test_variance_limit_m2(m2):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -59,34 +60,12 @@ def test_zero_mass_start_rejected(m1):
 
 def test_degenerate_branching_model_rejected_upstream(m1):
     # b = 0 with no jumps is already an invalid model construction
-    from spcrit.model import BranchingData, SuperprocessModel
-
     with pytest.raises(ModelError):
-        SuperprocessModel(
-            space=m1.space,
-            motion=m1.motion,
-            branching=BranchingData(
-                beta=np.array([1.0]),
-                a=np.array([0.0]),
-                b=np.array([0.0]),
-                jumps=(np.empty((0, 2)),),
-            ),
-        )
+        dataclasses.replace(m1, b=[0.0])
 
 
 def test_noncritical_model_rejected(m2):
-    from spcrit.model import BranchingData, SuperprocessModel
-
-    model = SuperprocessModel(
-        space=m2.space,
-        motion=m2.motion,
-        branching=BranchingData(
-            beta=m2.branching.beta,
-            a=np.array([0.3, 0.3]),
-            b=m2.branching.b,
-            jumps=m2.branching.jumps,
-        ),
-    )
+    model = dataclasses.replace(m2, a=[0.3, 0.3])
     cfg = SimConfig(t_end=1.0, dt=0.01, n_paths=10, seed=1)
     with pytest.raises(NotCriticalError):
         simulate_paths(model, [1.0, 0.0], cfg)
@@ -144,16 +123,15 @@ def _reference_chunk(model, mu, cfg, chunk, n_chunk):
     # kernel sums it over its state rows; the jump compensator joins the
     # growth rate and each jump intensity is read at the step's start
     rng = _chunk_rng(cfg.seed, chunk)
-    br = model.branching
-    Q = model.Q
-    growth = br.beta * br.a - np.array(
-        [(br.beta[i] * atoms[:, 1] * atoms[:, 0]).sum() for i, atoms in enumerate(br.jumps)]
+    beta, Q = model.beta, model.Q
+    growth = beta * model.a - np.array(
+        [(beta[i] * atoms[:, 1] * atoms[:, 0]).sum() for i, atoms in enumerate(model.jumps)]
     )
-    diff_coeff = 2.0 * br.beta * br.b * cfg.dt
+    diff_coeff = 2.0 * beta * model.b * cfg.dt
     atoms = [
-        (i, float(y), float(br.beta[i] * w * cfg.dt))
+        (i, float(y), float(beta[i] * w * cfg.dt))
         for i in range(model.n_states)
-        for y, w in br.jumps[i]
+        for y, w in model.jumps[i]
     ]
     dt = cfg.dt
 
@@ -234,7 +212,7 @@ def test_lockstep_kernel_matches_reference_on_random_models():
     while checked < 6:
         n_states = (2, 3, 5)[checked % 3]
         model = acceptance.random_model(rng, n_states, critical=True)
-        if not any(j.size for j in model.branching.jumps):
+        if not any(j.size for j in model.jumps):
             continue
         qnorm = float(np.abs(model.Q).sum(axis=1).max())
         dt = 0.1 / (qnorm + derived_coefficients(model).kbound)
@@ -297,7 +275,7 @@ def test_random_jump_model_runs_long_at_its_mean_scale():
     # of first_moment
     rng = np.random.default_rng(11)
     model = acceptance.random_model(rng, 2, critical=True)
-    while not any(j.size for j in model.branching.jumps):
+    while not any(j.size for j in model.jumps):
         model = acceptance.random_model(rng, 2, critical=True)
     mu = [1.0, 0.0]
     cfg = SimConfig(t_end=40.0, dt=0.02, n_paths=20_000, seed=2, n_threads=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,6 @@ import pytest
 
 from spcrit import acceptance
 from spcrit.model import (
-    BranchingData,
-    SpatialGenerator,
-    StateSpace,
     SuperprocessModel,
     derived_coefficients,
     m_inner,
@@ -29,16 +27,7 @@ INV_SQRT2 = 2.0 ** -0.5
 
 
 def with_linear_coefficient(model, a):
-    return SuperprocessModel(
-        space=model.space,
-        motion=model.motion,
-        branching=BranchingData(
-            beta=model.branching.beta,
-            a=np.asarray(a, dtype=float),
-            b=model.branching.b,
-            jumps=model.branching.jumps,
-        ),
-    )
+    return dataclasses.replace(model, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +206,8 @@ def killed_birth_death_chain(n, backward):
     Q = np.diag(np.ones(n - 1), 1) + backward * np.diag(np.ones(n - 1), -1)
     np.fill_diagonal(Q, -1.0 - backward)
     return SuperprocessModel(
-        space=StateSpace(tuple(f"s{i}" for i in range(n)), np.ones(n)),
-        motion=SpatialGenerator(Q=Q),
-        branching=BranchingData(
-            beta=np.ones(n), a=np.zeros(n), b=np.ones(n),
-            jumps=tuple(np.empty((0, 2)) for _ in range(n)),
-        ),
+        labels=tuple(f"s{i}" for i in range(n)), m=np.ones(n), Q=Q,
+        beta=np.ones(n), a=np.zeros(n), b=np.ones(n), jumps=((),) * n,
     )
 
 
@@ -299,7 +284,7 @@ def test_mean_convergence_bound(rng):
 def test_criticalize_shift(m2):
     model = with_linear_coefficient(m2, [0.3, 0.3])
     flat = criticalize(model)
-    np.testing.assert_allclose(flat.branching.a, [0.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(flat.a, [0.0, 0.0], atol=1e-14)
     assert abs(spectral_data(flat).lambda0) <= 1e-12
 
 
@@ -319,14 +304,7 @@ def test_criticalize_holds_large_rates_to_the_critical_tolerance(scale):
     # succeed exactly when its result passes require_critical
     for seed in range(10):
         raw = acceptance.random_model(np.random.default_rng(seed), 3)
-        br = raw.branching
-        model = SuperprocessModel(
-            space=raw.space,
-            motion=SpatialGenerator(Q=raw.Q * scale),
-            branching=BranchingData(
-                beta=br.beta, a=br.a * scale, b=br.b, jumps=br.jumps
-            ),
-        )
+        model = dataclasses.replace(raw, Q=raw.Q * scale, a=raw.a * scale)
         require_critical(spectral_data(criticalize(model)))
 
 
@@ -343,16 +321,7 @@ def test_eigendata_and_criticalize_do_not_fit_the_expansion(m2, rng, monkeypatch
 
 
 def test_criticalize_needs_positive_beta(m2):
-    model = SuperprocessModel(
-        space=m2.space,
-        motion=m2.motion,
-        branching=BranchingData(
-            beta=np.array([1.0, 0.0]),
-            a=np.array([0.5, 0.5]),
-            b=np.array([1.0, 1.0]),
-            jumps=m2.branching.jumps,
-        ),
-    )
+    model = dataclasses.replace(m2, beta=[1.0, 0.0], a=[0.5, 0.5])
     with pytest.raises(ValueError, match="beta"):
         criticalize(model)
 
@@ -443,7 +412,7 @@ def test_one_eigendecomposition_per_model(monkeypatch):
     from spcrit import loglaplace, moments
 
     base = acceptance.random_model(np.random.default_rng(3), n_states=3, critical=True)
-    model = SuperprocessModel(base.space, base.motion, base.branching)
+    model = dataclasses.replace(base)
     calls = {"eig": 0, "adaptive": 0}
     real_eig, real_adaptive = np.linalg.eig, loglaplace._adaptive
 
