@@ -28,6 +28,15 @@ arithmetic does not depend on where it sits in the array.  Results
 therefore do not depend on thread count or scheduling.  T is the
 requested thread count, capped at the chunk count and at the CPUs
 available to the process.
+
+A step does only the array work its coefficients need.  The drift's terms
+are listed once per group: a row of ``Q`` that is all zero and a growth
+rate that is all zero add no term, and with no term left the step skips
+the drift and the clamp before the noise, since ``X`` is >= 0 at every
+step's start (mu is a measure, and each step ends in a clamp).  A skipped
+term would add a signed zero, and x + (+-0) is x for every x but a zero,
+whose sign the step's final clamp ``np.maximum(X, 0.0)`` resets to +0.
+So the ensemble is the same to the bit as with every term summed.
 """
 
 from __future__ import annotations
@@ -96,7 +105,9 @@ class SimConfig:
             raise SimulationConfigError(f"t_end {self.t_end} is under one step dt {self.dt}")
         for name, low in (("n_paths", 1), ("n_threads", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            # bool is an Integral, but True is no count and no seed
+            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                    or value < low):
                 raise SimulationConfigError(
                     f"{name} must be an integer >= {low}, got {value!r}"
                 )
@@ -142,23 +153,35 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _drift(
-    X: np.ndarray, Q: np.ndarray, alpha: np.ndarray, out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """Drift of state-major paths: out[k] = sum_j X[j] Q[j, k] + alpha[k] X[k].
+def _drift_terms(Q: np.ndarray, growth: np.ndarray) -> list:
+    """The drift's terms with a coefficient that is not all zero.
 
-    ``X`` holds one row per state and one column per path.  The sum runs
-    over j in ascending order, one row of ``X`` at a time, so each path is
-    rounded the same way wherever it sits; a matrix product would leave
-    the order to the BLAS kernel, which depends on the column count.
-    ``out`` receives the drift and ``tmp`` is scratch, both of ``X``'s shape.
+    Each term is ``(coef, j)``, to be multiplied as ``coef * X[j]``: one
+    term ``(Q[j, :, None], j)`` per source state j in ascending order,
+    then ``(growth[:, None], ...)`` for the growth rate.
     """
-    np.multiply(Q[0, :, None], X[0], out=out)
-    for j in range(1, X.shape[0]):
-        np.multiply(Q[j, :, None], X[j], out=tmp)
+    terms = [(Q[j, :, None], j) for j in range(Q.shape[0]) if Q[j].any()]
+    if growth.any():
+        terms.append((growth[:, None], ...))
+    return terms
+
+
+def _drift(X: np.ndarray, terms: list, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Drift of state-major paths: out[k] = sum_j X[j] Q[j, k] + growth[k] X[k].
+
+    ``X`` holds one row per state and one column per path; ``terms`` is a
+    nonempty list from ``_drift_terms``.  The sum runs over the terms in
+    their order, one row of ``X`` at a time, so each path is rounded the
+    same way wherever it sits; a matrix product would leave the order to
+    the BLAS kernel, which depends on the column count.  A term left out
+    for its all-zero coefficient would add only a signed zero.  ``out``
+    receives the drift and ``tmp`` is scratch, both of ``X``'s shape.
+    """
+    (coef, j), *rest = terms
+    np.multiply(coef, X[j], out=out)
+    for coef, j in rest:
+        np.multiply(coef, X[j], out=tmp)
         out += tmp
-    np.multiply(alpha[:, None], X, out=tmp)
-    out += tmp
     return out
 
 
@@ -180,11 +203,10 @@ def _simulate_group(
     """
     rngs = [_chunk_rng(cfg.seed, c) for c in chunks]
     dc = derived_coefficients(model)
-    Q = model.Q
     dt = cfg.dt
     n = model.n_states
     # the jumps' compensator, -u * sum(y w), joins the linear growth rate
-    growth = dc.alpha - dc.jump_yw
+    terms = _drift_terms(model.Q, dc.alpha - dc.jump_yw)
     diff_coeff = (2.0 * dc.quad * dt)[:, None]
     atoms = [
         (i, float(dc.jump_y[i, k]), float(w * dt))
@@ -226,11 +248,15 @@ def _simulate_group(
                     kicks.append((i, y * np.concatenate(
                         [rngs[c].poisson(lam[bounds[c] : bounds[c + 1]]) for c in live]
                     )))
-                _drift(X, Q, growth, drift, tmp)
-                drift *= dt
-                X += drift
-                noise = np.maximum(X, 0.0, out=tmp)
-                noise *= diff_coeff
+                if terms:
+                    _drift(X, terms, drift, tmp)
+                    drift *= dt
+                    X += drift
+                    noise = np.maximum(X, 0.0, out=tmp)
+                    noise *= diff_coeff
+                else:
+                    # no drift moved X since the last clamp, so X >= 0
+                    noise = np.multiply(X, diff_coeff, out=tmp)
                 np.sqrt(noise, out=noise)
                 noise *= xi[s].T
                 X += noise

@@ -8,7 +8,7 @@ import scipy.stats
 
 from spcrit import acceptance
 from spcrit.loglaplace import survival_probability
-from spcrit.model import ModelError, derived_coefficients
+from spcrit.model import ModelError, SuperprocessModel, derived_coefficients
 from spcrit.moments import first_moment, variance
 from spcrit.montecarlo import (
     _COMPACT_EVERY,
@@ -24,10 +24,12 @@ from spcrit.montecarlo import (
     ks_exponential_test,
     _chunk_rng,
     _drift,
+    _drift_terms,
     ks_statistic,
     simulate_paths,
 )
-from spcrit.spectral import NotCriticalError, spectral_data
+from spcrit import spectral
+from spcrit.spectral import NotCriticalError, SpectralData, spectral_data
 
 
 def test_config_validation():
@@ -44,11 +46,16 @@ def test_config_validation():
         ("t_end", math.nan), ("t_end", math.inf), ("dt", math.nan),
         ("dt", math.inf), ("n_threads", 0), ("n_threads", -2),
         ("n_paths", 2.5), ("seed", -1), ("seed", 2**64), ("seed", 1.0),
+        ("n_paths", True), ("seed", True), ("seed", False), ("n_threads", True),
     ):
         with pytest.raises(SimulationError, match=field):
             SimConfig(**{**base, field: bad})
     with pytest.raises(SimulationError, match="t_end / dt"):
         SimConfig(t_end=1e300, dt=1e-300, n_paths=10, seed=1)
+    # bool is an Integral, but no count or seed
+    with pytest.raises(SimulationError,
+                       match=r"^n_paths must be an integer >= 1, got True$"):
+        SimConfig(t_end=1.0, dt=0.1, n_paths=True, seed=False, n_threads=True)
     SimConfig(**base, n_threads=np.int64(2))
 
 
@@ -187,21 +194,111 @@ def test_lockstep_kernel_splits_long_chunk_lists_into_groups(m1):
 
 
 def test_drift_of_a_row_does_not_depend_on_its_place(rng):
-    # state-major: one row per state, one column per path
-    Q = rng.normal(size=(5, 5))
-    alpha = rng.normal(size=5)
-    X = rng.uniform(0.0, 3.0, (5, 1000))
+    # state-major: one row per state, one column per path; the drift is the
+    # same with an all-zero row of Q, whose term is left out
+    for zero_row in (None, 0, 3):
+        Q = rng.normal(size=(5, 5))
+        if zero_row is not None:
+            Q[zero_row] = 0.0
+        alpha = rng.normal(size=5)
+        X = rng.uniform(0.0, 3.0, (5, 1000))
+        terms = _drift_terms(Q, alpha)
+        assert len(terms) == 6 - (zero_row is not None)
 
-    def drift(X):
-        return _drift(X, Q, alpha, np.empty_like(X), np.empty_like(X))
+        def drift(X):
+            return _drift(X, terms, np.empty_like(X), np.empty_like(X))
 
-    whole = drift(X)
-    for size in (1, 7):
-        parts = [drift(X[:, k : k + size]) for k in range(0, 1000, size)]
-        assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
-    paths = X.T
-    np.testing.assert_allclose(whole.T, paths @ Q + alpha * paths,
-                               rtol=1e-12, atol=1e-12)
+        whole = drift(X)
+        for size in (1, 7):
+            parts = [drift(X[:, k : k + size]) for k in range(0, 1000, size)]
+            assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+        paths = X.T
+        np.testing.assert_allclose(whole.T, paths @ Q + alpha * paths,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_drift_terms_leave_out_all_zero_coefficients(m1, m2, m3):
+    def growth(model):
+        dc = derived_coefficients(model)
+        return dc.alpha - dc.jump_yw
+
+    assert _drift_terms(m1.Q, growth(m1)) == []
+    assert [j for _, j in _drift_terms(m2.Q, growth(m2))] == [0, 1]
+    assert [j for _, j in _drift_terms(m3.Q, growth(m3))] == [...]
+    Q = np.array([[-1.0, 1.0, 0.0], [-0.0, 0.0, -0.0], [0.5, 0.5, -1.0]])
+    assert [j for _, j in _drift_terms(Q, np.array([0.0, -0.0, 0.0]))] == [0, 2]
+
+
+def _zero_row_model():
+    # state 2 never moves: its row of Q is all zero, so the kernel skips that
+    # row and keeps the growth term.  Q is reducible, which spectral_data
+    # refuses; the kernel needs no irreducibility, and simulate_paths reads
+    # the given sd only for its criticality gate.  The principal eigenvalue
+    # is alpha[2], which the shift sets to 0 (so the growth rate is
+    # nonzero only in states 0 and 1); the left vector is e_2.
+    model = SuperprocessModel(
+        labels=("a", "b", "c"), m=[1.0, 1.0, 1.0],
+        Q=[[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]],
+        beta=[1.0, 0.8, 1.2], a=[0.2, -0.1, 0.3], b=[0.5, 0.8, 0.6],
+        jumps=([], [], []),
+    )
+    lambda0 = spectral._principal_pair(derived_coefficients(model))[0]
+    model = dataclasses.replace(model, a=model.a - lambda0 / model.beta)
+    lambda0, right, gap = spectral._principal_pair(derived_coefficients(model))
+    sd = SpectralData(lambda0=lambda0, phi0=right, psi0=np.array([0.0, 0.0, 1.0]),
+                      gamma=gap, m=model.m)
+    assert sd.is_critical
+    return model, sd
+
+
+def _model_without_diffusion_in_state_1():
+    # 2 beta b is zero in state 1, which only jumps; criticalized as usual
+    model = SuperprocessModel(
+        labels=("a", "b", "c"), m=[1.0, 0.7, 1.3],
+        Q=[[-1.0, 0.6, 0.4], [0.3, -0.5, 0.2], [0.5, 0.5, -1.0]],
+        beta=[1.0, 0.9, 1.1], a=[0.1, 0.2, -0.2], b=[0.6, 0.0, 0.9],
+        jumps=([], [(0.8, 0.5)], []),
+    )
+    model = spectral.criticalize(model)
+    assert derived_coefficients(model).quad[1] == 0.0
+    return model, spectral_data(model)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("case", [
+    "zero_row", "zero_row_signed_zero", "no_diffusion_in_one_state",
+    "m2_signed_zero", "no_drift_signed_zero",
+])
+def test_lockstep_kernel_is_byte_identical_where_terms_are_skipped(m2, case, n_threads):
+    # the kernel leaves out drift terms with all-zero coefficients and, with
+    # none left, the clamp before the noise; the reference sums every term
+    # and clamps every step, so equal bytes show that nothing but a signed
+    # zero was left out.  A -0.0 start entry next to a positive one puts a
+    # signed zero into the first steps' sums.
+    if case.startswith("zero_row"):
+        model, sd = _zero_row_model()
+        mu = [1.0, 0.5, -0.0] if case.endswith("signed_zero") else [1.0, 0.5, 0.3]
+    elif case == "no_diffusion_in_one_state":
+        model, sd = _model_without_diffusion_in_state_1()
+        mu = [0.5, 1.0, 0.8]
+    elif case == "m2_signed_zero":
+        model, sd, mu = m2, spectral_data(m2), [-0.0, 1.0]
+    else:
+        # two states that never move and do not grow: no drift term at all;
+        # reducible, so the gate reads a critical sd built by hand
+        model = SuperprocessModel(
+            labels=("a", "b"), m=[1.0, 1.0], Q=np.zeros((2, 2)),
+            beta=[1.0, 1.0], a=[0.0, 0.0], b=[0.5, 1.0], jumps=([], []),
+        )
+        sd = SpectralData(lambda0=0.0, phi0=np.ones(2), psi0=np.ones(2),
+                          gamma=0.0, m=model.m)
+        mu = [-0.0, 1.0]
+    cfg = SimConfig(t_end=2.0, dt=0.01, n_paths=CHUNK_PATHS + 900, seed=17,
+                    n_threads=n_threads)
+    ref = _reference_paths(model, mu, cfg)
+    ens = simulate_paths(model, mu, cfg, sd=sd)
+    assert ens.states_at_t.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(ens.survived, ref.any(axis=1))
 
 
 def test_lockstep_kernel_matches_reference_on_random_models():
