@@ -327,7 +327,7 @@ def criterion_8_montecarlo(fast: bool = False) -> CriterionResult:
     m1 = model_m1()
     sd1 = spectral_data(m1)
     cfg = montecarlo.SimConfig(t_end=50.0, dt=0.01, n_paths=n_paths, seed=42)
-    ens = montecarlo.simulate_paths(m1, [1.0], cfg, sd=sd1)
+    ens = montecarlo.simulate_paths(m1, [1.0], cfg)
     p_oracle = loglaplace.survival_probability(m1, [1.0], 50.0)
     se = math.sqrt(p_oracle * (1 - p_oracle) / n_paths)
     gap = abs(ens.survival_fraction - p_oracle)
@@ -347,7 +347,7 @@ def criterion_8_montecarlo(fast: bool = False) -> CriterionResult:
     sd2 = spectral_data(m2)
     f = np.array([1.0, -1.0])
     cfg2 = montecarlo.SimConfig(t_end=50.0, dt=0.01, n_paths=n_paths, seed=42)
-    ens2 = montecarlo.simulate_paths(m2, [1.0, 0.0], cfg2, sd=sd2)
+    ens2 = montecarlo.simulate_paths(m2, [1.0, 0.0], cfg2)
     samples2 = montecarlo.conditional_statistics(ens2, sd2, f)
     nu2 = spectral.nu(m2, sd2)
     sig2 = spectral.fluctuation_variance(m2, sd2, f)

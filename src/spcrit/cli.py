@@ -205,7 +205,7 @@ def _cmd_simulate(args) -> int:
         t_end=args.t, dt=args.dt, n_paths=args.paths, seed=args.seed,
         n_threads=args.threads,
     )
-    ens = montecarlo.simulate_paths(model, mu, cfg, sd=sd)
+    ens = montecarlo.simulate_paths(model, mu, cfg)
     f_tilde = spectral.remove_principal_component(f, sd)
     v = ens.states_at_t @ sd.phi0 / cfg.t_end
     z = ens.states_at_t @ f_tilde / math.sqrt(cfg.t_end)

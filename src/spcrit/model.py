@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-_COND_LIMIT = 1e8     # eigenvector condition number above which we fall back
+_COND_LIMIT = 1e8     # cond of the row-equilibrated eigenvectors above which we fall back
 
 MODEL_KEYS = ("states", "m", "Q", "beta", "a", "b", "jumps")
 
@@ -153,9 +153,13 @@ class SuperprocessModel:
         eig = eigensystem = None
         try:
             eig = np.linalg.eig(L)
-            cond = np.linalg.cond(eig[1])
-            if np.isfinite(cond) and cond < _COND_LIMIT:
-                eigensystem = (eig[0], eig[1], np.linalg.inv(eig[1]))
+            # rows scaled to unit 2-norm take the pure scale out of the
+            # conditioning (van der Sluis, Numer. Math. 14, 1969)
+            r = np.linalg.norm(eig[1], axis=1)
+            if r.all():  # a zero row makes VR singular
+                vb = eig[1] / r[:, None]
+                if np.linalg.cond(vb) < _COND_LIMIT:
+                    eigensystem = (eig[0], eig[1], np.linalg.inv(vb) / r)
         except np.linalg.LinAlgError:
             pass
         return DerivedCoefficients(
@@ -185,7 +189,7 @@ class DerivedCoefficients:
     # (w, VR) from one np.linalg.eig(L), None if it did not converge; the
     # left eigenvectors are not computed (spectral derives psi0 from phi0)
     eig: tuple[np.ndarray, np.ndarray] | None
-    # (w, VR, VR^{-1}) when cond(VR) < 1e8, else None
+    # (w, VR, VR^{-1}), None if VR with unit rows has cond >= 1e8 (L near defective)
     eigensystem: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 

@@ -3,11 +3,11 @@
 The variance of <f, X_t> is a time integral of the semigroup applied to
 the local variance factor times the squared evolved field.  In the
 eigenbasis of the mean generator that integrand is a sum of exponentials,
-so the integral has a closed form; for an ill-conditioned eigenbasis it is
-one block matrix exponential (Van Loan, IEEE TAC 23(3), 1978).  The
-deviation of the variance from its limit sigma_f^2 phi0 is closed form the
-same way, with the principal mode's part written as the tail of the limit
-integral, so no large terms cancel.  Nothing here uses quadrature.  An
+so the integral has a closed form; near a defective generator it is one
+block matrix exponential (Van Loan, IEEE TAC 23(3), 1978).  The deviation
+of the variance from its limit sigma_f^2 phi0 is closed form the same way,
+with the principal mode's part the tail of the limit integral, so no large
+terms cancel.  Nothing here uses quadrature.  An
 independent oracle via second differences of the log-Laplace transform is
 provided for cross-checking, and the long-time variance limit check fits
 the geometric decay rate of the deviation from its constant.
@@ -33,7 +33,9 @@ from .model import (
 from .spectral import (
     MeanSemigroup,
     SpectralData,
-    _fluctuation_gram,
+    _block_profile,
+    _deflated_generator,
+    _limit_variance,
     _require_zero_psi_weight,
     fluctuation_variance,
     remove_principal_component,
@@ -79,32 +81,13 @@ def _mode_terms(eig, avar: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.einsum("mx,x,xi,xj,i,j->mij", vinv, avar, v, v, g, g)
 
 
-def _block_profile(G: np.ndarray, avar: np.ndarray, f: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t e^{(t-s) G} [avar (e^{s G} f)^2] ds by one matrix exponential.
-
-    It is the upper-right block of exp(t [[G, diag(avar) D], [0, G (+) G]])
-    applied to f (x) f, where G (+) G is the Kronecker sum and D picks out
-    the diagonal entries of an n^2 vector (Van Loan, IEEE TAC 23(3), 1978).
-    """
-    from scipy.linalg import expm
-
-    n = G.shape[0]
-    eye = np.eye(n)
-    block = np.zeros((n + n * n, n + n * n))
-    block[:n, :n] = G
-    block[np.arange(n), n + np.arange(n) * (n + 1)] = avar
-    block[n:, n:] = np.kron(G, eye) + np.kron(eye, G)
-    return expm(t * block)[:n, n:] @ np.kron(f, f)
-
-
 def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.ndarray:
     """Statewise variance of <f, X_t> started from unit mass at each state.
 
     The profile is the integral over [0, t] of T_{t-s}[avar (T_s f)^2] ds.
     Over the eigenmodes of L each term of ``_mode_terms`` integrates
-    e^{w_m (t-s) + (w_i + w_j) s} in closed form.  When the eigenbasis is
-    too ill-conditioned (the mean semigroup's own test), the profile is
-    ``_block_profile`` of L.
+    e^{w_m (t-s) + (w_i + w_j) s} in closed form.  Near a defective L (the
+    mean semigroup's own test) it is ``_block_profile`` of L.
     """
     if t == 0:
         return np.zeros(model.n_states)
@@ -194,7 +177,7 @@ class VarianceLimitReport:
 
 
 class VarianceDecayError(RuntimeError):
-    """Fitted decay rate fell short of the spectral-gap prediction."""
+    """A deviation was not finite or decayed slower than the gap predicts."""
 
 
 def _stable_deviation(
@@ -208,11 +191,10 @@ def _stable_deviation(
     With the principal part of f removed, the principal mode of the
     profile carries int_0^t e^{r s} ds per rate r = w_i + w_j, and its
     limit the same integral to infinity; their difference e^{r t} / r is
-    small by itself, as are the other modes' terms.  For an
-    ill-conditioned eigenbasis, the principal-free part is the block
-    profile of the deflated generator A projected by P = I - phi0 (psi0 m)^T,
-    and the principal part is minus the tail of the limit integral past t,
-    read off the Lyapunov Gram matrix X as diag(e^{tA} X e^{tA^T}).
+    small by itself, as are the other modes' terms.  Near a defective L,
+    the principal-free part is the block profile of the deflated generator
+    A projected by P = I - phi0 (psi0 m)^T, and the principal part is minus
+    the limit integral's tail past t, sigma_f^2 of e^{tA} f.
     """
     f = remove_principal_component(f, sd)
     avar = derived_coefficients(model).avar
@@ -229,9 +211,8 @@ def _stable_deviation(
     else:
         from scipy.linalg import expm
 
-        A, X = _fluctuation_gram(model, sd, f)
-        E = expm(t * A)
-        tail = float(np.dot(avar * np.diag(E @ X @ E.T) * sd.psi0, sd.m))
+        A = _deflated_generator(derived_coefficients(model).L, sd.phi0, sd.psi0, sd.m)
+        tail = _limit_variance(model, sd, expm(t * A) @ f)
         P = np.eye(model.n_states) - np.outer(sd.phi0, sd.psi0 * sd.m)
         dev = P @ _block_profile(A, avar, f, t) - tail * sd.phi0
     return float(np.abs(dev / sd.phi0).max())
@@ -245,10 +226,10 @@ def variance_limit_check(
 ) -> VarianceLimitReport:
     """Deviation of the statewise variance from sigma_f^2 phi0 over a grid.
 
-    Asserts the deviation decays geometrically at a fitted rate of at least
-    0.8 times the spectral gap.  The rate is fitted on the cancellation-free
-    deviations; the raw differences saturate at float noise once the true
-    deviation falls below it.
+    Asserts the deviation is finite at every time and decays geometrically
+    at a fitted rate of at least 0.8 times the spectral gap.  The rate is
+    fitted on the cancellation-free deviations; the raw differences
+    saturate at float noise once the true deviation falls below it.
     """
     f = as_field(model, f)
     require_critical(sd)
@@ -267,6 +248,8 @@ def variance_limit_check(
         limit_profile = sigma_sq * sd.phi0
         raw = float(np.abs((profile - limit_profile) / sd.phi0).max())
         stable = 0.0 if zero_f else _stable_deviation(model, sd, f, float(t))
+        if not math.isfinite(stable):
+            raise VarianceDecayError(f"the deviation at t = {t} is not finite: {stable}")
         rows.append(VarianceLimitRow(float(t), profile, limit_profile, raw, stable))
 
     devs = np.array([r.stable_deviation for r in rows])

@@ -56,12 +56,14 @@ from .model import (
     _require_finite,
     as_measure,
     derived_coefficients,
+    validate_model,
 )
 from .spectral import (
+    TOL_CRITICAL,
+    NotCriticalError,
     SpectralData,
+    _principal_pair,
     remove_principal_component,
-    require_critical,
-    spectral_data,
 )
 
 CHUNK_PATHS = 4096
@@ -272,12 +274,13 @@ def simulate_paths(
     cfg: SimConfig,
     sd: SpectralData | None = None,
 ) -> PathEnsemble:
-    """Simulate n_paths independent copies started from mu up to t_end."""
+    """Simulate n_paths independent copies started from mu up to t_end.
+    The model itself must be irreducible and critical; ``sd`` is unused."""
     mu = as_measure(model, mu)
-    if sd is None:
-        sd = spectral_data(model)
-    require_critical(sd)
-    dc = derived_coefficients(model)
+    dc = derived_coefficients(validate_model(model))
+    lambda0 = _principal_pair(dc)[0]
+    if abs(lambda0) > TOL_CRITICAL:
+        raise NotCriticalError(f"model is not critical: lambda0 = {lambda0:.6e}")
     rate = dc.qnorm + float(np.max(np.abs(dc.alpha - dc.jump_yw) + dc.avar))
     if cfg.dt * rate > 0.2:
         raise SimulationConfigError(

@@ -8,17 +8,15 @@ phi0 comes from the model's one eigendecomposition; psi0 from phi0, as
 the stationary law of the Doob transform of the generator by phi0,
 computed by GTH state reduction without a subtraction (Grassmann, Taksar
 & Heyman, Oper. Res. 33(5), 1985).
-Both constants are closed form: nu is a weighted sum, and sigma_f^2 comes
-from one continuous Lyapunov solve with the generator deflated at its
-principal eigenvalue (Bartels & Stewart, CACM 15(9), 1972).
+Both constants are closed form: nu is a weighted sum and sigma_f^2 a sum
+over pairs of non-principal eigenmodes.  Only a near-defective generator
+lacks a usable eigenbasis; there sigma_f^2 is the limit of one block
+matrix exponential (Van Loan, IEEE TAC 23(3), 1978).
 
 The kernel-expansion constant is fitted on a time grid, on request only,
-from the deviation of the kernel from its principal product.  That deviation
-is summed over the non-principal eigenmodes only, so the principal term
-is never subtracted and nothing cancels when e^{-gamma t} falls below
-roundoff; with an ill-conditioned eigenbasis it is one matrix exponential
-of the deflated generator times the complementary projector (Moler & Van
-Loan, SIAM Rev. 45(1), 2003).
+from the kernel's non-principal part, so nothing cancels; near a defective
+generator that part is one matrix exponential of the deflated generator
+times the complementary projector (Moler & Van Loan, SIAM Rev. 45(1), 2003).
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ class NotCriticalError(ValueError):
 class MeanSemigroup:
     """Action of exp(t*L) at one time or on a whole grid of times.
 
-    Uses the eigendecomposition of L when it is well conditioned, otherwise
+    Uses the eigendecomposition of L unless L is near defective, then
     scaling-and-squaring (scipy's order-13 Pade).  A 1-D array of k times
     is evaluated in one array expression as a (k, n, n) stack, so callers
     that need many times take one stack instead of looping.  L and its
@@ -207,12 +205,11 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
     The deviation is summed over the non-principal eigenmodes of L only,
     each with the rate w - lambda0 + gamma so that e^{-gamma t} is divided
     out in the exponent.  The principal term phi0 psi0^T is never formed,
-    so nothing cancels, and the fit stays exact where e^{-gamma t} is
-    below roundoff.  With an ill-conditioned eigenbasis the same scaled
-    deviation is expm(t (A + gamma I)) (I - P0) / m, where P0 =
-    phi0 (psi0 m)^T projects on the principal mode and A = L - lambda0 I -
-    c P0 is deflated as in ``_fluctuation_gram``.  All grid times are
-    evaluated as one stack.
+    so nothing cancels where e^{-gamma t} is below roundoff.  Near a
+    defective L the same scaled deviation is expm(t (A + gamma I))
+    (I - P0) / m, with P0 = phi0 (psi0 m)^T and A the
+    ``_deflated_generator`` minus lambda0 I.  All grid times are evaluated
+    as one stack.
     """
     if t_grid is None:
         t_grid = np.geomspace(1.0, 40.0, 1025)
@@ -241,9 +238,8 @@ def spectral_data(model: SuperprocessModel) -> SpectralData:
     """Principal eigenpair and spectral gap, with the eigen relations and
     normalizations checked; ``fit_expansion_constant`` fits the expansion
     constant from the result."""
-    validate_model(model)
     m = model.m
-    dc = derived_coefficients(model)
+    dc = derived_coefficients(validate_model(model))
     lambda0, right, gamma = _principal_pair(dc)
     left = _left_vector(dc.L, right)
 
@@ -278,8 +274,7 @@ def criticalize(model: SuperprocessModel) -> SuperprocessModel:
     The residual is held to TOL_CRITICAL, so the result passes
     ``require_critical`` whenever this returns.
     """
-    validate_model(model)
-    lambda0 = _principal_pair(derived_coefficients(model))[0]
+    lambda0 = _principal_pair(derived_coefficients(validate_model(model)))[0]
     if abs(lambda0) <= 1e-12:
         return model
     _require("beta", model.beta, model.beta > 0, "> 0")
@@ -329,31 +324,47 @@ def _deflated_generator(
     L: np.ndarray, phi0: np.ndarray, psi0: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
     """L - c phi0 (psi0 m)^T with c = 1 + 2 ||L||_inf, more than twice the
-    spectral radius of L; ``_fluctuation_gram`` says why."""
+    spectral radius of L.  It moves a critical L's principal eigenvalue to
+    -c and keeps the rest, so it agrees with L on fields of zero
+    psi0-weight and damps a principal part faster than any product of two
+    other modes decays: projecting that part out loses no precision."""
     shift = 1.0 + 2.0 * float(np.abs(L).sum(axis=1).max())
     return L - shift * np.outer(phi0, psi0 * m)
 
 
-def _fluctuation_gram(
-    model: SuperprocessModel, sd: SpectralData, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deflated generator A and the Gram matrix X of the evolved field.
+def _block_profile(G: np.ndarray, avar: np.ndarray, f: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t e^{(t-s) G} [avar (e^{s G} f)^2] ds by one matrix exponential.
 
-    A = L - c phi0 (psi0 m)^T moves the principal eigenvalue 0 of a
-    critical generator to -c and leaves the rest of the spectrum alone, so
-    A is stable and agrees with L on fields of zero psi0-weight.  c exceeds
-    twice the spectral radius of L, so the principal mode of A decays
-    faster than any product of two other modes: a field propagated by A
-    keeps only a principal part no larger than its principal-free one, and
-    projecting that part out loses no precision.  For such f,
-    X = int_0^inf e^{sA} f f^T e^{sA^T} ds solves A X + X A^T = -f f^T,
-    and diag(e^{tA} X e^{tA^T}) is the integral of (T_s f)^2 over [t, inf).
+    It is the upper-right block of exp(t [[G, diag(avar) D], [0, G (+) G]])
+    applied to f (x) f, where G (+) G is the Kronecker sum and D picks out
+    the diagonal entries of an n^2 vector (Van Loan, IEEE TAC 23(3), 1978).
     """
-    from scipy.linalg import solve_continuous_lyapunov
+    from scipy.linalg import expm
 
-    f = remove_principal_component(f, sd)
-    A = _deflated_generator(derived_coefficients(model).L, sd.phi0, sd.psi0, sd.m)
-    return A, solve_continuous_lyapunov(A, -np.outer(f, f))
+    n = G.shape[0]
+    eye = np.eye(n)
+    block = np.zeros((n + n * n, n + n * n))
+    block[:n, :n] = G
+    block[np.arange(n), n + np.arange(n) * (n + 1)] = avar
+    block[n:, n:] = np.kron(G, eye) + np.kron(eye, G)
+    return expm(t * block)[:n, n:] @ np.kron(f, f)
+
+
+def _limit_variance(model: SuperprocessModel, sd: SpectralData, f: np.ndarray) -> float:
+    """int_0^inf <psi0 m, avar (T_s f)^2> ds for f of zero psi0-weight:
+    sum_{i,j != p} K_ij g_i g_j / -(w_i + w_j) over the non-principal modes,
+    with g = V^{-1} f and K = V^T diag(avar psi0 m) V.  Near a defective L
+    it is the psi0-weight of ``_block_profile`` of L at t = 40 / gamma,
+    which psi0's invariance makes the integral to t, e^{-80} short."""
+    dc = derived_coefficients(model)
+    eig = MeanSemigroup(model).eigensystem
+    if eig is None:
+        return float(sd.psi0 * sd.m @ _block_profile(dc.L, dc.avar, f, 40.0 / sd.gamma))
+    w, v, vinv = eig
+    rest = np.arange(w.size) != np.argmax(w.real)
+    v, g, w = v[:, rest], vinv[rest] @ f, w[rest]
+    K = v.T @ ((dc.avar * sd.psi0 * sd.m)[:, None] * v)
+    return float((K * np.outer(g, g) / -(w[:, None] + w[None, :])).sum().real)
 
 
 def fluctuation_variance(
@@ -361,9 +372,8 @@ def fluctuation_variance(
     sd: SpectralData,
     f,
 ) -> float:
-    """Time integral of the psi0-weighted squared evolved field.
+    """sigma_f^2, the ``_limit_variance`` of f.
 
-    sigma_f^2 = sum_x avar psi0 m diag(X) with X from ``_fluctuation_gram``.
     Requires the psi0-weight of f to vanish; otherwise the integrand tends
     to a positive constant and the integral diverges.
     """
@@ -374,6 +384,4 @@ def fluctuation_variance(
         return 0.0
     if sd.gamma <= 0:
         raise SpectralError(f"spectral gap must be positive, got {sd.gamma}")
-    _, X = _fluctuation_gram(model, sd, f)
-    avar = derived_coefficients(model).avar
-    return float(np.dot(avar * np.diag(X) * sd.psi0, sd.m))
+    return _limit_variance(model, sd, remove_principal_component(f, sd))

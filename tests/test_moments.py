@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spcrit import acceptance, moments
-from spcrit.model import derived_coefficients
+from spcrit.model import SuperprocessModel, derived_coefficients
 from spcrit.moments import (
     first_moment,
     second_moment,
@@ -13,7 +13,7 @@ from spcrit.moments import (
     variance_limit_check,
 )
 from spcrit.spectral import MeanSemigroup, criticalize, fluctuation_variance, spectral_data
-from test_spectral import killed_birth_death_chain
+from test_spectral import CHAIN_ORACLE, critical_chain, killed_birth_death_chain
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -91,10 +91,11 @@ def test_variance_block_fallback_agrees(m2, rng, monkeypatch):
 
 def test_stable_deviation_fallback_on_a_non_normal_chain(monkeypatch):
     # the killed birth-death chain with n = 6 and backward rate 1e-2 has
-    # cond(VR) = 1.1e5, so both routes run on it; the fallback agrees with
-    # the eigenmodes to 1.6e-8.  The agreement decays as the chain grows
-    # ill-conditioned (1.1e-6 at rate 3e-3, 5.8e-4 at n = 8), and at n = 12,
-    # where only the fallback runs, it no longer decays at gamma
+    # cond(VR) = 1.1e5; the block fallback, forced here, agrees with the
+    # eigenmodes to 1.6e-8.  The agreement decays as the chain's scales
+    # spread (1.1e-6 at rate 3e-3, 5.8e-4 at n = 8, a factor 25 at n = 12),
+    # which is why the eigenbasis is tested after row equilibration and no
+    # chain reaches the fallback
     model = criticalize(killed_birth_death_chain(6, 1e-2))
     sd = spectral_data(model)
     f = np.cos(np.arange(6.0))
@@ -104,6 +105,64 @@ def test_stable_deviation_fallback_on_a_non_normal_chain(monkeypatch):
     monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
     by_block = [moments._stable_deviation(model, sd, f, t) for t in ts]
     np.testing.assert_allclose(by_block, by_modes, rtol=1e-7)
+
+
+@pytest.mark.parametrize("n, backward", list(CHAIN_ORACLE))
+def test_stable_deviation_on_killed_birth_death_chains(n, backward):
+    # cond(VR) up to 1e22, all of it scale, which the row-equilibrated
+    # eigenbasis takes out; the worst case is 9e-10 at (12, 1e-3), 9 / gamma
+    model, sd, f = critical_chain(n, backward)
+    ts = np.array([3.0, 6.0, 9.0]) / sd.gamma
+    got = [moments._stable_deviation(model, sd, f, t) for t in ts]
+    np.testing.assert_allclose(got, CHAIN_ORACLE[n, backward][1], rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("backward", [1e-2, 1e-3, 1e-4])
+def test_variance_limit_check_on_ill_scaled_chains(backward):
+    # the deviations were NaN on the two rarer chains, which the fit
+    # dropped before reporting an infinite rate; they decay at 1.05-1.07 gamma
+    model, sd, f = critical_chain(12, backward)
+    report = variance_limit_check(model, sd, f, np.array([3.0, 6.0, 9.0]) / sd.gamma)
+    assert report.fitted_rate == pytest.approx(sd.gamma, rel=0.1)
+
+
+def test_fallback_at_an_exceptional_point():
+    # Q has characteristic polynomial lambda (lambda + 3)^3 with one Jordan
+    # block at -3, so no diagonal scaling conditions its eigenvectors: their
+    # row-equilibrated cond is ~1e10 (a double defective eigenvalue, as on
+    # the 3-cycle with rates 1, 4, 1, reaches only ~1e8).  The eigen route
+    # forced onto it is off by 3e4 in sigma_f^2 and by 1e12 in the profile.
+    # The pinned values are the mean of the eigen route with Q[0][1] (and
+    # -Q[0][0]) set to 1 +- 1e-30, in mpmath at 110 digits; at 1 +- 1e-24
+    # and 80 digits they agree to 1e-34.  sigma_f^2, the variance profile of
+    # the raw f at t = 1, and the stable deviations at t = 2 and 4.
+    model = SuperprocessModel(
+        labels=("a", "b", "c", "d"), m=[1.0, 2.0, 0.5, 1.5],
+        Q=[[-2.0, 1.0, 1.0, 0.0], [1.0, -4.0, 3.0, 0.0], [0.0, 0.0, -1.0, 1.0],
+           [0.0, 2.0, 0.0, -2.0]],
+        beta=[1.0] * 4, a=[0.0] * 4, b=[1.0, 0.5, 2.0, 1.0], jumps=([],) * 4,
+    )
+    assert derived_coefficients(model).eigensystem is None
+    sd = spectral_data(model)
+    f = np.array([1.0, -0.3, 0.7, 0.2])
+    f_tilde = f - sd.psi_weight(f) * sd.phi0
+    got = [
+        fluctuation_variance(model, sd, f_tilde),
+        *moments._variance_profile(model, f, 1.0),
+        moments._stable_deviation(model, sd, f_tilde, 2.0),
+        moments._stable_deviation(model, sd, f_tilde, 4.0),
+    ]
+    oracle = [0.1420572861425792, 0.8167132235259316, 0.7265910074534229,
+              0.8006305570735777, 0.5144627487952588, 0.00578784617646584,
+              5.628483151848599e-05]
+    np.testing.assert_allclose(got, oracle, rtol=1e-11, atol=0)
+
+
+def test_variance_limit_rejects_a_non_finite_deviation(m2, monkeypatch):
+    # a NaN deviation must stop the check, not drop out of the fit
+    monkeypatch.setattr(moments, "_stable_deviation", lambda *args: math.nan)
+    with pytest.raises(moments.VarianceDecayError, match="t = 5.0"):
+        variance_limit_check(m2, spectral_data(m2), [1.0, -1.0], [5.0, 10.0])
 
 
 def test_variance_negative_time_rejected(m1):

@@ -8,7 +8,7 @@ import scipy.stats
 
 from spcrit import acceptance
 from spcrit.loglaplace import survival_probability
-from spcrit.model import ModelError, SuperprocessModel, derived_coefficients
+from spcrit.model import ModelError, SuperprocessModel, derived_coefficients, is_irreducible
 from spcrit.moments import first_moment, variance
 from spcrit.montecarlo import (
     _COMPACT_EVERY,
@@ -25,11 +25,12 @@ from spcrit.montecarlo import (
     _chunk_rng,
     _drift,
     _drift_terms,
+    _simulate_group,
     ks_statistic,
     simulate_paths,
 )
 from spcrit import spectral
-from spcrit.spectral import NotCriticalError, SpectralData, spectral_data
+from spcrit.spectral import NotCriticalError, spectral_data
 
 
 def test_config_validation():
@@ -76,6 +77,17 @@ def test_noncritical_model_rejected(m2):
     cfg = SimConfig(t_end=1.0, dt=0.01, n_paths=10, seed=1)
     with pytest.raises(NotCriticalError):
         simulate_paths(model, [1.0, 0.0], cfg)
+
+
+def test_given_spectral_data_does_not_waive_the_gate(m2):
+    # the gate reads the model itself, not the sd a caller passes
+    cfg = SimConfig(t_end=1.0, dt=0.01, n_paths=10, seed=1)
+    sd = spectral_data(m2)
+    with pytest.raises(NotCriticalError, match="not critical"):
+        simulate_paths(dataclasses.replace(m2, a=[0.3, 0.3]), [1.0, 0.0], cfg, sd=sd)
+    reducible = dataclasses.replace(m2, Q=np.zeros((2, 2)), a=[0.0, 0.0])
+    with pytest.raises(ModelError, match="reducible"):
+        simulate_paths(reducible, [1.0, 0.0], cfg, sd=sd)
 
 
 def test_step_stability_guard(m2):
@@ -231,11 +243,10 @@ def test_drift_terms_leave_out_all_zero_coefficients(m1, m2, m3):
 
 def _zero_row_model():
     # state 2 never moves: its row of Q is all zero, so the kernel skips that
-    # row and keeps the growth term.  Q is reducible, which spectral_data
-    # refuses; the kernel needs no irreducibility, and simulate_paths reads
-    # the given sd only for its criticality gate.  The principal eigenvalue
+    # row and keeps the growth term.  Q is reducible, which simulate_paths
+    # refuses; the kernel needs no irreducibility.  The principal eigenvalue
     # is alpha[2], which the shift sets to 0 (so the growth rate is
-    # nonzero only in states 0 and 1); the left vector is e_2.
+    # nonzero only in states 0 and 1).
     model = SuperprocessModel(
         labels=("a", "b", "c"), m=[1.0, 1.0, 1.0],
         Q=[[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]],
@@ -243,12 +254,7 @@ def _zero_row_model():
         jumps=([], [], []),
     )
     lambda0 = spectral._principal_pair(derived_coefficients(model))[0]
-    model = dataclasses.replace(model, a=model.a - lambda0 / model.beta)
-    lambda0, right, gap = spectral._principal_pair(derived_coefficients(model))
-    sd = SpectralData(lambda0=lambda0, phi0=right, psi0=np.array([0.0, 0.0, 1.0]),
-                      gamma=gap, m=model.m)
-    assert sd.is_critical
-    return model, sd
+    return dataclasses.replace(model, a=model.a - lambda0 / model.beta)
 
 
 def _model_without_diffusion_in_state_1():
@@ -261,7 +267,19 @@ def _model_without_diffusion_in_state_1():
     )
     model = spectral.criticalize(model)
     assert derived_coefficients(model).quad[1] == 0.0
-    return model, spectral_data(model)
+    return model
+
+
+def _kernel_paths(model, mu, cfg):
+    # the lockstep groups simulate_paths would run on cfg.n_threads threads,
+    # run one after another and without its gate
+    n_chunks = -(-cfg.n_paths // CHUNK_PATHS)
+    n_groups = min(cfg.n_threads, n_chunks)
+    out = np.empty((cfg.n_paths, model.n_states))
+    for g in range(n_groups):
+        chunks = list(range(g, n_chunks, n_groups))
+        _simulate_group(model, np.asarray(mu, dtype=float), cfg, chunks, out)
+    return out
 
 
 @pytest.mark.parametrize("n_threads", [1, 2])
@@ -276,29 +294,30 @@ def test_lockstep_kernel_is_byte_identical_where_terms_are_skipped(m2, case, n_t
     # zero was left out.  A -0.0 start entry next to a positive one puts a
     # signed zero into the first steps' sums.
     if case.startswith("zero_row"):
-        model, sd = _zero_row_model()
+        model = _zero_row_model()
         mu = [1.0, 0.5, -0.0] if case.endswith("signed_zero") else [1.0, 0.5, 0.3]
     elif case == "no_diffusion_in_one_state":
-        model, sd = _model_without_diffusion_in_state_1()
-        mu = [0.5, 1.0, 0.8]
+        model, mu = _model_without_diffusion_in_state_1(), [0.5, 1.0, 0.8]
     elif case == "m2_signed_zero":
-        model, sd, mu = m2, spectral_data(m2), [-0.0, 1.0]
+        model, mu = m2, [-0.0, 1.0]
     else:
-        # two states that never move and do not grow: no drift term at all;
-        # reducible, so the gate reads a critical sd built by hand
+        # two states that never move and do not grow: no drift term at all
         model = SuperprocessModel(
             labels=("a", "b"), m=[1.0, 1.0], Q=np.zeros((2, 2)),
             beta=[1.0, 1.0], a=[0.0, 0.0], b=[0.5, 1.0], jumps=([], []),
         )
-        sd = SpectralData(lambda0=0.0, phi0=np.ones(2), psi0=np.ones(2),
-                          gamma=0.0, m=model.m)
         mu = [-0.0, 1.0]
     cfg = SimConfig(t_end=2.0, dt=0.01, n_paths=CHUNK_PATHS + 900, seed=17,
                     n_threads=n_threads)
     ref = _reference_paths(model, mu, cfg)
-    ens = simulate_paths(model, mu, cfg, sd=sd)
-    assert ens.states_at_t.tobytes() == ref.tobytes()
-    np.testing.assert_array_equal(ens.survived, ref.any(axis=1))
+    if is_irreducible(model):
+        ens = simulate_paths(model, mu, cfg)
+        np.testing.assert_array_equal(ens.survived, ref.any(axis=1))
+        got = ens.states_at_t
+    else:
+        # simulate_paths refuses a reducible model; its kernel does not
+        got = _kernel_paths(model, mu, cfg)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_lockstep_kernel_matches_reference_on_random_models():

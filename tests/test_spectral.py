@@ -214,14 +214,53 @@ def killed_birth_death_chain(n, backward):
 @pytest.mark.parametrize("n", [6, 8, 12])
 @pytest.mark.parametrize("backward", [1e-2, 1e-3, 1e-4])
 def test_spectral_data_on_killed_birth_death_chains(n, backward):
-    # non-normal generators, cond(VR) 1e5 to 1e22, so that six of the nine
-    # have no usable eigensystem; spectral_data checks both eigen relations
-    # to 1e-10
+    # non-normal generators, cond(VR) 1e5 to 1e22, all of it scale: with its
+    # rows scaled to unit norm VR has cond 2.1 to 4.3, so every chain keeps
+    # its eigensystem; spectral_data checks both eigen relations to 1e-10
     model = killed_birth_death_chain(n, backward)
     sd = spectral_data(model)
     assert np.all(sd.phi0 > 0) and np.all(sd.psi0 > 0)
-    ill_conditioned = n == 12 or (n, backward) in {(6, 1e-4), (8, 1e-3), (8, 1e-4)}
-    assert (derived_coefficients(model).eigensystem is None) == ill_conditioned
+    assert derived_coefficients(model).eigensystem is not None
+
+
+# (n, backward): sigma_f^2 and the stable deviations at t = 3, 6 and 9 / gamma
+# of criticalize(killed_birth_death_chain(n, backward)) with f = cos(k),
+# k = 0..n-1, minus its psi0 part, t the float k / gamma.  Computed with
+# mpmath at 60 digits, and checked to 50 digits at 90: mp.eig of the float
+# L, whose entries mpmath holds exactly, psi0 from the principal row of the
+# inverse, sigma_f^2 = sum_{i,j != p} K_ij g_i g_j / -(w_i + w_j) with
+# K = V^T diag(avar psi0 m) V and g = V^{-1} f, and the variance profile
+# from its mode integrals (e^{(w_i + w_j) t} - e^{w_k t}) / (w_i + w_j - w_k)
+# minus sigma_f^2 phi0, the cancellation absorbed by the precision.
+CHAIN_ORACLE = {
+    (6, 1e-2): (3419081.6844752743, (1941674.271509537, 85446.35594476445, 4193.040905899312)),
+    (6, 1e-3): (1776167070875.3809, (1053888260917.3997, 45072088727.03556, 2209698190.1404567)),
+    (6, 1e-4): (6.109141391229216e+17, (3.748402882370849e+17, 1.5859790362552156e+16, 777030187002820.4)),
+    (8, 1e-2): (227140038164.66476, (138305530429.99167, 5755140913.166849, 282120726.44218475)),
+    (8, 1e-3): (3.7581976462366484e+18, (2.7085273418968765e+18, 1.0693324029655138e+17, 5219204922317491.0)),
+    (8, 1e-4): (9.563427872804307e+25, (7.316601343075589e+25, 2.8307235094318094e+24, 1.3792269726763325e+23)),
+    (12, 1e-2): (7.775943444137592e+16, (5.895049996802977e+16, 2222840330899913.5, 108321441978050.0)),
+    (12, 1e-3): (1.1504229393153584e+27, (1.0081449221742925e+27, 3.5391173439426277e+25, 1.7148276726315902e+24)),
+    (12, 1e-4): (1.8515866043188642e+37, (1.6747146097237345e+37, 5.7496164375476486e+35, 2.7813593815713364e+34)),
+}
+
+
+def critical_chain(n, backward):
+    """The criticalized chain, its spectral data and the field of
+    ``CHAIN_ORACLE``."""
+    model = criticalize(killed_birth_death_chain(n, backward))
+    sd = spectral_data(model)
+    return model, sd, remove_principal_component(np.cos(np.arange(float(n))), sd)
+
+
+@pytest.mark.parametrize("n, backward", list(CHAIN_ORACLE))
+def test_fluctuation_variance_on_killed_birth_death_chains(n, backward):
+    # the closed form on the row-equilibrated eigenbasis; a deflated
+    # Lyapunov solve returned 37x too little at (12, 1e-3) and a negative
+    # value at (12, 1e-4)
+    model, sd, f = critical_chain(n, backward)
+    got = fluctuation_variance(model, sd, f)
+    assert got == pytest.approx(CHAIN_ORACLE[n, backward][0], rel=1e-10)
 
 
 def test_expansion_bound_holds_on_the_grid(m2, rng):
@@ -388,8 +427,8 @@ def test_fluctuation_variance_precondition(m2):
 
 
 def test_fluctuation_variance_is_profile_limit(m2, rng):
-    # the Lyapunov closed form against the psi0-weight of the finite-t
-    # variance profile, whose gap to the limit is e^{-80} at t = 40/gamma
+    # the closed form against the psi0-weight of the finite-t variance
+    # profile, whose gap to the limit is e^{-80} at t = 40/gamma
     cases = [(m2, np.array([1.0, -1.0]))]
     for _ in range(20):
         model = acceptance.random_model(
