@@ -23,7 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-_COND_LIMIT = 1e8     # cond of the row-equilibrated eigenvectors above which we fall back
+# cond of the row-equilibrated eigenvectors from which we fall back: near an
+# exceptional point the eigenmode closed forms err by up to about eps * cond^2
+_COND_LIMIT = 1e3
 
 MODEL_KEYS = ("states", "m", "Q", "beta", "a", "b", "jumps")
 
@@ -189,7 +191,7 @@ class DerivedCoefficients:
     # (w, VR) from one np.linalg.eig(L), None if it did not converge; the
     # left eigenvectors are not computed (spectral derives psi0 from phi0)
     eig: tuple[np.ndarray, np.ndarray] | None
-    # (w, VR, VR^{-1}), None if VR with unit rows has cond >= 1e8 (L near defective)
+    # (w, VR, VR^{-1}), None if VR with unit rows has cond >= 1e3 (L near defective)
     eigensystem: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 

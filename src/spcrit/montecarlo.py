@@ -37,6 +37,10 @@ step's start (mu is a measure, and each step ends in a clamp).  A skipped
 term would add a signed zero, and x + (+-0) is x for every x but a zero,
 whose sign the step's final clamp ``np.maximum(X, 0.0)`` resets to +0.
 So the ensemble is the same to the bit as with every term summed.
+
+The goodness-of-fit checks need no scipy: KS p-values come from the two
+classical series of the asymptotic Kolmogorov law, and the normal CDF is
+0.5 erfc(-x / sqrt(2)) from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -404,10 +408,34 @@ class KsResult:
 
 
 def _ks_pvalue(d: float, n: int) -> float:
-    """Tail of the asymptotic Kolmogorov law at sqrt(n) * d."""
-    from scipy.special import kolmogorov
+    """Tail P(K > x) of the asymptotic Kolmogorov law K at x = sqrt(n) * d.
 
-    return float(kolmogorov(math.sqrt(n) * d))
+    From x = 1 up the tail is 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2); below it,
+    where that series converges slowly, it is
+    1 - sqrt(2 pi) / x sum_k exp(-(2k - 1)^2 pi^2 / (8 x^2)).  Five terms
+    of either leave out less than 1e-30 of its sum.  Below x = 0.1 the
+    second series is under 1e-52, so the tail is 1.0 in floating point;
+    returning it there also keeps pi / x finite.
+    """
+    x = math.sqrt(n) * d
+    if x >= 1.0:
+        return 2.0 * sum(
+            (-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(1, 6)
+        )
+    if x <= 0.1:
+        return 1.0
+    c = (math.pi / x) ** 2 / 8.0
+    return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(
+        math.exp(-(2 * k - 1) ** 2 * c) for k in range(1, 6)
+    )
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-x / sqrt(2)), elementwise."""
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / -math.sqrt(2.0)).astype(float)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -446,15 +474,17 @@ class CltReport:
 def clt_checks(samples: ConditionalSamples, nu_mean: float, sigma_sq: float) -> CltReport:
     """Distributional and independence checks of the second-order limit.
 
-    Needs at least 1e3 surviving-path samples; at the reference scale
-    (2e5 paths to t = 50 on a critical model) roughly 2% of paths survive.
+    The fluctuation samples are KS-tested against the two-sided
+    exponential law, and their ratios to sqrt(mass) against the centered
+    normal law with variance sigma_sq (``_normal_cdf``); both p-values come
+    from ``_ks_pvalue``.  Needs at least 1e3 surviving-path samples; at the
+    reference scale (2e5 paths to t = 50 on a critical model) roughly 2%
+    of paths survive.
     """
     if samples.v.size < 1_000:
         raise SimulationError(
             f"need >= 1e3 conditional samples, got {samples.v.size}"
         )
-    from scipy.special import ndtr
-
     law = LimitLaw(nu_mean, sigma_sq)
     n = samples.z.size
     d1 = ks_statistic(samples.z, law.product_cdf)
@@ -462,7 +492,7 @@ def clt_checks(samples: ConditionalSamples, nu_mean: float, sigma_sq: float) -> 
 
     ratio = samples.z / np.sqrt(samples.v)
     sig = math.sqrt(sigma_sq)
-    d2 = ks_statistic(ratio, lambda v: ndtr(v / sig))
+    d2 = ks_statistic(ratio, lambda v: _normal_cdf(v / sig))
     ks_ratio = KsResult(d2, _ks_pvalue(d2, n), n)
 
     u = ratio ** 2

@@ -25,6 +25,8 @@ from spcrit.montecarlo import (
     _chunk_rng,
     _drift,
     _drift_terms,
+    _ks_pvalue,
+    _normal_cdf,
     _simulate_group,
     ks_statistic,
     simulate_paths,
@@ -488,6 +490,30 @@ def test_ks_statistic_matches_scipy(rng):
             assert ours == pytest.approx(ref.statistic, abs=1e-12)
             p = ks_exponential_test(x, 0.7).p_value
             assert p == pytest.approx(ref.pvalue, abs=p_tol)
+
+
+def test_ks_pvalue_matches_scipy_kolmogorov():
+    # both series against scipy's Kolmogorov tail, across their switch at
+    # x = 1 and out to where the tail underflows to 0
+    from scipy.special import kolmogorov
+
+    x = np.concatenate([np.geomspace(1e-3, 27.0, 4001), np.linspace(0.99, 1.01, 201)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([_ks_pvalue(float(v), 1) for v in x])
+        assert _ks_pvalue(0.0, 1000) == 1.0
+        assert _ks_pvalue(0.5, 10_000) == 0.0
+    ref = kolmogorov(x)
+    pos = ref > 0
+    np.testing.assert_allclose(got[pos], ref[pos], rtol=1e-12, atol=0)
+    assert not pos.all() and np.all(got[~pos] == 0.0)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    x = np.linspace(-38.0, 9.0, 47_001)
+    np.testing.assert_allclose(_normal_cdf(x), ndtr(x), rtol=0, atol=1e-15)
 
 
 def test_ks_self_consistency_over_seeds():

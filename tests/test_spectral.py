@@ -223,6 +223,36 @@ def test_spectral_data_on_killed_birth_death_chains(n, backward):
     assert derived_coefficients(model).eigensystem is not None
 
 
+def three_cycle(delta):
+    """The 3-cycle with rates 1, 4 + delta, 1: at delta = 0 its generator
+    has characteristic polynomial lambda (lambda + 3)^2 with one Jordan
+    block, and its row-equilibrated cond grows like 1 / sqrt(|delta|)."""
+    return SuperprocessModel(
+        labels=("a", "b", "c"), m=[1.0, 2.0, 0.5],
+        Q=[[-1.0, 1.0, 0.0], [0.0, -4.0 - delta, 4.0 + delta], [1.0, 0.0, -1.0]],
+        beta=[1.0] * 3, a=[0.0] * 3, b=[1.0, 0.5, 2.0], jumps=([],) * 3,
+    )
+
+
+@pytest.mark.parametrize("delta", [
+    0.0, 3e-15, 1e-14, 1e-13, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5,
+    1e-4, 1e-2, -1e-12, -1e-9, -1e-6,
+])
+def test_near_exceptional_point_takes_an_accurate_route(delta, monkeypatch):
+    # with a cond limit of 1e8 spectral_data failed its 1e-10 eigen relation
+    # check for delta = 0 ... 1e-12 (cond 9.3e7 ... 3.0e6); at 1e5 it passed,
+    # but sigma_f^2 was 4e-7 off and the variance profile 1e-3 at delta = 1e-9
+    # (cond 9.5e4), where the fallback agrees with mpmath to 1e-14
+    model = three_cycle(delta)
+    f = np.array([1.0, -0.3, 0.7])
+    sd = spectral_data(model)
+    f_tilde = remove_principal_component(f, sd)
+    got = [fluctuation_variance(model, sd, f_tilde), *_variance_profile(model, f, 1.0)]
+    monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+    by_expm = [fluctuation_variance(model, sd, f_tilde), *_variance_profile(model, f, 1.0)]
+    np.testing.assert_allclose(got, by_expm, rtol=1e-8, atol=0)
+
+
 # (n, backward): sigma_f^2 and the stable deviations at t = 3, 6 and 9 / gamma
 # of criticalize(killed_birth_death_chain(n, backward)) with f = cos(k),
 # k = 0..n-1, minus its psi0 part, t the float k / gamma.  Computed with
