@@ -31,6 +31,7 @@ from .model import (
     _require,
     as_field,
     as_measure,
+    as_time,
     as_times,
     check_grey_domination,
     derived_coefficients,
@@ -473,7 +474,7 @@ def yaglom_transform(
     _require("f", f, f >= 0, ">= 0")
     if not 0 <= lam < math.inf:
         raise ModelError(f"lambda must be finite and >= 0, got {lam}")
-    (t,) = as_times(t, positive=True)
+    t = as_time(t, positive=True)
     target = 1.0 / (1.0 + nu_constant(model, sd) * lam * sd.psi_weight(f))
     p = survival_probability(model, mu, t)
     if lam == 0.0:

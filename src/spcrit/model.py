@@ -261,6 +261,13 @@ def as_times(values, name: str = "time", positive: bool = False) -> np.ndarray:
     return np.atleast_1d(ts)
 
 
+def as_time(value, name: str = "t", positive: bool = False) -> float:
+    """Coerce one time to a float; a grid is rejected by name."""
+    if np.ndim(value) != 0:
+        raise ModelError(f"{name} must be a single time, got shape {np.shape(value)}")
+    return float(as_times(value, name, positive)[0])
+
+
 def pairing(f: np.ndarray, mu: np.ndarray) -> float:
     """Integral of f against the measure mu."""
     return float(np.dot(f, mu))

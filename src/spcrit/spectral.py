@@ -8,10 +8,13 @@ phi0 comes from the model's one eigendecomposition; psi0 from phi0, as
 the stationary law of the Doob transform of the generator by phi0,
 computed by GTH state reduction without a subtraction (Grassmann, Taksar
 & Heyman, Oper. Res. 33(5), 1985).
-Both constants are closed form: nu is a weighted sum and sigma_f^2 a sum
-over pairs of non-principal eigenmodes.  Only a near-defective generator
-lacks a usable eigenbasis; there sigma_f^2 is the limit of one block
-matrix exponential (Van Loan, IEEE TAC 23(3), 1978).
+Both constants are closed form: nu is a weighted sum, and sigma_f^2 is
+the gap sigma_f^2 phi0 - Var_t between the variance limit and the
+variance profile, taken at t = 0 and weighted by psi0.  This module holds
+every second-moment closed form, the profile and that gap: sums over the
+eigenmodes of L, or, where only a near-defective generator lacks a usable
+eigenbasis, one block matrix exponential (Van Loan, IEEE TAC 23(3), 1978).
+No other module chooses between the two.
 
 The kernel-expansion constant is fitted on a time grid, on request only,
 from the kernel's non-principal part, so nothing cancels; near a defective
@@ -350,21 +353,82 @@ def _block_profile(G: np.ndarray, avar: np.ndarray, f: np.ndarray, t: float) -> 
     return expm(t * block)[:n, n:] @ np.kron(f, f)
 
 
-def _limit_variance(model: SuperprocessModel, sd: SpectralData, f: np.ndarray) -> float:
-    """int_0^inf <psi0 m, avar (T_s f)^2> ds for f of zero psi0-weight:
-    sum_{i,j != p} K_ij g_i g_j / -(w_i + w_j) over the non-principal modes,
-    with g = V^{-1} f and K = V^T diag(avar psi0 m) V.  Near a defective L
-    it is the psi0-weight of ``_block_profile`` of L at t = 40 / gamma,
-    which psi0's invariance makes the integral to t, e^{-80} short."""
+def _exp_integral(lam: np.ndarray, mu: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t exp(lam (t-s) + mu s) ds elementwise, free of cancellation.
+
+    Written as t e^{a t} (e^z - 1)/z with a the rate of larger real part
+    and z = (other - a) t, so Re z <= 0 and nearly equal rates lose nothing.
+    """
+    lead = np.where(lam.real >= mu.real, lam, mu)
+    z = (lam + mu - 2.0 * lead) * t
+    tiny = z == 0
+    safe = np.where(tiny, 1.0, z)
+    phi = np.where(tiny, 1.0, np.expm1(safe) / safe)
+    return t * np.exp(lead * t) * phi
+
+
+def _mode_terms(eig, avar: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Coefficients c[m, i, j] of avar (T_s f)^2 on mode m and e^{(w_i + w_j) s}.
+
+    With L = V diag(w) V^{-1} and g = V^{-1} f, T_s f = V (g e^{w s}), so
+    the squared field is a sum of exponentials e^{(w_i + w_j) s} and its
+    mode-m component under V^{-1} carries the coefficient c[m, i, j].
+    """
+    _, v, vinv = eig
+    g = vinv @ f
+    return np.einsum("mx,x,xi,xj,i,j->mij", vinv, avar, v, v, g, g)
+
+
+def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.ndarray:
+    """Statewise variance of <f, X_t> started from unit mass at each state.
+
+    The profile is the integral over [0, t] of T_{t-s}[avar (T_s f)^2] ds.
+    Over the eigenmodes of L each term of ``_mode_terms`` integrates
+    e^{w_m (t-s) + (w_i + w_j) s} in closed form.  Near a defective L (the
+    mean semigroup's own test) it is ``_block_profile`` of L.
+    """
+    avar = derived_coefficients(model).avar
+    sg = MeanSemigroup(model)
+    eig = sg.eigensystem
+    if eig is None:
+        return _block_profile(sg.L, avar, f, t)
+    w, v, _ = eig
+    weights = _exp_integral(w[:, None, None], (w[:, None] + w[None, :])[None], t)
+    return (v @ np.einsum("mij,mij->m", _mode_terms(eig, avar, f), weights)).real
+
+
+def _limit_gap(
+    model: SuperprocessModel, sd: SpectralData, f: np.ndarray, t: float
+) -> np.ndarray:
+    """sigma_f^2 phi0 - Var_t for f of zero psi0-weight, without
+    cancellation; at t = 0 it is sigma_f^2 phi0.
+
+    Only pairs of non-principal modes enter, at rates r = w_i + w_j.  The
+    principal mode takes int_t^inf e^{r s} ds = -e^{r t} / r, every other
+    mode minus its profile integral.  Near a defective L the principal part
+    is the tail past t, the psi0-weight of ``_block_profile`` of L at
+    40 / gamma (e^{-80} short) from e^{tA} f, and the rest is minus the
+    block profile of the deflated generator A, projected by
+    P = I - phi0 (psi0 m)^T.
+    """
+    f = remove_principal_component(f, sd)
     dc = derived_coefficients(model)
     eig = MeanSemigroup(model).eigensystem
     if eig is None:
-        return float(sd.psi0 * sd.m @ _block_profile(dc.L, dc.avar, f, 40.0 / sd.gamma))
-    w, v, vinv = eig
-    rest = np.arange(w.size) != np.argmax(w.real)
-    v, g, w = v[:, rest], vinv[rest] @ f, w[rest]
-    K = v.T @ ((dc.avar * sd.psi0 * sd.m)[:, None] * v)
-    return float((K * np.outer(g, g) / -(w[:, None] + w[None, :])).sum().real)
+        from scipy.linalg import expm
+
+        A = _deflated_generator(dc.L, sd.phi0, sd.psi0, sd.m)
+        tail = sd.psi_weight(_block_profile(dc.L, dc.avar, expm(t * A) @ f, 40.0 / sd.gamma))
+        P = np.eye(model.n_states) - np.outer(sd.phi0, sd.psi0 * sd.m)
+        return tail * sd.phi0 - P @ _block_profile(A, dc.avar, f, t)
+    w, v, _ = eig
+    p = int(np.argmax(w.real))
+    rest = np.arange(w.size) != p
+    terms = _mode_terms(eig, dc.avar, f)[:, rest][:, :, rest]
+    rates = w[rest, None] + w[None, rest]
+    weights = -_exp_integral(w[:, None, None], rates[None], t)
+    weights[p] = -np.exp(rates * t) / rates
+    return (v @ np.einsum("mij,mij->m", terms, weights)).real
 
 
 def fluctuation_variance(
@@ -372,7 +436,8 @@ def fluctuation_variance(
     sd: SpectralData,
     f,
 ) -> float:
-    """sigma_f^2, the ``_limit_variance`` of f.
+    """sigma_f^2 = int_0^inf <psi0 m, avar (T_s f)^2> ds, the psi0-weight
+    of ``_limit_gap`` at t = 0.
 
     Requires the psi0-weight of f to vanish; otherwise the integrand tends
     to a positive constant and the integral diverges.
@@ -380,8 +445,6 @@ def fluctuation_variance(
     f = as_field(model, f)
     require_critical(sd)
     _require_zero_psi_weight(sd, f)
-    if not np.any(f != 0):
-        return 0.0
     if sd.gamma <= 0:
         raise SpectralError(f"spectral gap must be positive, got {sd.gamma}")
-    return _limit_variance(model, sd, remove_principal_component(f, sd))
+    return sd.psi_weight(_limit_gap(model, sd, f, 0.0))

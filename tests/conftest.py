@@ -35,3 +35,28 @@ def m3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240612)
+
+
+@pytest.fixture
+def force_expm(monkeypatch):
+    """A call that forces the matrix-exponential fallback and returns a list
+    whose length counts the ``scipy.linalg.expm`` calls made after it, so a
+    test can show that a forced branch ran and did not read the eigensystem
+    by another way."""
+    import scipy.linalg
+
+    from spcrit.spectral import MeanSemigroup
+
+    def force():
+        calls = []
+        real = scipy.linalg.expm
+
+        def expm(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", expm)
+        monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+        return calls
+
+    return force

@@ -27,6 +27,7 @@ from spcrit.loglaplace import (
     yaglom_transform,
 )
 from spcrit.model import (
+    ModelError,
     as_field,
     as_times,
     derived_coefficients,
@@ -269,6 +270,19 @@ def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
     sd = spectral_data(m2)
     with pytest.raises(ValueError, match=str(bad)):
         _TIME_ENTRY_POINTS[entry](m2, sd, bad)
+
+
+@pytest.mark.parametrize("entry", [
+    "first_moment", "variance", "second_moment", "variance_from_transform",
+    "yaglom_transform",
+])
+def test_single_time_arguments_reject_a_grid(m2, entry):
+    # each of these answers for one time, so a grid, even of one time, is
+    # refused by the name t before it reaches the closed forms or the solver
+    sd = spectral_data(m2)
+    for t in ([1.0, 2.0], np.array([1.5])):
+        with pytest.raises(ModelError, match=r"^t must be a single time, got shape \("):
+            _TIME_ENTRY_POINTS[entry](m2, sd, t)
 
 
 @pytest.mark.parametrize(

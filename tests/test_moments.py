@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spcrit import acceptance, moments
-from spcrit.model import SuperprocessModel, derived_coefficients
+from spcrit.model import ModelError, SuperprocessModel, derived_coefficients
 from spcrit.moments import (
     first_moment,
     second_moment,
@@ -48,7 +48,7 @@ def test_variance_eigen_reduction(m2):
     assert got == pytest.approx(expect, rel=1e-9)
 
 
-def test_variance_block_fallback_agrees(m2, rng, monkeypatch):
+def test_variance_block_fallback_agrees(m2, rng, force_expm):
     # the eigenmode closed forms and the block matrix exponentials used for
     # ill-conditioned eigenbases are two routes to the same quantities
     cases = [(m2, np.array([1.0, -1.0]), 1.0)]
@@ -78,9 +78,12 @@ def test_variance_block_fallback_agrees(m2, rng, monkeypatch):
 
     by_modes = [moments._variance_profile(m, f, t) for m, f, t in cases]
     dev_modes = np.array([moments._stable_deviation(*c) for c in dev_cases])
-    monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+    expm_calls = force_expm()
     by_block = [moments._variance_profile(m, f, t) for m, f, t in cases]
+    assert len(expm_calls) >= len(cases)
+    expm_calls.clear()
     dev_block = np.array([moments._stable_deviation(*c) for c in dev_cases])
+    assert len(expm_calls) >= len(dev_cases)
     assert variance(m2, [1.0, -1.0], 1.0, [1.0, 0.0]) == pytest.approx(
         (1.0 - math.exp(-4.0)) / 2.0, rel=1e-9
     )
@@ -89,7 +92,7 @@ def test_variance_block_fallback_agrees(m2, rng, monkeypatch):
     assert np.all(np.abs(dev_block - dev_modes) <= 1e-10 * dev_modes + floor)
 
 
-def test_stable_deviation_fallback_on_a_non_normal_chain(monkeypatch):
+def test_stable_deviation_fallback_on_a_non_normal_chain(force_expm):
     # the killed birth-death chain with n = 6 and backward rate 1e-2 has
     # cond(VR) = 1.1e5; the block fallback, forced here, agrees with the
     # eigenmodes to 1.6e-8.  The agreement decays as the chain's scales
@@ -102,8 +105,9 @@ def test_stable_deviation_fallback_on_a_non_normal_chain(monkeypatch):
     f = f - sd.psi_weight(f) * sd.phi0
     ts = np.array([3.0, 6.0, 9.0]) / sd.gamma
     by_modes = [moments._stable_deviation(model, sd, f, t) for t in ts]
-    monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+    expm_calls = force_expm()
     by_block = [moments._stable_deviation(model, sd, f, t) for t in ts]
+    assert len(expm_calls) >= len(ts)
     np.testing.assert_allclose(by_block, by_modes, rtol=1e-7)
 
 
@@ -266,11 +270,22 @@ def test_variance_limit_preconditions(m2):
         variance_limit_check(m2, sd, [1.0, -1.0], [1.0, 5.0])
 
 
-@pytest.mark.parametrize("grid", [[], [5.0]], ids=["empty", "one-time"])
+@pytest.mark.parametrize(
+    "grid", [[], [5.0], [5.0, 5.0]], ids=["empty", "one-time", "repeated-time"]
+)
 def test_variance_limit_needs_two_times(m2, grid):
-    # one deviation fits no decay rate; it must not pass as an infinite one
-    with pytest.raises(ValueError, match="at least two times"):
+    # one distinct time fits no decay rate; it must pass neither as an
+    # infinite one nor as the slope of a line through one point repeated
+    with pytest.raises(ModelError, match=r"at least two times that differ, got t_grid = \["):
         variance_limit_check(m2, spectral_data(m2), [1.0, -1.0], grid)
+
+
+def test_variance_limit_fit_skips_repeated_times(m2):
+    # the deviation at t = 400 underflows to 0 and leaves the fit, so the
+    # two fitted points share one time and give no rate
+    report = variance_limit_check(m2, spectral_data(m2), [1.0, -1.0], [5.0, 5.0, 400.0])
+    assert report.rows[-1].stable_deviation == 0.0
+    assert math.isinf(report.fitted_rate)
 
 
 def test_variance_limit_convergence_toward_profile(m2, rng):
