@@ -286,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--dt", type=_finite_float, required=True)
     p.add_argument("--paths", type=_int_in(1), required=True)
+    # SimConfig's seed range: one unsigned 64-bit word
     p.add_argument("--seed", type=_int_in(0, 2**64), required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--threads", type=_int_in(1), default=1)

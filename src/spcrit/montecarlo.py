@@ -7,9 +7,9 @@ quadratic mechanism coefficient, and per-atom Poisson jump counts.  The
 jump terms e^{-zy} - 1 + zy are compensated, so the drift grows at
 alpha - sum(y w) and the kicks, whose intensities are read at the step's
 start, restore alpha in the mean.  Paths
-are simulated in chunks of ``CHUNK_PATHS``, each drawing from its own
-counter-based stream keyed by (seed, chunk index); path p belongs to chunk
-p // CHUNK_PATHS.
+are simulated in chunks of ``CHUNK_PATHS``, each drawing from its own SFC64
+stream seeded by ``SeedSequence([seed, chunk index])`` (``_chunk_rng``);
+path p belongs to chunk p // CHUNK_PATHS.
 
 With T worker threads, thread t advances chunks t, t + T, t + 2T, ... in
 lockstep, up to ``_GROUP_CHUNKS`` of them at a time: the alive paths of
@@ -94,7 +94,10 @@ class SimulationConfigError(SimulationError, ModelError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Horizon, step, path count, seed and worker thread count."""
+    """Horizon, step, path count, seed and worker thread count.
+
+    The seed is an integer in [0, 2**64).
+    """
 
     t_end: float
     dt: float
@@ -117,6 +120,8 @@ class SimConfig:
                 raise SimulationConfigError(
                     f"{name} must be an integer >= {low}, got {value!r}"
                 )
+        # SeedSequence takes any nonnegative integer; the public range is
+        # one unsigned 64-bit word, the range of the CLI's --seed too
         if self.seed >= 2**64:
             raise SimulationConfigError(f"seed must be below 2**64, got {self.seed}")
         if not math.isfinite(self.t_end / self.dt):
@@ -155,8 +160,13 @@ class PathEnsemble:
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of chunk ``chunk``: SFC64 seeded by SeedSequence([seed, chunk]).
+
+    SeedSequence hashes the pair into the generator's state, numpy's way
+    to key independent parallel streams; SFC64 has the cheapest normal
+    draw of numpy's bit generators.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk])))
 
 
 def _drift_terms(Q: np.ndarray, growth: np.ndarray) -> list:
@@ -450,13 +460,18 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 
 
 def ks_exponential_test(samples, scale: float) -> KsResult:
-    """KS test of the samples against the exponential law with mean scale."""
+    """KS test of the samples against the exponential law with mean scale.
+
+    The samples must be finite and >= 0; the error names the first that
+    is not.
+    """
     x = np.asarray(samples, dtype=float)
     if x.size < 100:
         raise SimulationError(f"need >= 100 samples for the KS test, got {x.size}")
+    _require("samples", x, np.isfinite(x) & (x >= 0), "finite and >= 0")
     scale = np.float64(scale)
     _require("scale", scale, np.isfinite(scale) & (scale > 0), "finite and > 0")
-    d = ks_statistic(x, lambda v: 1.0 - np.exp(-np.maximum(v, 0.0) / scale))
+    d = ks_statistic(x, lambda v: 1.0 - np.exp(-v / scale))
     return KsResult(d, _ks_pvalue(d, x.size), int(x.size))
 
 
@@ -479,12 +494,16 @@ def clt_checks(samples: ConditionalSamples, nu_mean: float, sigma_sq: float) -> 
     normal law with variance sigma_sq (``_normal_cdf``); both p-values come
     from ``_ks_pvalue``.  Needs at least 1e3 surviving-path samples; at the
     reference scale (2e5 paths to t = 50 on a critical model) roughly 2%
-    of paths survive.
+    of paths survive.  Each mass sample must be finite and > 0 and each
+    fluctuation sample finite; the error names the first that is not.
     """
     if samples.v.size < 1_000:
         raise SimulationError(
             f"need >= 1e3 conditional samples, got {samples.v.size}"
         )
+    v = samples.v
+    _require("v", v, np.isfinite(v) & (v > 0), "finite and > 0")
+    _require_finite("z", samples.z)
     law = LimitLaw(nu_mean, sigma_sq)
     n = samples.z.size
     d1 = ks_statistic(samples.z, law.product_cdf)

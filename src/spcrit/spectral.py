@@ -367,16 +367,17 @@ def _exp_integral(lam: np.ndarray, mu: np.ndarray, t: float) -> np.ndarray:
     return t * np.exp(lead * t) * phi
 
 
-def _mode_terms(eig, avar: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _mode_terms(eig, avar: np.ndarray, f: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Coefficients c[m, i, j] of avar (T_s f)^2 on mode m and e^{(w_i + w_j) s}.
 
     With L = V diag(w) V^{-1} and g = V^{-1} f, T_s f = V (g e^{w s}), so
     the squared field is a sum of exponentials e^{(w_i + w_j) s} and its
     mode-m component under V^{-1} carries the coefficient c[m, i, j].
+    Only the modes m picked by ``rows`` are built.
     """
     _, v, vinv = eig
     g = vinv @ f
-    return np.einsum("mx,x,xi,xj,i,j->mij", vinv, avar, v, v, g, g)
+    return np.einsum("mx,x,xi,xj,i,j->mij", vinv[rows], avar, v, v, g, g)
 
 
 def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.ndarray:
@@ -424,11 +425,16 @@ def _limit_gap(
     w, v, _ = eig
     p = int(np.argmax(w.real))
     rest = np.arange(w.size) != p
-    terms = _mode_terms(eig, dc.avar, f)[:, rest][:, :, rest]
     rates = w[rest, None] + w[None, rest]
-    weights = -_exp_integral(w[:, None, None], rates[None], t)
-    weights[p] = -np.exp(rates * t) / rates
-    return (v @ np.einsum("mij,mij->m", terms, weights)).real
+    principal = -np.exp(rates * t) / rates
+    if t > 0:
+        live = slice(None)
+        weights = -_exp_integral(w[:, None, None], rates[None], t)
+        weights[p] = principal
+    else:  # every other mode's integral over [0, t] vanishes
+        live, weights = [p], principal[None]
+    terms = _mode_terms(eig, dc.avar, f, live)[:, rest][:, :, rest]
+    return (v[:, live] @ np.einsum("mij,mij->m", terms, weights)).real
 
 
 def fluctuation_variance(

@@ -356,6 +356,35 @@ def test_seed_changes_the_ensemble(m1):
     assert not np.array_equal(a.states_at_t, b.states_at_t)
 
 
+def test_seed_range_ends_simulate_and_differ(m2):
+    # the public seed range is [0, 2**64); both ends key their own streams
+    ens = {}
+    for seed in (0, 2**64 - 1):
+        for n_threads in (1, 2):
+            cfg = SimConfig(t_end=1.0, dt=0.01, n_paths=CHUNK_PATHS + 100,
+                            seed=seed, n_threads=n_threads)
+            ens[seed, n_threads] = simulate_paths(m2, [1.0, 0.0], cfg).states_at_t
+    for seed in (0, 2**64 - 1):
+        assert ens[seed, 1].tobytes() == ens[seed, 2].tobytes()
+    assert not np.array_equal(ens[0, 1], ens[2**64 - 1, 1])
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_chunk_survival_counts_are_binomial(m1, seed):
+    # every chunk's survival count is Binomial(CHUNK_PATHS, p) for one p, so
+    # the chi-square of the 13 counts against their pooled binomial has 12
+    # degrees of freedom; 32.9 is its 0.1% point.  Seeds 2 and 3 scattered
+    # more than binomially under an earlier raw (seed, chunk) keying
+    n_chunks = 13
+    cfg = SimConfig(t_end=10.0, dt=0.01, n_paths=n_chunks * CHUNK_PATHS, seed=seed,
+                    n_threads=2)
+    survived = simulate_paths(m1, [1.0], cfg).survived
+    counts = survived.reshape(n_chunks, CHUNK_PATHS).sum(axis=1)
+    p = counts.sum() / survived.size
+    chi2 = float(((counts - CHUNK_PATHS * p) ** 2).sum() / (CHUNK_PATHS * p * (1.0 - p)))
+    assert chi2 < 32.9
+
+
 def test_unconditional_mean_and_variance(m1):
     sd = spectral_data(m1)
     cfg = SimConfig(t_end=5.0, dt=0.01, n_paths=40_000, seed=3)
@@ -558,6 +587,16 @@ def test_ks_needs_enough_samples():
         ks_exponential_test(np.ones(50), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -0.5, math.nan], ids=["inf", "negative", "nan"])
+def test_ks_exponential_rejects_bad_samples(rng, bad):
+    # unchecked, an inf mass passes (p = 0.64), a negative one is clipped
+    # to 0 and a NaN gives a NaN p-value, which passes "p <= 0.001" gates
+    x = rng.exponential(1.0, 500)
+    x[7] = bad
+    with pytest.raises(ModelError, match=rf"^samples\[7\] must be finite and >= 0, got {bad}$"):
+        ks_exponential_test(x, 1.0)
+
+
 def _sample_limit_law(law, rng, size):
     """Pairs (W, G sqrt(W)) drawn from the limit law itself."""
     w = rng.exponential(law.nu_mean, size)
@@ -606,6 +645,23 @@ def test_clt_checks_need_enough_samples(rng):
     v = rng.exponential(0.5, 100)
     samples = ConditionalSamples(v=v, z=v, n_survivors=100, n_paths=100)
     with pytest.raises(SimulationError):
+        clt_checks(samples, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "name, bad, requirement",
+    [("v", math.nan, "finite and > 0"), ("v", math.inf, "finite and > 0"),
+     ("v", 0.0, "finite and > 0"), ("v", -1.0, "finite and > 0"),
+     ("z", math.nan, "finite"), ("z", math.inf, "finite"), ("z", -math.inf, "finite")],
+)
+def test_clt_checks_reject_bad_samples(rng, name, bad, requirement):
+    # unchecked, one NaN in v gives a NaN ratio p-value, which passes
+    # "p <= 0.001" gates
+    v = rng.exponential(0.5, 2_000)
+    z = rng.normal(0.0, 1.0, 2_000) * np.sqrt(v)
+    {"v": v, "z": z}[name][3] = bad
+    samples = ConditionalSamples(v=v, z=z, n_survivors=v.size, n_paths=v.size)
+    with pytest.raises(ModelError, match=rf"^{name}\[3\] must be {requirement}, got {bad}$"):
         clt_checks(samples, 0.5, 0.5)
 
 
