@@ -397,9 +397,10 @@ def neg_log_extinction(
 
 
 def _survival(w: np.ndarray, mu: np.ndarray) -> float:
+    # -expm1(-x) is correctly rounded: 1.0 is the answer once e^{-x} <= 2^-54
     p = -math.expm1(-pairing(w, mu))
-    if not 0.0 < p < 1.0:
-        raise SolverError(f"survival probability {p} outside (0, 1)")
+    if not 0.0 < p <= 1.0:
+        raise SolverError(f"survival probability {p} outside (0, 1]")
     return p
 
 

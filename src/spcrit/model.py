@@ -136,19 +136,19 @@ class SuperprocessModel:
         # an underflow); each product is checked below, naming the state
         with np.errstate(over="ignore", invalid="ignore"):
             alpha = beta * self.a
-            y2w = np.array([(a[:, 0] ** 2 * a[:, 1]).sum() for a in jumps])
-            avar = beta * (2.0 * self.b + y2w)
             quad = beta * self.b
             for i, atoms in enumerate(jumps):
                 jy[i, : len(atoms)] = atoms[:, 0]
                 jw[i, : len(atoms)] = beta[i] * atoms[:, 1]
             jump_y2w = (jw * jy ** 2).sum(axis=1)
             jump_yw = (jw * jy).sum(axis=1)
+            avar = 2.0 * quad + jump_y2w
             rate = np.abs(alpha) + avar
             L = self.Q + np.diag(alpha)
         for name, arr in (
-            ("beta*a", alpha), ("beta*b", quad), ("avar = beta*(2b + sum y^2 w)", avar),
+            ("beta*a", alpha), ("beta*b", quad),
             ("beta * sum y^2 w", jump_y2w), ("beta * sum y w", jump_yw),
+            ("avar = beta*(2b + sum y^2 w)", avar),
             ("|beta*a| + avar", rate), ("Q[x][x] + beta*a", L.diagonal()),
         ):
             _require(name, arr, np.isfinite(arr), "finite")

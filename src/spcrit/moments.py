@@ -45,12 +45,22 @@ class QuadratureError(RuntimeError):
     """A variance broke its a priori bound by e^{K t} times the mean of f^2."""
 
 
+def _in_range(name: str, t: float, moment) -> float:
+    """``moment()``, or a ModelError naming the moment where its closed
+    form overflowed to inf or nan: no float holds its value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = moment()
+    if not math.isfinite(value):
+        raise ModelError(f"the {name} of <f, X_t> at t = {t:g} overflows the double range")
+    return value
+
+
 def first_moment(model: SuperprocessModel, f, t: float, mu) -> float:
     """Mean of <f, X_t> started from mu."""
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
     t = as_time(t)
-    return pairing(MeanSemigroup(model).apply(t, f), mu)
+    return _in_range("mean", t, lambda: pairing(MeanSemigroup(model).apply(t, f), mu))
 
 
 def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> float:
@@ -62,8 +72,7 @@ def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> f
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
     t = as_time(t)
-    profile = _variance_profile(model, f, t)
-    val = pairing(profile, mu)
+    val = _in_range("variance", t, lambda: pairing(_variance_profile(model, f, t), mu))
 
     kbound = derived_coefficients(model).kbound
     if kbound * t < 700.0 and np.any(f != 0):

@@ -60,14 +60,12 @@ from .model import (
     _require_finite,
     as_measure,
     derived_coefficients,
-    validate_model,
 )
 from .spectral import (
-    TOL_CRITICAL,
-    NotCriticalError,
     SpectralData,
-    _principal_pair,
     remove_principal_component,
+    require_critical,
+    spectral_data,
 )
 
 CHUNK_PATHS = 4096
@@ -289,12 +287,10 @@ def simulate_paths(
     sd: SpectralData | None = None,
 ) -> PathEnsemble:
     """Simulate n_paths independent copies started from mu up to t_end.
-    The model itself must be irreducible and critical; ``sd`` is unused."""
+    The model must pass ``spectral_data`` and be critical; ``sd`` is unused."""
     mu = as_measure(model, mu)
-    dc = derived_coefficients(validate_model(model))
-    lambda0 = _principal_pair(dc)[0]
-    if abs(lambda0) > TOL_CRITICAL:
-        raise NotCriticalError(f"model is not critical: lambda0 = {lambda0:.6e}")
+    require_critical(spectral_data(model))
+    dc = derived_coefficients(model)
     rate = dc.qnorm + float(np.max(np.abs(dc.alpha - dc.jump_yw) + dc.avar))
     if cfg.dt * rate > 0.2:
         raise SimulationConfigError(

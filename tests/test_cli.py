@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,53 @@ def test_overflowing_product_exits_2_naming_the_state(tmp_path, capsys, command)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "spcrit: beta*a[0] must be finite, got inf\n"
+
+
+def boundary_model(tmp_path, key, value):
+    """The first critical 3-state draw of seed 3 with ``key[0]`` set to
+    ``value``, written as a model file."""
+    model = acceptance.random_model(np.random.default_rng(3), 3, critical=True)
+    doc = json.loads(dump_model(model))
+    doc[key][0] = value
+    path = tmp_path / f"{key}0.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_spectral_of_a_huge_growth_rate_exits_2_not_critical(tmp_path, capsys):
+    # lambda0 = 1.4e12 overflowed exp(lambda0) in the old eigen check, exit 1
+    assert main(["spectral", boundary_model(tmp_path, "a", 1e12)]) == 2
+    captured = capsys.readouterr()
+    table = dict(line.split(",", 1) for line in captured.out.splitlines()[1:3])
+    assert 1e12 < float(table["lambda0"]) < math.inf
+    assert captured.err.startswith("model is not critical: lambda0 = 1.4")
+    assert captured.err.count("\n") == 1
+
+
+def test_moments_past_the_double_range_exit_2_naming_the_overflow(tmp_path, capsys):
+    # the mean semigroup overflows at t = 2; it printed nan,nan,nan with exit 0
+    path = boundary_model(tmp_path, "a", 1e12)
+    argv = ["moments", path, "--f", "1,1,1", "--mu", "1,0,0", "--t", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "spcrit: the mean of <f, X_t> at t = 2 overflows the double range\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["kolmogorov", "--mu", "1,0,0", "--t-grid", "10:10:1"],
+    ["yaglom", "--f", "1,1,1", "--lambda", "1", "--t", "10"],
+])
+def test_survival_that_rounds_to_one_is_an_answer(tmp_path, capsys, argv):
+    # beta*b = 1e-6 in the start state: -expm1(-<v_t, mu>) rounds to 1.0
+    path = boundary_model(tmp_path, "b", 1e-6)
+    assert main([argv[0], path, *argv[1:]]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert float(row.split(",")[header.split(",").index("p_survival")]) == 1.0
 
 
 def test_spectral_critical(m2_path, tmp_path):

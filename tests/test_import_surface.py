@@ -66,6 +66,23 @@ print(json.dumps([codes, {SCIPY_LOADED}]))
     assert (tmp_path / "sim.csv").read_text().startswith("path_id,survived,")
 
 
+def test_spectral_data_loads_no_scipy_without_an_eigensystem():
+    # the delta = 0 three-cycle has a Jordan block, so its record holds no
+    # eigensystem; the eigen relations are still checked without expm
+    code = f"""
+from spcrit import model, spectral
+cycle = model.SuperprocessModel(
+    labels=("a", "b", "c"), m=[1.0, 2.0, 0.5],
+    Q=[[-1.0, 1.0, 0.0], [0.0, -4.0, 4.0], [1.0, 0.0, -1.0]],
+    beta=[1.0] * 3, a=[0.0] * 3, b=[1.0, 0.5, 2.0], jumps=([],) * 3,
+)
+sd = spectral.spectral_data(cycle)
+print(json.dumps([model.derived_coefficients(cycle).eigensystem is None,
+                  sd.is_critical, {SCIPY_LOADED}]))
+"""
+    assert run_fresh(code) == [True, True, []]
+
+
 def test_monte_carlo_checks_keep_their_values_without_scipy():
     code = f"""
 import numpy as np

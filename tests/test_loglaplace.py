@@ -504,6 +504,14 @@ def test_survival_probability_values(m1, m2):
     )
 
 
+def test_survival_probability_may_round_to_one():
+    # beta*b = 1e-6 in the start state makes <v_10, mu> about 1e5, and
+    # -expm1(-x) is correctly rounded, so 1.0 is the answer, not a fault
+    base = acceptance.random_model(np.random.default_rng(3), 3, critical=True)
+    model = dataclasses.replace(base, b=np.r_[1e-6, base.b[1:]])
+    assert survival_probability(model, [1.0, 0.0, 0.0], 10.0) == 1.0
+
+
 def test_kolmogorov_table_m1(m1):
     sd = spectral_data(m1)
     report = kolmogorov_table(m1, sd, [1.0], [100.0, 1000.0])

@@ -360,6 +360,8 @@ def test_padded_jumps_hold_the_atoms_times_beta(rng):
             assert dc.jump_yw[i] == pytest.approx(yw.sum(), rel=1e-15, abs=0)
             assert dc.jump_y2w[i] == pytest.approx((yw * atoms[:, 0]).sum(), rel=1e-15, abs=0)
         np.testing.assert_array_equal(dc.quad, model.beta * model.b)
+        # the variance factor is summed from the same padded atoms
+        np.testing.assert_array_equal(dc.avar, 2.0 * dc.quad + dc.jump_y2w)
 
 
 def test_kbound_is_the_exact_max(rng):

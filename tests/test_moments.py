@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,18 @@ def test_variance_limit_rejects_a_non_finite_deviation(m2, monkeypatch):
     monkeypatch.setattr(moments, "_stable_deviation", lambda *args: math.nan)
     with pytest.raises(moments.VarianceDecayError, match="t = 5.0"):
         variance_limit_check(m2, spectral_data(m2), [1.0, -1.0], [5.0, 10.0])
+
+
+def test_moments_past_the_double_range_are_named(rng):
+    # lambda0 near 1.4e12: exp(t L) overflows at t = 2, and the closed
+    # forms gave nan with overflow warnings; a short time still answers
+    base = acceptance.random_model(np.random.default_rng(3), 3, critical=True)
+    model = dataclasses.replace(base, a=np.r_[1e12, base.a[1:]])
+    f, mu = [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]
+    for name, moment in (("mean", moments.first_moment), ("variance", moments.variance)):
+        with pytest.raises(ModelError, match=rf"^the {name} of <f, X_t> at t = 2 overflows"):
+            moment(model, f, 2.0, mu)
+        assert math.isfinite(moment(model, f, 1e-12, mu))
 
 
 def test_variance_negative_time_rejected(m1):

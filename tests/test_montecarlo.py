@@ -92,6 +92,22 @@ def test_given_spectral_data_does_not_waive_the_gate(m2):
         simulate_paths(reducible, [1.0, 0.0], cfg, sd=sd)
 
 
+def test_the_gate_checks_the_eigenpair(m2, monkeypatch):
+    # simulate_paths gates through spectral_data, eigen checks included
+    from spcrit import spectral
+
+    real = spectral._principal_pair
+
+    def pair(dc):
+        lam, right, gap = real(dc)
+        return lam, right * [1.0, 1.0 + 1e-8], gap
+
+    monkeypatch.setattr(spectral, "_principal_pair", pair)
+    cfg = SimConfig(t_end=1.0, dt=0.01, n_paths=10, seed=1)
+    with pytest.raises(spectral.SpectralError, match="eigen relation for phi0"):
+        simulate_paths(m2, [1.0, 0.0], cfg)
+
+
 def test_step_stability_guard(m2):
     cfg = SimConfig(t_end=10.0, dt=0.1, n_paths=10, seed=1)
     with pytest.raises(SimulationError, match="dt"):

@@ -13,6 +13,7 @@ from spcrit.model import (
 from spcrit.spectral import (
     MeanSemigroup,
     NotCriticalError,
+    SpectralError,
     _variance_profile,
     criticalize,
     fit_expansion_constant,
@@ -255,6 +256,81 @@ def test_near_exceptional_point_takes_an_accurate_route(delta, force_expm):
     by_expm.extend(_variance_profile(model, f, 1.0))
     assert len(expm_calls) > 0
     np.testing.assert_allclose(got, by_expm, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("name", ["phi0", "psi0"])
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+def test_eigen_check_rejects_a_mode_perturbation(name, eps, m2, monkeypatch):
+    # the eigen relations are checked by residuals against L; a true vector
+    # pushed eps along a non-principal eigenvector must fail that check
+    import scipy.linalg
+
+    from spcrit import spectral
+
+    real_pair, real_left = spectral._principal_pair, spectral._left_vector
+    rng = np.random.default_rng(20261020)
+    models = [m2] + [acceptance.random_model(rng, n_states=3) for _ in range(5)]
+    for model in models:
+        w, vl, vr = scipy.linalg.eig(derived_coefficients(model).L, left=True)
+        k = next(k for k in np.argsort(-w.real)[1:] if w[k].imag == 0)
+        mode = (vr if name == "phi0" else vl)[:, k].real
+        mode = eps * mode / np.abs(mode).max()
+
+        def pair(dc):
+            lam, right, gap = real_pair(dc)
+            return lam, right + mode * right.max(), gap
+
+        def left(L, phi):
+            vec = real_left(L, phi)
+            return vec + mode * vec.max()
+
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "_principal_pair" if name == "phi0" else "_left_vector",
+                       pair if name == "phi0" else left)
+            with pytest.raises(SpectralError, match=f"eigen relation for {name} off"):
+                spectral_data(model)
+        spectral_data(model)
+
+
+def test_spectral_data_takes_no_exponential(monkeypatch, force_expm):
+    # the check needs neither the mean semigroup nor a matrix exponential,
+    # even where the eigensystem is refused (the delta = 0 three-cycle)
+    model = three_cycle(0.0)
+    assert derived_coefficients(model).eigensystem is None
+    expm_calls = force_expm()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mean semigroup built")
+
+    monkeypatch.setattr("spcrit.spectral.MeanSemigroup", refuse)
+    monkeypatch.setattr(math, "exp", refuse)
+    sd = spectral_data(model)
+    assert expm_calls == []
+    assert sd.is_critical and np.all(sd.phi0 > 0) and np.all(sd.psi0 > 0)
+
+
+def fast_row(model, x, scale):
+    """``model`` with row x of Q times ``scale``: one state far faster."""
+    Q = model.Q.copy()
+    Q[x] *= scale
+    return dataclasses.replace(model, Q=Q)
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: dataclasses.replace(m, a=np.r_[1e12, m.a[1:]]),
+    lambda m: dataclasses.replace(m, a=np.r_[m.a[:2], 1e12]),
+    lambda m: dataclasses.replace(m, a=np.r_[m.a[:2], -1e4]),
+    lambda m: fast_row(m, 1, 1e6),
+], ids=["growth-1e12", "growth-1e12-last", "killing-1e4", "fast-row-1e6"])
+def test_eigen_check_holds_large_rates(change):
+    # the t = 1 semigroup comparison overflows at lambda0 near 1.4e12 and
+    # accepts the killing and fast-row pairs; a residual held to TOL_EIG v
+    # at unit rate, with only componentwise rounding, rejects the last three
+    base = acceptance.random_model(np.random.default_rng(3), 3, critical=True)
+    model = change(base)
+    sd = spectral_data(model)
+    assert np.all(sd.phi0 > 0) and np.all(sd.psi0 > 0)
+    assert math.isfinite(sd.lambda0) and math.isfinite(sd.gamma)
 
 
 # (n, backward): sigma_f^2 and the stable deviations at t = 3, 6 and 9 / gamma
