@@ -145,11 +145,13 @@ class SuperprocessModel:
             avar = 2.0 * quad + jump_y2w
             rate = np.abs(alpha) + avar
             L = self.Q + np.diag(alpha)
+            qrows = np.abs(self.Q).sum(axis=1)
         for name, arr in (
             ("beta*a", alpha), ("beta*b", quad),
             ("beta * sum y^2 w", jump_y2w), ("beta * sum y w", jump_yw),
             ("avar = beta*(2b + sum y^2 w)", avar),
             ("|beta*a| + avar", rate), ("Q[x][x] + beta*a", L.diagonal()),
+            ("row sum of |Q|", qrows),
         ):
             _require(name, arr, np.isfinite(arr), "finite")
         eig = eigensystem = None
@@ -167,7 +169,7 @@ class SuperprocessModel:
         return DerivedCoefficients(
             alpha=_freeze(alpha), avar=_freeze(avar),
             kbound=float(rate.max()), L=_freeze(L),
-            qnorm=float(np.abs(self.Q).sum(axis=1).max()),
+            qnorm=float(qrows.max()),
             quad=_freeze(quad), jump_y=_freeze(jy), jump_w=_freeze(jw),
             jump_y2w=_freeze(jump_y2w), jump_yw=_freeze(jump_yw),
             eig=eig, eigensystem=eigensystem,

@@ -43,7 +43,6 @@ from .model import (
 )
 
 TOL_EIG = 1e-10       # componentwise relative tolerance on the eigen relations
-TOL_NORM = 1e-12      # tolerance on the two normalizations
 TOL_CRITICAL = 1e-9   # |lambda0| below this counts as critical
 
 
@@ -136,39 +135,35 @@ class SpectralData:
 
 def _principal_pair(dc: DerivedCoefficients) -> tuple[float, np.ndarray, float]:
     """Principal eigenvalue, its positive right eigenvector and the
-    spectral gap, from the model's one eigendecomposition."""
+    spectral gap, from the model's one eigendecomposition.
+
+    L is an irreducible Metzler matrix, so by Perron-Frobenius the
+    eigenvalue of largest real part is real and simple and its eigenvector
+    is the only positive one: the vector is only required to be finite and
+    > 0, and the checks in ``spectral_data`` guard the pair."""
     if dc.eig is None:
         raise SpectralError("the eigensolver did not converge on L")
     w, vr = dc.eig
-    scale = max(1.0, float(np.abs(dc.L).max()))
     order = np.argsort(-w.real)
     i0 = order[0]
-    lam = w[i0]
-    if abs(lam.imag) > 1e-9 * scale:
-        raise SpectralError(
-            f"leading eigenvalue has nonreal part {lam.imag}; expected a real "
-            f"simple principal eigenvalue"
-        )
-    close = np.abs(w - lam) < 1e-9 * scale
-    if close.sum() > 1:
-        raise SpectralError(
-            f"principal eigenvalue {lam.real} is not simple "
-            f"(multiplicity {int(close.sum())})"
-        )
     right = vr[:, i0] / np.abs(vr[:, i0]).max()
-    if abs(right.imag).max() >= 1e-9:
-        raise SpectralError("right eigenvector has a nonreal component")
     right = right.real if right.real.sum() >= 0 else -right.real
-    if not np.all(right > 0):
-        raise SpectralError(
-            "right eigenvector is not strictly positive; "
-            "the generator may be reducible"
-        )
+    _require_in_range("phi0", right, "the eigensolver cannot resolve it beside the rates of L")
     if w.size == 1:
         gap = math.inf
     else:
-        gap = float(lam.real - w.real[order[1]])
-    return float(lam.real), right, gap
+        gap = float(w.real[i0] - w.real[order[1]])
+    return float(w.real[i0]), right, gap
+
+
+def _require_in_range(name: str, v: np.ndarray, why: str, m: np.ndarray | None = None) -> None:
+    """Reject the first entry of v that is not finite and > 0, naming it
+    and, when given, its weight in m."""
+    ok = np.isfinite(v) & (v > 0)
+    if not ok.all():
+        x = int(np.argmin(ok))
+        at = "" if m is None else f" at m[{x}] = {m[x]:.3g}"
+        raise ModelError(f"{name}[{x}] = {v[x]:.3g}{at} is not finite and > 0: {why}")
 
 
 def _left_vector(L: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -192,8 +187,7 @@ def _left_vector(L: np.ndarray, phi: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         pi[k] = pi[:k] @ r[:k, k]
     left = pi / phi
-    if not np.all(np.isfinite(left) & (left > 0)):
-        raise SpectralError("left eigenvector is not finite and strictly positive")
+    _require_in_range("psi0", left, "the eigensolver cannot resolve it beside the rates of L")
     return left
 
 
@@ -234,37 +228,94 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
         eye = np.eye(m.size)
         A = _deflated_generator(sg.L, phi0, psi0, m) + (gamma - lambda0) * eye
         scaled = expm(ts * A) @ (eye - np.outer(phi0, psi0 * m))
-    return float((np.abs(scaled) / (rank_one * m)).max(initial=0.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = float((np.abs(scaled) / (rank_one * m)).max(initial=0.0))
+    if not c < math.inf:
+        raise ModelError(
+            f"the kernel expansion constant is {c}: phi0 psi0 m leaves the double range"
+        )
+    return c
+
+
+def _normalized_pair(
+    L: np.ndarray, right: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi0 and psi0 from the positive right eigenvector, with unit
+    m-weighted 2-norm and <phi0, psi0>_m = 1."""
+    left = _left_vector(L, right)
+    phi0 = right / math.sqrt(m_inner(right, right, m))
+    # psi0 relates to the left eigenvector of L by an elementwise 1/m factor.
+    psi0 = left / m
+    _require_in_range("psi0", psi0, "it leaves the double range", m)
+    return phi0, psi0 / np.dot(phi0, psi0 * m)
+
+
+def _eigen_residual(
+    A: np.ndarray, vec: np.ndarray, lambda0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relative residual of A vec = lambda0 vec per entry, and the
+    eigensolver's rounding in the same units; the relation holds where the
+    residual is at most TOL_EIG plus that rounding."""
+    rate = np.maximum(1.0, np.abs(A.diagonal() - lambda0))
+    size = float(np.abs(A).sum(axis=1).max()) + abs(lambda0)
+    rel = np.abs(A @ vec - lambda0 * vec) / (vec * rate)
+    rounding = 64.0 * np.finfo(float).eps * size * vec.max() / (vec * rate)
+    return rel, rounding
 
 
 def spectral_data(model: SuperprocessModel) -> SpectralData:
-    """Principal eigenpair and spectral gap, with the eigen relations and
-    normalizations checked; ``fit_expansion_constant`` fits the expansion
-    constant from the result.  L phi0 = lambda0 phi0 and L^T (psi0 m) =
-    lambda0 psi0 m are checked by their residuals r, with no exponential:
-    r_x moves v_x by about r_x / |L_xx - lambda0|, so |r_x| may reach
-    TOL_EIG v_x max(1, |L_xx - lambda0|), plus the eigensolver's rounding,
-    64 eps (||L||_inf + |lambda0|) max(v), which small entries cannot resolve."""
+    """Principal eigenpair and spectral gap, with the eigen relations
+    checked; ``fit_expansion_constant`` fits the expansion constant from
+    the result.  L phi0 = lambda0 phi0 and L^T (psi0 m) = lambda0 psi0 m
+    are checked by their residuals r, with no exponential: r_x moves v_x
+    by about r_x / |L_xx - lambda0|, so |r_x| may reach TOL_EIG v_x
+    max(1, |L_xx - lambda0|), plus the eigensolver's rounding, 64 eps
+    (||L||_inf + |lambda0|) max(v), which small entries cannot resolve.
+    Where psi0, built from phi0, fails, such entries of phi0 are taken once
+    from their rows of L - lambda0.  lambda0 is also held to the two-sided
+    Rayleigh quotient.  Both normalizations hold to rounding by
+    construction.  A value past the double range, or one the eigensolver
+    cannot resolve beside the rates of L, is a ``ModelError`` that names it."""
     m = model.m
     dc = derived_coefficients(validate_model(model))
     lambda0, right, gamma = _principal_pair(dc)
-    left = _left_vector(dc.L, right)
-
-    phi0 = right / math.sqrt(m_inner(right, right, m))
-    # psi0 relates to the left eigenvector of L by an elementwise 1/m factor.
-    psi0 = (left / m) / np.dot(phi0, left / m * m)
-
-    rounding = 64.0 * np.finfo(float).eps
-    rate = np.maximum(1.0, np.abs(dc.L.diagonal() - lambda0))
-    for name, A, vec in (("phi0", dc.L, phi0), ("psi0", dc.L.T, psi0 * m)):
-        rel = np.abs(A @ vec - lambda0 * vec) / (vec * rate)
-        size = float(np.abs(A).sum(axis=1).max()) + abs(lambda0)
-        if not np.all(rel <= TOL_EIG + rounding * size * vec.max() / (vec * rate)):
-            raise SpectralError(f"eigen relation for {name} off by relative {rel.max():.3e}")
-    if abs(m_inner(phi0, phi0, m) - 1.0) > TOL_NORM:
-        raise SpectralError("phi0 normalization drifted beyond tolerance")
-    if abs(m_inner(phi0, psi0, m) - 1.0) > TOL_NORM:
-        raise SpectralError("phi0/psi0 normalization drifted beyond tolerance")
+    # a value past the double range comes out inf, nan or 0 (a subnormal
+    # entry's rounding bound inf) and is named by the checks
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi0, psi0 = _normalized_pair(dc.L, right, m)
+        rel, rounding = _eigen_residual(dc.L.T, psi0 * m, lambda0)
+        if not np.all(rel <= TOL_EIG + rounding):
+            # psi0 is built from ratios of phi0's entries, so it inherits the
+            # error of an entry whose rounding exceeds TOL_EIG, which the
+            # eigensolver resolves only normwise; such an entry, unless the
+            # largest, is taken once more from its row of
+            # (L - lambda0) phi0 = 0, a sum of nonnegative terms
+            small = _eigen_residual(dc.L, phi0, lambda0)[1] > TOL_EIG
+            small[np.argmax(right)] = False
+            d = dc.L.diagonal()
+            refined = np.where(small, ((dc.L - np.diag(d)) @ right) / (lambda0 - d), right)
+            phi0, psi0 = _normalized_pair(dc.L, refined, m)
+        for name, A, vec in (("phi0", dc.L, phi0), ("psi0", dc.L.T, psi0 * m)):
+            rel, rounding = _eigen_residual(A, vec, lambda0)
+            off = rel[~(rel <= TOL_EIG + rounding)]
+            if not np.isfinite(off).all():
+                raise ModelError(f"the eigen relation for {name} leaves the double range")
+            if off.size:
+                raise SpectralError(f"eigen relation for {name} off by relative {off.max():.3e}")
+        # those bounds let a slow row carry eps ||L||, so lambda0 is also
+        # held to the two-sided Rayleigh quotient <psi0, L phi0>_m, the mean
+        # of the quotients (L phi0)_x / phi0_x under the weights phi0 psi0 m,
+        # which sum to 1; the eigensolver loses lambda0 beside some rates
+        # of 1e9
+        p = phi0 * (psi0 * m)
+        theta = float(p @ (dc.L @ phi0 / phi0))
+        rounding = 64.0 * np.finfo(float).eps * float(p @ (np.abs(dc.L) @ phi0 / phi0))
+        if not abs(theta - lambda0) <= TOL_EIG * max(1.0, abs(lambda0)) + rounding:
+            raise ModelError(
+                f"lambda0 = {lambda0:.6g} is {abs(theta - lambda0):.3g} off its Rayleigh "
+                f"quotient <psi0, L phi0>_m: the eigensolver cannot resolve it beside "
+                f"the rates of L, up to {float(np.abs(dc.L).max()):.3g}"
+            )
 
     phi0.setflags(write=False)
     psi0.setflags(write=False)
@@ -302,9 +353,12 @@ def nu(model: SuperprocessModel, sd: SpectralData) -> float:
     factor against phi0 squared."""
     require_critical(sd)
     dc = derived_coefficients(model)
-    val = 0.5 * float(np.dot(dc.avar * sd.phi0 * sd.phi0 * sd.psi0, sd.m))
+    # from psi0 m: each phi0 psi0 m lies in (0, 1], as they sum to 1, so
+    # the partial products stay near the terms of nu
+    with np.errstate(over="ignore"):
+        val = float(np.dot(0.5 * dc.avar * sd.phi0, sd.phi0 * (sd.psi0 * sd.m)))
     if not 0 < val < math.inf:
-        raise SpectralError(f"nu must be positive and finite, got {val}")
+        raise ModelError(f"nu = {val:.3g} is not finite and > 0: it leaves the double range")
     return val
 
 

@@ -84,15 +84,80 @@ def test_overflowing_product_exits_2_naming_the_state(tmp_path, capsys, command)
     assert captured.err == "spcrit: beta*a[0] must be finite, got inf\n"
 
 
-def boundary_model(tmp_path, key, value):
-    """The first critical 3-state draw of seed 3 with ``key[0]`` set to
+def boundary_model(tmp_path, key, value, x=0):
+    """The first critical 3-state draw of seed 3 with ``key[x]`` set to
     ``value``, written as a model file."""
     model = acceptance.random_model(np.random.default_rng(3), 3, critical=True)
     doc = json.loads(dump_model(model))
-    doc[key][0] = value
-    path = tmp_path / f"{key}0.json"
+    doc[key][x] = value
+    path = tmp_path / f"{key}{x}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_quietly(argv):
+    """``main(argv)`` with every warning recorded rather than raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("key, value", [("a", -1e9), ("a", -1e12), ("beta", 1e12)])
+def test_spectral_answers_one_rate_far_from_the_rest(tmp_path, capsys, key, value):
+    # a killing rate of 1e9 or 1e12 was read as a second copy of lambda0 ("not
+    # simple", exit 1): every eigenvalue within 1e-9 max|L| counted as one
+    code, caught = run_quietly(["spectral", boundary_model(tmp_path, key, value)])
+    captured = capsys.readouterr()
+    assert code in (0, 2) and caught == []
+    assert captured.err.count("\n") == (code == 2)
+    lines = captured.out.splitlines()
+    table = dict(line.split(",", 1) for line in lines[1:4])
+    assert all(math.isfinite(float(v)) for v in table.values())
+    for row in lines[lines.index("state,phi0,psi0") + 1:]:
+        assert all(0 < float(v) < math.inf for v in row.split(",")[1:])
+
+
+@pytest.mark.parametrize("x", [1, 2])
+def test_a_principal_eigenvalue_the_eigensolver_loses_is_named(tmp_path, capsys, x):
+    # a killing rate of 1e12 in state 1 or 2 leaves LAPACK's lambda0 about
+    # 1e-6 off (against 80-digit mpmath); the residual bounds allow eps ||L||
+    # in a slow row, the two-sided Rayleigh quotient does not
+    path = boundary_model(tmp_path, "a", -1e12, x)
+    code, caught = run_quietly(["spectral", path])
+    captured = capsys.readouterr()
+    assert (code, caught, captured.out) == (2, [], "")
+    assert captured.err.startswith("spcrit: lambda0 = -0.3")
+    assert "off its Rayleigh quotient <psi0, L phi0>_m" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x", [0, 1, 2])
+def test_psi0_past_the_double_range_names_its_weight(tmp_path, capsys, x):
+    # m[x] = 5e-324 made psi0 = left / m overflow: "eigen relation for psi0
+    # off by relative nan" with RuntimeWarnings, exit 1
+    code, caught = run_quietly(["spectral", boundary_model(tmp_path, "m", 5e-324, x)])
+    captured = capsys.readouterr()
+    assert (code, caught, captured.out) == (2, [], "")
+    assert captured.err == (
+        f"spcrit: psi0[{x}] = inf at m[{x}] = 4.94e-324 is not finite and > 0: "
+        "it leaves the double range\n"
+    )
+
+
+@pytest.mark.parametrize("key, value, x", [
+    ("beta", 1e200, 0), ("beta", 1e200, 1), ("beta", 1e200, 2), ("beta", 1e308, 1),
+    ("beta", 1e308, 2), ("a", 1e200, 0), ("a", 1e200, 1), ("a", 1e200, 2),
+])
+def test_unresolvable_eigenvector_entries_name_the_state(tmp_path, capsys, key, value, x):
+    # one rate of 1e200 or more leaves phi0 entries near 1e-200 that the
+    # eigensolver returns as 0, -3e-17 or an overflowing left vector; these
+    # were SpectralErrors (exit 1), some beside RuntimeWarnings
+    code, caught = run_quietly(["spectral", boundary_model(tmp_path, key, value, x)])
+    captured = capsys.readouterr()
+    assert (code, caught, captured.out) == (2, [], "")
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(("spcrit: phi0[", "spcrit: psi0["))
 
 
 def test_spectral_of_a_huge_growth_rate_exits_2_not_critical(tmp_path, capsys):
@@ -117,6 +182,69 @@ def test_moments_past_the_double_range_exit_2_naming_the_overflow(tmp_path, caps
     assert captured.err == (
         "spcrit: the mean of <f, X_t> at t = 2 overflows the double range\n"
     )
+
+
+# the values of the boundary sweep: a zero, a subnormal, tiny and huge
+# magnitudes of both signs, and killing rates far beyond the other rates
+BOUNDARY_VALUES = (0.0, 5e-324, 1e-300, 1e-12, -1e-12, 1e12, 1e200, 1e308, -1e9, -1e12)
+
+
+def mutant_model(tmp_path, rng, key, value):
+    """A random model (1 to 3 states, 70% critical) with one entry of
+    ``key`` set to ``value``: for jumps the size or weight of a state's first
+    atom, or a new atom of that size; written as a model file."""
+    model = acceptance.random_model(rng, critical=bool(rng.random() < 0.7))
+    doc = json.loads(dump_model(model))
+    n = model.n_states
+    x = int(rng.integers(n))
+    if key == "Q":
+        doc["Q"][x][int(rng.integers(n))] = value
+    elif key == "jumps" and doc["jumps"][x]:
+        doc["jumps"][x][0]["y" if rng.random() < 0.5 else "w"] = value
+    elif key == "jumps":
+        doc["jumps"][x].append({"y": value, "w": 0.5})
+    else:
+        doc[key][x] = value
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    return str(path), n
+
+
+def printed_numbers(out, n):
+    """The numbers of a CLI table below its header, less the gamma = inf of
+    a one-state model, which has no second eigenvalue."""
+    for line in out.splitlines()[1:]:
+        if n == 1 and line == "gamma,inf":
+            continue
+        for cell in line.split(",")[1:]:
+            try:
+                yield float(cell)
+            except ValueError:  # an inner header such as state,phi0,psi0
+                pass
+
+
+def test_boundary_sweep_answers_or_names_the_error(tmp_path, capsys):
+    # every finite model gets an answer (exit 0, finite numbers only) or a
+    # named error (exit 2, one stderr line), with no warning; 240 mutants
+    rng = np.random.default_rng(20261020)
+    failures = []
+    for _ in range(4):
+        for key in ("m", "Q", "beta", "a", "b", "jumps"):
+            for value in BOUNDARY_VALUES:
+                path, n = mutant_model(tmp_path, rng, key, value)
+                delta = ",".join(["1"] + ["0"] * (n - 1))
+                for argv in (["validate", path], ["spectral", path],
+                             ["moments", path, "--f", ",".join(["1"] * n),
+                              "--mu", delta, "--t", "2"]):
+                    code, caught = run_quietly(argv)
+                    out, err = capsys.readouterr()
+                    ok = caught == [] and (
+                        (code == 0 and all(map(math.isfinite, printed_numbers(out, n))))
+                        or (code == 2 and err.count("\n") == 1)
+                    )
+                    if not ok:
+                        failures.append(f"{key}={value:g} {argv[0]}: exit {code} {err!r} {caught}")
+    assert failures == []
 
 
 @pytest.mark.parametrize("argv", [

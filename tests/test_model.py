@@ -386,8 +386,10 @@ def test_kbound_is_the_exact_max(rng):
         ({"a": [1e308, 0], "b": [5e307, 1]}, r"\|beta\*a\| \+ avar\[0\]"),
         ({"Q": [[-1e308, 1e308], [1, -1]], "a": [-1e308, 0]},
          r"Q\[x\]\[x\] \+ beta\*a\[0\]"),
+        ({"Q": [[-1, 1], [1e308, -1e308]]}, r"row sum of \|Q\|\[1\]"),
     ],
-    ids=["beta-a", "beta-b", "avar", "jump-y2w", "jump-yw", "kbound", "L-diagonal"],
+    ids=["beta-a", "beta-b", "avar", "jump-y2w", "jump-yw", "kbound", "L-diagonal",
+         "Q-norm"],
 )
 def test_overflowing_products_are_model_errors_naming_the_state(changes, named):
     # every entry is finite but a product in the derived record is not; the

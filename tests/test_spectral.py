@@ -6,6 +6,7 @@ import pytest
 
 from spcrit import acceptance
 from spcrit.model import (
+    ModelError,
     SuperprocessModel,
     derived_coefficients,
     m_inner,
@@ -331,6 +332,61 @@ def test_eigen_check_holds_large_rates(change):
     sd = spectral_data(model)
     assert np.all(sd.phi0 > 0) and np.all(sd.psi0 > 0)
     assert math.isfinite(sd.lambda0) and math.isfinite(sd.gamma)
+
+
+def two_state_pair(L, m):
+    """lambda0, phi0 and psi0 of a 2-state L in closed form, free of
+    cancellation: phi0 ~ (L01, lambda0 - L00), psi0 m ~ (L10, lambda0 - L00)."""
+    delta = L[1, 1] - L[0, 0]
+    root = math.sqrt(delta * delta + 4.0 * L[0, 1] * L[1, 0])
+    gap = (delta + root) / 2 if delta >= 0 else 2 * L[0, 1] * L[1, 0] / (root - delta)
+    phi = np.array([L[0, 1], gap])
+    left = np.array([L[1, 0], gap]) / m
+    phi /= math.sqrt(np.dot(phi * phi, m))
+    return L[0, 0] + gap, phi, left / np.dot(phi * left, m)
+
+
+def test_a_small_entry_of_phi0_leaves_psi0_exact():
+    # Q[0][1] = 1e-12 leaves phi0[0] near 1e-12, which LAPACK returns 1e-6
+    # off: the eigen relation for psi0, built from phi0's ratios, failed at
+    # 3.8e-6 (exit 1); that entry is retaken from its row of L - lambda0
+    model = SuperprocessModel(
+        labels=("a", "b"), m=[1.0, 1.0], Q=[[-1.2, 1e-12], [0.5, -0.5]],
+        beta=[1.0, 1.0], a=[0.0, 0.44], b=[1.0, 1.0], jumps=([], []),
+    )
+    sd = spectral_data(model)
+    lam, phi, psi = two_state_pair(derived_coefficients(model).L, model.m)
+    assert sd.lambda0 == pytest.approx(lam, rel=1e-14)
+    np.testing.assert_allclose(sd.phi0, phi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sd.psi0, psi, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e308])
+def test_nu_at_weights_far_from_one(m1, m):
+    # one state: phi0 = psi0 = m^{-1/2} and nu = avar / (2 sqrt(m)), 5e149 and
+    # 5e-155 here; the old product avar phi0^2 psi0 left the double range
+    model = dataclasses.replace(m1, m=[m])
+    assert nu(model, spectral_data(model)) == pytest.approx(0.5 / math.sqrt(m), rel=1e-15)
+
+
+@pytest.mark.parametrize("m, b, got", [(1e-300, 1e300, "inf"), (1e308, 1e-300, "0")])
+def test_nu_past_the_double_range_is_named(m1, m, b, got):
+    model = dataclasses.replace(m1, m=[m], b=[b])
+    with pytest.raises(ModelError, match=rf"^nu = {got} is not finite and > 0"):
+        nu(model, spectral_data(model))
+
+
+def test_expansion_constant_past_the_double_range_is_named():
+    # Q[0][1] = 5e-324 leaves a subnormal entry of psi0, and the fit divides
+    # by phi0 psi0 m: it overflowed with a RuntimeWarning
+    base = acceptance.random_model(np.random.default_rng(0), 2, critical=True)
+    Q = base.Q.copy()
+    Q[0, 1] = 5e-324
+    model = dataclasses.replace(base, Q=Q)
+    sd = spectral_data(model)
+    assert sd.psi0.min() < np.finfo(float).tiny
+    with pytest.raises(ModelError, match="^the kernel expansion constant is inf"):
+        fit_expansion_constant(model, sd)
 
 
 # (n, backward): sigma_f^2 and the stable deviations at t = 3, 6 and 9 / gamma
