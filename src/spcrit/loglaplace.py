@@ -188,20 +188,22 @@ def _rel_error(block: np.ndarray) -> float:
 
     ``block`` is the step's (3, batch, n) block of the step end and its 5th-
     and 3rd-order error estimates; each is measured by its largest entry,
-    all three in one reduction.
+    all three in one reduction.  The blend is taken as err5 / hypot(1, 0.1
+    err3 / err5), which squares nothing, so estimates near the ends of the
+    double range neither underflow to 0 / 0 nor overflow to inf / inf.
     """
     scale, err5, err3 = np.abs(block).max(axis=(1, 2)).tolist()
     if err5 == 0.0:
         return 0.0
     if scale == 0.0:
         return math.inf
-    return err5 * err5 / math.sqrt(err5 * err5 + 0.01 * err3 * err3) / scale
+    return err5 / math.hypot(1.0, 0.1 * err3 / err5) / scale
 
 
 def _stop_grid(stops) -> np.ndarray:
     stops = as_times(stops, "horizon", positive=True)
     if not stops.size or np.any(np.diff(stops) <= 0):
-        raise ValueError(f"horizon must be a nonempty ascending grid, got {stops}")
+        raise ModelError(f"horizon must be a nonempty ascending grid, got {stops}")
     return stops
 
 
@@ -313,6 +315,7 @@ def solve_log_laplace(
     """
     f0 = as_field(model, f0)
     _require("initial field f0", f0, f0 >= 0, ">= 0")
+    T = as_time(T, "horizon", positive=True)
 
     sol = _adaptive(model, f0[None, :], [T])
     t_grid = np.concatenate(([0.0], sol.times))
@@ -407,7 +410,7 @@ def _survival(w: np.ndarray, mu: np.ndarray) -> float:
 def survival_probability(model: SuperprocessModel, mu, t: float) -> float:
     """Probability the process started from mu is alive at time t."""
     mu = as_measure(model, mu)
-    return _survival(neg_log_extinction(model, t), mu)
+    return _survival(neg_log_extinction(model, as_time(t, positive=True)), mu)
 
 
 @dataclass(frozen=True)
@@ -437,6 +440,8 @@ def kolmogorov_table(
     require_critical(sd)
     mu = as_measure(model, mu)
     ts = as_times(t_grid, "t_grid", positive=True)
+    if not ts.size:
+        raise ModelError("t_grid must hold at least one time, got an empty grid")
     limit = pairing(sd.phi0, mu) / nu_constant(model, sd)
     grid, back = np.unique(ts, return_inverse=True)
     ps = [_survival(w, mu) for w in neg_log_extinction(model, grid)]

@@ -211,6 +211,8 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
     if t_grid is None:
         t_grid = np.geomspace(1.0, 40.0, 1025)
     t = as_times(t_grid, "t_grid", positive=True)
+    if not t.size:
+        raise ModelError("t_grid must hold at least one time, got an empty grid")
     lambda0, phi0, psi0, gamma = sd.lambda0, sd.phi0, sd.psi0, sd.gamma
     ts = t[:, None, None]
     sg = MeanSemigroup(model)
@@ -237,19 +239,6 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
     return c
 
 
-def _normalized_pair(
-    L: np.ndarray, right: np.ndarray, m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """phi0 and psi0 from the positive right eigenvector, with unit
-    m-weighted 2-norm and <phi0, psi0>_m = 1."""
-    left = _left_vector(L, right)
-    phi0 = right / math.sqrt(m_inner(right, right, m))
-    # psi0 relates to the left eigenvector of L by an elementwise 1/m factor.
-    psi0 = left / m
-    _require_in_range("psi0", psi0, "it leaves the double range", m)
-    return phi0, psi0 / np.dot(phi0, psi0 * m)
-
-
 def _eigen_residual(
     A: np.ndarray, vec: np.ndarray, lambda0: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +260,8 @@ def spectral_data(model: SuperprocessModel) -> SpectralData:
     by about r_x / |L_xx - lambda0|, so |r_x| may reach TOL_EIG v_x
     max(1, |L_xx - lambda0|), plus the eigensolver's rounding, 64 eps
     (||L||_inf + |lambda0|) max(v), which small entries cannot resolve.
-    Where psi0, built from phi0, fails, such entries of phi0 are taken once
-    from their rows of L - lambda0.  lambda0 is also held to the two-sided
+    Such entries of phi0 are taken from their rows of L - lambda0 before
+    psi0 is built from phi0.  lambda0 is also held to the two-sided
     Rayleigh quotient.  Both normalizations hold to rounding by
     construction.  A value past the double range, or one the eigensolver
     cannot resolve beside the rates of L, is a ``ModelError`` that names it."""
@@ -282,19 +271,18 @@ def spectral_data(model: SuperprocessModel) -> SpectralData:
     # a value past the double range comes out inf, nan or 0 (a subnormal
     # entry's rounding bound inf) and is named by the checks
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        phi0, psi0 = _normalized_pair(dc.L, right, m)
-        rel, rounding = _eigen_residual(dc.L.T, psi0 * m, lambda0)
-        if not np.all(rel <= TOL_EIG + rounding):
-            # psi0 is built from ratios of phi0's entries, so it inherits the
-            # error of an entry whose rounding exceeds TOL_EIG, which the
-            # eigensolver resolves only normwise; such an entry, unless the
-            # largest, is taken once more from its row of
-            # (L - lambda0) phi0 = 0, a sum of nonnegative terms
-            small = _eigen_residual(dc.L, phi0, lambda0)[1] > TOL_EIG
-            small[np.argmax(right)] = False
-            d = dc.L.diagonal()
-            refined = np.where(small, ((dc.L - np.diag(d)) @ right) / (lambda0 - d), right)
-            phi0, psi0 = _normalized_pair(dc.L, refined, m)
+        # psi0 takes phi0's ratios, so an entry the eigensolver resolves only
+        # normwise (rounding above TOL_EIG), unless the largest, is taken from
+        # its row of (L - lambda0) phi0 = 0, a sum of nonnegative terms
+        small = _eigen_residual(dc.L, right, lambda0)[1] > TOL_EIG
+        small[np.argmax(right)] = False
+        d = dc.L.diagonal()
+        right = np.where(small, ((dc.L - np.diag(d)) @ right) / (lambda0 - d), right)
+        left = _left_vector(dc.L, right)
+        phi0 = right / math.sqrt(m_inner(right, right, m))
+        psi0 = left / m  # the left eigenvector of L over m
+        _require_in_range("psi0", psi0, "it leaves the double range", m)
+        psi0 = psi0 / np.dot(phi0, psi0 * m)
         for name, A, vec in (("phi0", dc.L, phi0), ("psi0", dc.L.T, psi0 * m)):
             rel, rounding = _eigen_residual(A, vec, lambda0)
             off = rel[~(rel <= TOL_EIG + rounding)]

@@ -274,15 +274,28 @@ def test_time_arguments_reject_nan_and_negative(m2, entry, bad):
 
 @pytest.mark.parametrize("entry", [
     "first_moment", "variance", "second_moment", "variance_from_transform",
-    "yaglom_transform",
+    "yaglom_transform", "survival_probability", "solve_log_laplace",
 ])
 def test_single_time_arguments_reject_a_grid(m2, entry):
     # each of these answers for one time, so a grid, even of one time, is
-    # refused by the name t before it reaches the closed forms or the solver
+    # refused by its name (t, or the solver's horizon) before it reaches the
+    # closed forms or the solver
     sd = spectral_data(m2)
+    name = "horizon" if entry == "solve_log_laplace" else "t"
     for t in ([1.0, 2.0], np.array([1.5])):
-        with pytest.raises(ModelError, match=r"^t must be a single time, got shape \("):
+        with pytest.raises(ModelError, match=rf"^{name} must be a single time, got shape \("):
             _TIME_ENTRY_POINTS[entry](m2, sd, t)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, sd: kolmogorov_table(m, sd, [1.0, 0.0], []),
+    lambda m, sd: fit_expansion_constant(m, sd, t_grid=[]),
+], ids=["kolmogorov_table", "fit_expansion_constant"])
+def test_an_empty_t_grid_is_refused_by_name(m2, call):
+    # the table named the solver's horizon instead, and the fit returned 0.0,
+    # a constant fitted on no times
+    with pytest.raises(ModelError, match="^t_grid must hold at least one time"):
+        call(m2, spectral_data(m2))
 
 
 @pytest.mark.parametrize(
@@ -415,6 +428,16 @@ def test_extinction_is_the_exact_limit_at_every_scale(m1, m2):
         np.testing.assert_allclose(neg_log_extinction(m2, t), 1.0 / t, rtol=1e-12)
 
 
+@pytest.mark.parametrize("b", [1e-300, 1e300])
+def test_one_state_extinction_at_extreme_quadratic_rates(m1, b):
+    # v_t = 1 / (beta b t) exactly; Hairer's blend of the step error
+    # estimates once squared them, which gave 0 / 0 (a bare ZeroDivisionError)
+    # at b = 1e-300 and inf / inf (a nan estimate, SolverError) at b = 1e300
+    t = np.array([1.0, 10.0])
+    v = neg_log_extinction(dataclasses.replace(m1, b=[b]), t)
+    np.testing.assert_allclose(v[:, 0], 1.0 / (b * t), rtol=1e-15, atol=0)
+
+
 def _extinction_oracle(model, times) -> np.ndarray:
     """v at ``times`` by scipy's DOP853 on the u-equation from theta = 1e7
     and 1e8, Richardson-extrapolated in 1/theta.
@@ -470,7 +493,7 @@ def test_extinction_names_the_state_without_grey(m2):
         with pytest.raises(LadderError, match=r"at t=2\b.*state 1 "):
             neg_log_extinction(model, [2.0, 3.0])
     # a grid with no first time is a bad argument before it is a bad model
-    with pytest.raises(ValueError, match="nonempty ascending"):
+    with pytest.raises(ModelError, match="nonempty ascending"):
         neg_log_extinction(model, [])
 
 

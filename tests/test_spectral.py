@@ -348,8 +348,9 @@ def two_state_pair(L, m):
 
 def test_a_small_entry_of_phi0_leaves_psi0_exact():
     # Q[0][1] = 1e-12 leaves phi0[0] near 1e-12, which LAPACK returns 1e-6
-    # off: the eigen relation for psi0, built from phi0's ratios, failed at
-    # 3.8e-6 (exit 1); that entry is retaken from its row of L - lambda0
+    # off, and its rounding bound far above TOL_EIG: the entry is taken from
+    # its row of L - lambda0 before psi0 is built from phi0's ratios; without
+    # that, the eigen relation for psi0 failed at 3.8e-6 (exit 1)
     model = SuperprocessModel(
         labels=("a", "b"), m=[1.0, 1.0], Q=[[-1.2, 1e-12], [0.5, -0.5]],
         beta=[1.0, 1.0], a=[0.0, 0.44], b=[1.0, 1.0], jumps=([], []),
@@ -359,6 +360,134 @@ def test_a_small_entry_of_phi0_leaves_psi0_exact():
     assert sd.lambda0 == pytest.approx(lam, rel=1e-14)
     np.testing.assert_allclose(sd.phi0, phi, rtol=1e-12, atol=0)
     np.testing.assert_allclose(sd.psi0, psi, rtol=1e-12, atol=0)
+
+
+# phi0 and psi0 of random_model(default_rng(3), 3, critical=True) with one
+# rate set to 1e12, from an 80-digit mpmath eigensolve of the float L (whose
+# entries mpmath holds exactly): the other two entries of each are near
+# 1e-12 of the largest, where LAPACK resolves them only normwise
+SEED3_ORACLE = {
+    ("beta", 1): (
+        (4.662537285119202e-13, 1.0813397110328749, 4.214131769049646e-13),
+        (1.3407023700219074e-12, 1.0813397110328749, 7.094491238097874e-13),
+    ),
+    ("a", 1): (
+        (4.957844789489963e-13, 1.0813397110328749, 4.481038961358363e-13),
+        (1.4256173952075307e-12, 1.0813397110328749, 7.543829521994902e-13),
+    ),
+    ("a", 2): (
+        (5.54055936712478e-13, 6.326834302949575e-13, 0.7665341153605811),
+        (2.2883814888195747e-13, 3.758143119608288e-13, 0.7665341153605811),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, x", list(SEED3_ORACLE))
+def test_small_eigenvector_entries_beside_a_rate_of_1e12(name, x):
+    # taken from their rows of L - lambda0 only where psi0's check failed,
+    # these entries passed that check with LAPACK's normwise error, 2e-5 to
+    # 6e-4 relative; taken always, they hold the oracle to rounding
+    base = acceptance.random_model(np.random.default_rng(3), 3, critical=True)
+    values = getattr(base, name).copy()
+    values[x] = 1e12
+    sd = spectral_data(dataclasses.replace(base, **{name: values}))
+    phi, psi = SEED3_ORACLE[name, x]
+    np.testing.assert_allclose(sd.phi0, phi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sd.psi0, psi, rtol=1e-12, atol=0)
+
+
+# lambda0, phi0, psi0, gamma, nu and sigma_f^2 of f = cos(k), k = 0..n-1,
+# minus its psi0 part, for m1-m3 and the first 20 draws of
+# random_model(default_rng(20261020), critical=True); a change meant to
+# keep the spectral data must keep these to rounding
+PINNED_CONSTANTS = {
+    "m1": (0.0, (1.0,),
+           (1.0,),
+           math.inf, 0.5, 0.0),
+    "m2": (0.0, (0.7071067811865475, 0.7071067811865475),
+           (0.7071067811865476, 0.7071067811865476),
+           2.0, 0.7071067811865475, 0.037356799498433665),
+    "m3": (0.0, (1.0,),
+           (1.0,),
+           math.inf, 0.5, 0.0),
+    "r0": (0.0, (0.345654491509242, 0.5432656210333467, 0.6051101981052993),
+           (0.5847659604002381, 0.5356187610112967, 0.5263092709362598),
+           1.395174942636945, 0.2759756940486027, 0.3018990046443447),
+    "r1": (2.220446049250313e-16, (0.5345197615791691, 0.45370640864245226, 0.46264520338397935),
+           (0.5199015304748, 0.4401100187171132, 0.4883288849230828),
+           0.9550924772381348, 0.6202425269121472, 0.6923361006640498),
+    "r2": (-1.9591369673394266e-16, (0.32596833238247014, 0.6347508919709045, 0.5223976783723634),
+           (0.43249071934551814, 0.5791835756347251, 0.5502470066412798),
+           1.1326415611636387, 0.3676911746239236, 0.3814229956122874),
+    "r3": (-2.7755575615628914e-17, (0.5894970136647433, 0.563614455465917),
+           (0.2354746909724357, 0.8176181411168987),
+           0.6805061570054411, 0.19737639102126456, 0.010770866437073891),
+    "r4": (0.0, (0.6603311386299373, 0.7219939251144936),
+           (0.5149320122646869, 0.830121651198148),
+           1.4448077315935988, 0.939233331386568, 0.11786434363521923),
+    "r5": (-6.093003997829645e-16, (0.5674115723594612, 0.5537010984475274, 0.5176262840387353),
+           (0.41492830879130904, 0.6422826230970048, 0.4709021746164485),
+           1.0525332937474317, 0.11063477295985628, 0.029592069522173203),
+    "r6": (-2.7755575615628914e-17, (0.8390704938126532,),
+           (0.8390704938126533,),
+           math.inf, 0.9535386478305454, 0.0),
+    "r7": (-5.551115123125783e-17, (0.37493725969150116, 0.8795723109437518),
+           (0.8674588918344819, 0.635681346579189),
+           0.5703858041479795, 0.14322622123740716, 0.20315417108613454),
+    "r8": (-2.7755575615628914e-17, (0.835235254737573,),
+           (0.8352352547375729,),
+           math.inf, 0.3532949943260467, 0.0),
+    "r9": (0.0, (0.8567186632410959, 0.42372840332825773),
+           (0.699881303145476, 0.8911469436083655),
+           1.0751706684635787, 0.4399143337898058, 0.00101991567945093),
+    "r10": (-3.5753225153656743e-17, (0.5837562424655209, 0.2758510088579621, 0.5557193156179265),
+            (0.5965391841760064, 0.5894664491468625, 0.3773882743810847),
+            1.1233951933187738, 0.23476340706527343, 0.1504683173126112),
+    "r11": (-5.971914518866418e-17, (0.4527709227122358, 0.44877301649295, 0.7043416991685105),
+            (0.6361556608555947, 0.484661424663177, 0.6120242134301781),
+            0.6150339702365275, 0.32553977330879924, 0.8145645812140974),
+    "r12": (-6.938893903907228e-17, (0.7688482419405999,),
+            (0.7688482419406001,),
+            math.inf, 0.29059179843100097, 0.0),
+    "r13": (6.661338147750939e-16, (0.24995681165273925, 0.605818539129051, 0.5094769746690402),
+            (0.45696822419673844, 0.6558103609534753, 0.376052155229322),
+            1.1427868991271941, 0.3493890058175004, 0.23999904749284232),
+    "r14": (2.220446049250313e-16, (0.7654857708476026, 0.4560889575833568, 0.39356355919562097),
+            (0.7015484507853473, 0.4884641136894392, 0.47636396224337785),
+            1.013989815687418, 0.665681318000878, 0.23294822289252534),
+    "r15": (-4.440892098500626e-16, (0.611837290202144, 0.47811760951255117, 0.11754177702596977),
+            (0.6625637145326191, 0.32606638007992594, 0.4587668025958852),
+            1.081356131430843, 0.1891047348676778, 0.05534240223286208),
+    "r16": (0.0, (0.9497255296500922,),
+            (0.9497255296500922,),
+            math.inf, 0.7184626834717712, 0.0),
+    "r17": (1.1102230246251565e-16, (0.789989550882926, 0.2175250935310977),
+            (0.7065355570198666, 0.6057299502344209),
+            0.9628599119117415, 0.6321190433592537, 0.05637305993002755),
+    "r18": (-4.163336342344337e-17, (0.7693580774223204,),
+            (0.7693580774223205,),
+            math.inf, 1.0194403953158895, 0.0),
+    "r19": (0.0, (0.7457951967158741,),
+            (0.745795196715874,),
+            math.inf, 0.2734007349124135, 0.0),
+}
+
+
+def test_spectral_constants_keep_their_pinned_values(m1, m2, m3):
+    rng = np.random.default_rng(20261020)
+    models = {"m1": m1, "m2": m2, "m3": m3}
+    models.update((f"r{k}", acceptance.random_model(rng, critical=True)) for k in range(20))
+    assert list(models) == list(PINNED_CONSTANTS)
+    for key, model in models.items():
+        lam, phi, psi, gamma, nu_val, sigma = PINNED_CONSTANTS[key]
+        sd = spectral_data(model)
+        f = remove_principal_component(np.cos(np.arange(float(model.n_states))), sd)
+        # a critical lambda0 is rounding residue, so it is held absolutely
+        assert sd.lambda0 == pytest.approx(lam, rel=0, abs=1e-14), key
+        np.testing.assert_allclose(sd.phi0, phi, rtol=1e-14, atol=0, err_msg=key)
+        np.testing.assert_allclose(sd.psi0, psi, rtol=1e-14, atol=0, err_msg=key)
+        got = (sd.gamma, nu(model, sd), fluctuation_variance(model, sd, f))
+        np.testing.assert_allclose(got, (gamma, nu_val, sigma), rtol=1e-14, atol=0, err_msg=key)
 
 
 @pytest.mark.parametrize("m", [1e-300, 1e308])
