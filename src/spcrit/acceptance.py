@@ -1,9 +1,9 @@
 """Acceptance suite: reference models and the nine gate criteria.
 
-Shared between ``spcrit verify`` and the pytest acceptance module.  Each
-criterion returns a result with the measured values, its wall-clock time
-and the stated budget; the value tolerances are fixed here and nowhere
-else.
+Shared between ``spcrit verify`` and the pytest acceptance module, which
+both run ``CRITERIA``.  Each criterion returns a result with the measured
+values, the wall-clock time of its whole call, setup included, and the
+stated budget; the value tolerances are fixed here and nowhere else.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -123,24 +124,37 @@ class CriterionResult:
         )
 
 
-def criterion_1_riccati() -> CriterionResult:
+def _criterion(index: int, name: str, budget: float):
+    """Make a criterion of a body that returns (passed, detail): the
+    result's runtime is the whole call, setup included."""
+    def make(body):
+        @wraps(body)
+        def run(*args, **kwargs) -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            elapsed = time.perf_counter() - start
+            return CriterionResult(index, name, passed, elapsed, budget, detail)
+
+        run.index, run.name = index, name
+        return run
+
+    return make
+
+
+@_criterion(1, "riccati-oracle", 1.0)
+def criterion_1_riccati():
     m1 = model_m1()
-    start = time.perf_counter()
     worst = 0.0
     for theta in (1.0, 10.0, 100.0):
         for t in (0.1, 1.0, 10.0, 100.0):
             got = float(loglaplace.solve_log_laplace(m1, [theta], t).final[0])
             exact = theta / (1.0 + 0.5 * theta * t)
             worst = max(worst, abs(got - exact) / exact)
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        1, "riccati-oracle", worst <= 1e-6, elapsed, 1.0,
-        f"max rel err {worst:.3e} (tol 1e-6)",
-    )
+    return worst <= 1e-6, f"max rel err {worst:.3e} (tol 1e-6)"
 
 
-def criterion_2_kolmogorov() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(2, "kolmogorov-limit", 5.0)
+def criterion_2_kolmogorov():
     checks = []
     for model, mu, target in (
         (model_m1(), [1.0], 2.0),
@@ -151,18 +165,16 @@ def criterion_2_kolmogorov() -> CriterionResult:
         row = report.rows[0]
         rel = abs(row.t_times_p - target) / target
         checks.append((row.t_times_p, target, rel, abs(report.limit - target)))
-    elapsed = time.perf_counter() - start
     ok = all(rel <= 0.0025 and lim_err <= 1e-9 for _, _, rel, lim_err in checks)
-    detail = "; ".join(
+    return ok, "; ".join(
         f"t*P={tp:.6f} vs {tg:g} (rel {rel:.2e})" for tp, tg, rel, _ in checks
     )
-    return CriterionResult(2, "kolmogorov-limit", ok, elapsed, 5.0, detail)
 
 
-def criterion_3_yaglom() -> CriterionResult:
+@_criterion(3, "yaglom-transform", 5.0)
+def criterion_3_yaglom():
     m1 = model_m1()
     sd = spectral_data(m1)
-    start = time.perf_counter()
     worst = 0.0
     vals = []
     for lam in (0.5, 1.0, 2.0):
@@ -170,49 +182,41 @@ def criterion_3_yaglom() -> CriterionResult:
         rel = abs(res.value - res.target) / res.target
         worst = max(worst, rel)
         vals.append(f"lam={lam:g}: {res.value:.6f} vs {res.target:.6f}")
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        3, "yaglom-transform", worst <= 0.005, elapsed, 5.0,
-        "; ".join(vals) + f"; max rel {worst:.2e}",
-    )
+    return worst <= 0.005, "; ".join(vals) + f"; max rel {worst:.2e}"
 
 
-def criterion_4_constants() -> CriterionResult:
+@_criterion(4, "constants", 1.0)
+def criterion_4_constants():
     m2 = model_m2()
-    start = time.perf_counter()
     sd = spectral_data(m2)
     nu_val = spectral.nu(m2, sd)
     sig = spectral.fluctuation_variance(m2, sd, np.array([1.0, -1.0]))
-    elapsed = time.perf_counter() - start
     target = 2.0 ** -0.5
     ok = abs(nu_val - target) <= 1e-10 and abs(sig - target) <= 1e-8
-    return CriterionResult(
-        4, "constants", ok, elapsed, 1.0,
+    return ok, (
         f"nu={nu_val:.12f} (err {abs(nu_val - target):.2e}), "
-        f"sigma_f^2={sig:.12f} (err {abs(sig - target):.2e})",
+        f"sigma_f^2={sig:.12f} (err {abs(sig - target):.2e})"
     )
 
 
-def criterion_5_variance_limit() -> CriterionResult:
+@_criterion(5, "variance-limit", 5.0)
+def criterion_5_variance_limit():
     m2 = model_m2()
     sd = spectral_data(m2)
-    start = time.perf_counter()
     report = moments.variance_limit_check(
         m2, sd, np.array([1.0, -1.0]), [5.0, 10.0, 15.0]
     )
-    elapsed = time.perf_counter() - start
     last = report.rows[-1]
     dev15 = float(np.abs(last.var_profile - last.limit_profile).max())
     ok = report.fitted_rate >= 1.6 and dev15 < 1e-8
-    return CriterionResult(
-        5, "variance-limit", ok, elapsed, 5.0,
+    return ok, (
         f"fitted rate {report.fitted_rate:.3f} (>= 1.6), "
-        f"|dev| at t=15 {dev15:.2e} (< 1e-8)",
+        f"|dev| at t=15 {dev15:.2e} (< 1e-8)"
     )
 
 
-def criterion_6_expansion() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(6, "spectral-expansion", 10.0)
+def criterion_6_expansion():
     rng = np.random.default_rng(20240901)
     models = [model_m2()] + [
         random_model(rng, n_states=3, critical=True) for _ in range(20)
@@ -229,21 +233,18 @@ def criterion_6_expansion() -> CriterionResult:
         check = fit_expansion_constant(model, sd, t_grid=np.geomspace(1.0, 40.0, 2049))
         if fitted > 0:
             worst_ratio = max(worst_ratio, check / (fitted * 1.10))
-    elapsed = time.perf_counter() - start
-    ok = finite and worst_ratio <= 1.0
-    return CriterionResult(
-        6, "spectral-expansion", ok, elapsed, 10.0,
+    return finite and worst_ratio <= 1.0, (
         f"21 models, worst refined/fit ratio {worst_ratio:.4f} "
-        f"(margin 10%), all constants finite: {finite}",
+        f"(margin 10%), all constants finite: {finite}"
     )
 
 
-def criterion_7_lemma_suite() -> CriterionResult:
+@_criterion(7, "lemma-suite", 30.0)
+def criterion_7_lemma_suite():
     import scipy.linalg as sla
 
     n_cases = 1000
     rng = np.random.default_rng(7)
-    start = time.perf_counter()
     violations = []
 
     # mechanism remainder bounds
@@ -308,19 +309,14 @@ def criterion_7_lemma_suite() -> CriterionResult:
                 f"transform oracle gap {abs(var_q - var_fd):.2e} at t={t:.3f}"
             )
 
-    elapsed = time.perf_counter() - start
-    ok = not violations
-    detail = (
-        f"5 suites x {n_cases} cases, no violations"
-        if ok
-        else f"{len(violations)} violations, first: {violations[0]}"
-    )
-    return CriterionResult(7, "lemma-suite", ok, elapsed, 30.0, detail)
+    if violations:
+        return False, f"{len(violations)} violations, first: {violations[0]}"
+    return True, f"5 suites x {n_cases} cases, no violations"
 
 
-def criterion_8_montecarlo(fast: bool = False) -> CriterionResult:
+@_criterion(8, "montecarlo-pipeline", 300.0)
+def criterion_8_montecarlo(fast: bool = False):
     n_paths = 50_000 if fast else 200_000
-    start = time.perf_counter()
     problems = []
 
     # single-state pipeline: survival + exponential limit of the mass scale
@@ -364,23 +360,20 @@ def criterion_8_montecarlo(fast: bool = False) -> CriterionResult:
     if not clt.independence_ok:
         problems.append(f"independence corr={clt.correlation:.4f}")
 
-    elapsed = time.perf_counter() - start
-    ok = not problems
-    detail = (
+    if problems:
+        return False, "; ".join(problems)
+    return True, (
         f"n={n_paths}: survival {ens.survival_fraction:.5f} vs {p_oracle:.5f}, "
         f"KS p={ks.p_value:.3f}; E[Z^2]={samples2.z2_mean:.4f} vs "
         f"{target_z2:.4f}, product p={clt.ks_product.p_value:.3f}, "
         f"ratio p={clt.ks_ratio.p_value:.3f}, corr={clt.correlation:.4f}"
-        if ok
-        else "; ".join(problems)
     )
-    return CriterionResult(8, "montecarlo-pipeline", ok, elapsed, 300.0, detail)
 
 
-def criterion_9_determinism() -> CriterionResult:
+@_criterion(9, "determinism", 60.0)
+def criterion_9_determinism():
     from .model import dump_model
 
-    start = time.perf_counter()
     # the CLI runs this very package, installed or not: its parent directory
     # goes first on the child's import path
     env = dict(os.environ)
@@ -401,32 +394,26 @@ def criterion_9_determinism() -> CriterionResult:
             ]
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             if proc.returncode != 0:
-                return CriterionResult(
-                    9, "determinism", False, time.perf_counter() - start, 60.0,
-                    f"CLI failed: {proc.stderr.strip()[:200]}",
-                )
+                return False, f"CLI failed: {proc.stderr.strip()[:200]}"
             with open(out, "rb") as fh:
                 outs.append(fh.read())
-    elapsed = time.perf_counter() - start
     same_run = outs[0] == outs[1]
     same_threads = outs[0] == outs[2]
-    ok = same_run and same_threads
-    return CriterionResult(
-        9, "determinism", ok, elapsed, 60.0,
-        f"repeat identical: {same_run}, thread-count invariant: {same_threads}",
+    return same_run and same_threads, (
+        f"repeat identical: {same_run}, thread-count invariant: {same_threads}"
     )
+
+
+CRITERIA = (
+    criterion_1_riccati, criterion_2_kolmogorov, criterion_3_yaglom,
+    criterion_4_constants, criterion_5_variance_limit, criterion_6_expansion,
+    criterion_7_lemma_suite, criterion_8_montecarlo, criterion_9_determinism,
+)
 
 
 def run_all(fast: bool = False) -> list[CriterionResult]:
     warm_up()
     return [
-        criterion_1_riccati(),
-        criterion_2_kolmogorov(),
-        criterion_3_yaglom(),
-        criterion_4_constants(),
-        criterion_5_variance_limit(),
-        criterion_6_expansion(),
-        criterion_7_lemma_suite(),
-        criterion_8_montecarlo(fast=fast),
-        criterion_9_determinism(),
+        criterion(fast=fast) if criterion is criterion_8_montecarlo else criterion()
+        for criterion in CRITERIA
     ]

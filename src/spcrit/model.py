@@ -229,20 +229,26 @@ def validate_model(model: SuperprocessModel) -> SuperprocessModel:
 # ---------------------------------------------------------------------------
 # field / measure vectors
 
+def _as_vector(model: SuperprocessModel, values, kind: str) -> np.ndarray:
+    """Coerce to a finite vector of the right length, a ``kind`` vector in
+    the error."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (model.n_states,):
+        raise ModelError(
+            f"{kind} vector must have shape ({model.n_states},), got {v.shape}"
+        )
+    _require_finite("vector entry ", v)
+    return v
+
+
 def as_field(model: SuperprocessModel, values) -> np.ndarray:
     """Coerce to a finite function-on-states vector of the right length."""
-    f = np.asarray(values, dtype=float)
-    if f.shape != (model.n_states,):
-        raise ModelError(
-            f"field vector must have shape ({model.n_states},), got {f.shape}"
-        )
-    _require_finite("vector entry ", f)
-    return f
+    return _as_vector(model, values, "field")
 
 
 def as_measure(model: SuperprocessModel, values, allow_zero: bool = False) -> np.ndarray:
     """Coerce to a finite-measure vector: nonnegative, nonzero by default."""
-    mu = as_field(model, values)
+    mu = _as_vector(model, values, "measure")
     _require("measure entry mu", mu, mu >= 0, ">= 0")
     if not allow_zero and not np.any(mu > 0):
         raise ModelError("measure must have positive total mass")

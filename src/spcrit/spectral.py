@@ -67,13 +67,6 @@ class MeanSemigroup:
 
     def __init__(self, model: SuperprocessModel):
         self.model = model
-        self.L = derived_coefficients(model).L
-
-    @property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(w, V, V^{-1}) with L = V diag(w) V^{-1}, or None when V is
-        too ill-conditioned to use and the Pade fallback is in force."""
-        return derived_coefficients(self.model).eigensystem
 
     def matrix(self, t) -> np.ndarray:
         """exp(t*L); entry (x, y) is the mean mass at y started from x.
@@ -83,15 +76,15 @@ class MeanSemigroup:
         """
         t = as_times(t).reshape(np.shape(t))
         ts = t[..., None, None]
-        eig = self.eigensystem
-        if eig is not None:
-            w, v, vinv = eig
+        dc = derived_coefficients(self.model)
+        if dc.eigensystem is not None:
+            w, v, vinv = dc.eigensystem
             out = ((v * np.exp(ts * w)) @ vinv).real
         else:
             from scipy.linalg import expm
 
-            out = expm(ts * self.L)
-        out[t == 0] = np.eye(self.L.shape[0])
+            out = expm(ts * dc.L)
+        out[t == 0] = np.eye(self.model.n_states)
         return out
 
     def apply(self, t, f: np.ndarray) -> np.ndarray:
@@ -176,19 +169,23 @@ def _left_vector(L: np.ndarray, phi: np.ndarray) -> np.ndarray:
     Taksar & Heyman, Oper. Res. 33(5), 1985): states are censored out one
     at a time, last first, and every pivot is a sum of positive rates and
     every update adds nonnegative terms, so nothing is subtracted.  No
-    eigenvalue enters, so the left vector carries no error of lambda0.
+    eigenvalue enters, so the left vector carries no error of lambda0.  A
+    censored state whose ratio to the states before it overflows is named.
     """
     r = L * phi / phi[:, None]  # the diagonal is never read
     n = phi.size
     for k in range(n - 1, 0, -1):
         r[:k, k] /= r[k, :k].sum()
+        if not np.isfinite(r[:k, k]).all():
+            raise ModelError(
+                "phi0 psi0 m, the stationary law of the Doob transform, leaves the "
+                f"double range at state {k}"
+            )
         r[:k, :k] += r[:k, k, None] * r[k, :k]
     pi = np.ones(n)
     for k in range(1, n):
         pi[k] = pi[:k] @ r[:k, k]
-    left = pi / phi
-    _require_in_range("psi0", left, "the eigensolver cannot resolve it beside the rates of L")
-    return left
+    return pi / phi
 
 
 def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=None) -> float:
@@ -215,10 +212,10 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
         raise ModelError("t_grid must hold at least one time, got an empty grid")
     lambda0, phi0, psi0, gamma = sd.lambda0, sd.phi0, sd.psi0, sd.gamma
     ts = t[:, None, None]
-    sg = MeanSemigroup(model)
+    dc = derived_coefficients(model)
     m = model.m
     rank_one = np.outer(phi0, psi0)
-    eig = sg.eigensystem
+    eig = dc.eigensystem
     if eig is not None:
         w, v, vinv = eig
         rest = np.arange(w.size) != np.argmax(w.real)
@@ -228,7 +225,7 @@ def fit_expansion_constant(model: SuperprocessModel, sd: SpectralData, t_grid=No
         from scipy.linalg import expm
 
         eye = np.eye(m.size)
-        A = _deflated_generator(sg.L, phi0, psi0, m) + (gamma - lambda0) * eye
+        A = _deflated_generator(dc.L, phi0, psi0, m) + (gamma - lambda0) * eye
         scaled = expm(ts * A) @ (eye - np.outer(phi0, psi0 * m))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = float((np.abs(scaled) / (rank_one * m)).max(initial=0.0))
@@ -430,14 +427,13 @@ def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.n
     e^{w_m (t-s) + (w_i + w_j) s} in closed form.  Near a defective L (the
     mean semigroup's own test) it is ``_block_profile`` of L.
     """
-    avar = derived_coefficients(model).avar
-    sg = MeanSemigroup(model)
-    eig = sg.eigensystem
+    dc = derived_coefficients(model)
+    eig = dc.eigensystem
     if eig is None:
-        return _block_profile(sg.L, avar, f, t)
+        return _block_profile(dc.L, dc.avar, f, t)
     w, v, _ = eig
     weights = _exp_integral(w[:, None, None], (w[:, None] + w[None, :])[None], t)
-    return (v @ np.einsum("mij,mij->m", _mode_terms(eig, avar, f), weights)).real
+    return (v @ np.einsum("mij,mij->m", _mode_terms(eig, dc.avar, f), weights)).real
 
 
 def _limit_gap(
@@ -456,7 +452,7 @@ def _limit_gap(
     """
     f = remove_principal_component(f, sd)
     dc = derived_coefficients(model)
-    eig = MeanSemigroup(model).eigensystem
+    eig = dc.eigensystem
     if eig is None:
         from scipy.linalg import expm
 
@@ -479,11 +475,7 @@ def _limit_gap(
     return (v[:, live] @ np.einsum("mij,mij->m", terms, weights)).real
 
 
-def fluctuation_variance(
-    model: SuperprocessModel,
-    sd: SpectralData,
-    f,
-) -> float:
+def fluctuation_variance(model: SuperprocessModel, sd: SpectralData, f) -> float:
     """sigma_f^2 = int_0^inf <psi0 m, avar (T_s f)^2> ds, the psi0-weight
     of ``_limit_gap`` at t = 0.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 # one BLAS thread, as perfbench runs: on a shared machine OpenBLAS's default
@@ -42,21 +43,27 @@ def force_expm(monkeypatch):
     """A call that forces the matrix-exponential fallback and returns a list
     whose length counts the ``scipy.linalg.expm`` calls made after it, so a
     test can show that a forced branch ran and did not read the eigensystem
-    by another way."""
+    by another way.  The fallback is forced as it arises: every derived
+    record that ``spectral`` reads carries no eigensystem.  The patches go
+    on ``mp``, the test's monkeypatch unless given."""
     import scipy.linalg
 
-    from spcrit.spectral import MeanSemigroup
+    from spcrit import spectral
 
-    def force():
+    def force(mp=monkeypatch):
         calls = []
-        real = scipy.linalg.expm
+        real_expm = scipy.linalg.expm
+        real_record = spectral.derived_coefficients
 
         def expm(*args, **kwargs):
             calls.append(None)
-            return real(*args, **kwargs)
+            return real_expm(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "expm", expm)
-        monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+        mp.setattr(scipy.linalg, "expm", expm)
+        mp.setattr(
+            spectral, "derived_coefficients",
+            lambda model: dataclasses.replace(real_record(model), eigensystem=None),
+        )
         return calls
 
     return force

@@ -2,53 +2,30 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion; ``spcrit verify <model.json>`` prints the same table.
+Both run ``acceptance.CRITERIA``: here each criterion is one test, named
+``test_criterion_<index>_<name>``.
 """
 
 from spcrit import acceptance
 
 
-def _run(criterion_fn, *args, **kwargs):
-    result = criterion_fn(*args, **kwargs)
+def _run(criterion):
+    result = criterion()
     print(result.line())
     assert result.passed, result.line()
     assert result.in_budget, result.line()
-    return result
 
 
-def test_criterion_1_riccati_oracle():
-    _run(acceptance.criterion_1_riccati)
+def _test(criterion):
+    def test():
+        _run(criterion)
+
+    return test
 
 
-def test_criterion_2_kolmogorov_limit():
-    _run(acceptance.criterion_2_kolmogorov)
-
-
-def test_criterion_3_yaglom_transform():
-    _run(acceptance.criterion_3_yaglom)
-
-
-def test_criterion_4_constants():
-    _run(acceptance.criterion_4_constants)
-
-
-def test_criterion_5_variance_limit():
-    _run(acceptance.criterion_5_variance_limit)
-
-
-def test_criterion_6_spectral_expansion():
-    _run(acceptance.criterion_6_expansion)
-
-
-def test_criterion_7_lemma_suite():
-    _run(acceptance.criterion_7_lemma_suite)
-
-
-def test_criterion_8_montecarlo_pipeline():
-    _run(acceptance.criterion_8_montecarlo)
-
-
-def test_criterion_9_determinism():
-    _run(acceptance.criterion_9_determinism)
+for _criterion in acceptance.CRITERIA:
+    _name = _criterion.name.replace("-", "_")
+    globals()[f"test_criterion_{_criterion.index}_{_name}"] = _test(_criterion)
 
 
 def test_criterion_9_runs_without_pythonpath(monkeypatch):
@@ -56,3 +33,13 @@ def test_criterion_9_runs_without_pythonpath(monkeypatch):
     # criterion must find the package without the caller's PYTHONPATH
     monkeypatch.delenv("PYTHONPATH", raising=False)
     _run(acceptance.criterion_9_determinism)
+
+
+def test_criteria_are_every_criterion_once_in_order():
+    # a criterion missing from CRITERIA would run in neither spcrit verify
+    # nor this module
+    defined = [name for name in vars(acceptance) if name.startswith("criterion_")]
+    names = [criterion.__name__ for criterion in acceptance.CRITERIA]
+    assert sorted(names) == sorted(defined)
+    indices = [criterion.index for criterion in acceptance.CRITERIA]
+    assert [int(name.split("_")[1]) for name in names] == indices == list(range(1, 10))

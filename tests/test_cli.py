@@ -151,13 +151,23 @@ def test_psi0_past_the_double_range_names_its_weight(tmp_path, capsys, x):
 ])
 def test_unresolvable_eigenvector_entries_name_the_state(tmp_path, capsys, key, value, x):
     # one rate of 1e200 or more leaves phi0 entries near 1e-200 that the
-    # eigensolver returns as 0, -3e-17 or an overflowing left vector; these
-    # were SpectralErrors (exit 1), some beside RuntimeWarnings
+    # eigensolver returns as 0 or -3e-17, or a law phi0 psi0 m past the double
+    # range (a = 1e200 in state 2: 8.0e-402, 2.0e-401, 1.0 in 900-digit
+    # mpmath); these were SpectralErrors (exit 1), some beside RuntimeWarnings,
+    # and then "psi0[1] = nan" for the law
     code, caught = run_quietly(["spectral", boundary_model(tmp_path, key, value, x)])
     captured = capsys.readouterr()
     assert (code, caught, captured.out) == (2, [], "")
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(("spcrit: phi0[", "spcrit: psi0["))
+    assert "nan" not in captured.err and "inf" not in captured.err
+    if (key, value, x) in {("beta", 1e200, 2), ("beta", 1e308, 1), ("beta", 1e308, 2),
+                           ("a", 1e200, 2)}:
+        assert captured.err == (
+            "spcrit: phi0 psi0 m, the stationary law of the Doob transform, leaves the "
+            f"double range at state {x}\n"
+        )
+    else:
+        assert captured.err.startswith("spcrit: phi0[")
 
 
 def test_spectral_of_a_huge_growth_rate_exits_2_not_critical(tmp_path, capsys):
@@ -588,9 +598,14 @@ _SIMULATE = ["simulate", "--mu", "1,0", "--paths", "10", "--seed", "1", "--f", "
         (_SIMULATE + ["--t", "1", "--dt", "0.3"], "0.3"),
         (_SIMULATE + ["--t", "0.001", "--dt", "0.01"], "0.001"),
         (_SIMULATE + ["--t", "1", "--dt", "0.5"], "0.5"),
+        (["moments", "--f", "1,2,3", "--mu", "1,0", "--t", "1"],
+         "spcrit: field vector must have shape (2,), got (3,)\n"),
+        (["kolmogorov", "--mu", "1", "--t-grid", "1:10:2"],
+         "spcrit: measure vector must have shape (2,), got (1,)\n"),
     ],
     ids=["yaglom-lambda", "yaglom-field", "simulate-no-multiple",
-         "simulate-under-one-step", "simulate-step-guard"],
+         "simulate-under-one-step", "simulate-step-guard", "moments-field-length",
+         "kolmogorov-measure-length"],
 )
 def test_rejected_library_argument_exits_2(m2_path, argv, named, capsys):
     assert main([argv[0], m2_path, *argv[1:]]) == 2

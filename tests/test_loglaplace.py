@@ -817,6 +817,16 @@ def test_adaptive_negative_step_raises(m2, monkeypatch):
         solve_log_laplace(m2, [1.0, 0.0], 1.0)
 
 
+def test_adaptive_step_budget_raises(m1, monkeypatch):
+    from spcrit import loglaplace
+
+    monkeypatch.setattr(loglaplace, "_MAX_STEPS", 3)
+    with pytest.raises(SolverError, match=(
+        r"^adaptive integration used 3 steps and reached only t=0\.00793509 of 1000$"
+    )):
+        solve_log_laplace(m1, [100.0], 1000.0)
+
+
 def _kernel_args(model):
     dc = derived_coefficients(model)
     return model.Q, dc.alpha, dc.quad, dc.jump_y, dc.jump_w

@@ -134,6 +134,8 @@ def test_zero_weight_names_the_entry():
 def test_malformed_json_is_a_parse_error():
     with pytest.raises(ParseError):
         load_model("{not json")
+    with pytest.raises(ParseError, match="^model must be a JSON object, got list$"):
+        load_model(f"[{M2_TEXT}]")
 
 
 def test_unknown_and_missing_keys_rejected():
@@ -498,11 +500,16 @@ def test_non_finite_vectors_rejected(m2):
          r"t_grid\[1\] must be > 2, got 2.0"),
         (lambda m2: check_dual_submarkov(m2, [1.0, math.nan]),
          r"t_grid\[1\] must be finite and > 0, got nan"),
+        (lambda m2: dataclasses.replace(m2, labels=()), "states must be nonempty$"),
+        (lambda m2: dataclasses.replace(m2, labels=("A", "A")),
+         "state labels must be pairwise distinct$"),
+        (lambda m2: as_times(np.ones((2, 2))),
+         r"time must be a scalar or a 1-D grid, got shape \(2, 2\)$"),
     ],
     ids=["m", "Q-off-diagonal", "Q-row-sum", "beta", "b", "size", "measure", "mechanism",
          "initial-field", "yaglom-field", "transform-field", "criticalize-beta",
          "fluctuation-psi-weight", "limit-check-psi-weight", "limit-check-t-grid",
-         "time-grid"],
+         "time-grid", "no-states", "repeated-labels", "time-grid-2d"],
 )
 def test_rejection_is_a_model_error_naming_the_entry(m2, call, named):
     with pytest.raises(ModelError, match=rf"^{named}"):

@@ -56,7 +56,7 @@ def test_semigroup_rejects_negative_time(m2):
         MeanSemigroup(m2).matrix(-0.1)
 
 
-def test_semigroup_property_and_positivity(rng, monkeypatch):
+def test_semigroup_property_and_positivity(rng, monkeypatch, force_expm):
     for _ in range(10):
         model = acceptance.random_model(rng)
         sg = MeanSemigroup(model)
@@ -74,7 +74,7 @@ def test_semigroup_property_and_positivity(rng, monkeypatch):
         for pade in (False, True):
             with monkeypatch.context() as mp:
                 if pade:
-                    mp.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+                    force_expm(mp)
                 stack = sg.matrix(ts)
                 assert stack.shape == (ts.size, model.n_states, model.n_states)
                 np.testing.assert_array_equal(stack[0], np.eye(model.n_states))
@@ -308,6 +308,16 @@ def test_spectral_data_takes_no_exponential(monkeypatch, force_expm):
     sd = spectral_data(model)
     assert expm_calls == []
     assert sd.is_critical and np.all(sd.phi0 > 0) and np.all(sd.psi0 > 0)
+
+
+def test_eigensolver_failure_is_a_spectral_error(monkeypatch):
+    # a fresh model builds its derived record under the failing eigensolver
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(SpectralError, match="^the eigensolver did not converge on L$"):
+        spectral_data(acceptance.model_m2())
 
 
 def fast_row(model, x, scale):
@@ -576,7 +586,7 @@ def test_expansion_bound_holds_on_the_grid(m2, rng):
             assert np.all(dev <= bound * (1 + 1e-9) + floor)
 
 
-def test_expansion_fit_fallback_agrees(m2, rng, monkeypatch):
+def test_expansion_fit_fallback_agrees(m2, rng, force_expm):
     # the deflated-expm route against the eigenmode route
     models = [m2] + [
         acceptance.random_model(rng, n_states=int(rng.integers(2, 5)), critical=True)
@@ -588,8 +598,9 @@ def test_expansion_fit_fallback_agrees(m2, rng, monkeypatch):
         return np.array([fit_expansion_constant(model, sd) for model, sd in cases])
 
     by_modes = fits()
-    monkeypatch.setattr(MeanSemigroup, "eigensystem", property(lambda self: None))
+    expm_calls = force_expm()
     by_expm = fits()
+    assert len(expm_calls) == len(cases)
     assert by_modes[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(by_expm, by_modes, rtol=1e-10)
 
