@@ -114,16 +114,21 @@ _C[11:, 1:] = _WEIGHTS
 _C[:12, 0] = 1.0
 
 
+def _jumps(u, jy, jw):
+    """sum_k w_k (e^{-z y_k} - 1 + z y_k) at z = u, for the rows of u."""
+    z = u[:, :, None] * jy
+    jump = np.negative(z)
+    np.expm1(jump, out=jump)
+    jump += z
+    return np.vecdot(jump, jw)
+
+
 def _rhs_numpy(LT, quad, jy, jw, u, out):
     """L u - quad u^2 - jumps(u) for the rows of u (batch, n), into out."""
     np.dot(u, LT, out=out)
     out -= quad * u * u
     if jy.shape[1]:
-        z = u[:, :, None] * jy
-        jump = np.negative(z)
-        np.expm1(jump, out=jump)
-        jump += z
-        out -= np.vecdot(jump, jw)
+        out -= _jumps(u, jy, jw)
     return out
 
 
@@ -140,11 +145,7 @@ def _rhs_reciprocal(LT, quad, jy, jw, w, out):
     r = 1.0 / w
     np.dot(r, LT, out=out)
     if jy.shape[1]:
-        z = r[:, :, None] * jy
-        jump = np.negative(z)
-        np.expm1(jump, out=jump)
-        jump += z
-        out -= np.vecdot(jump, jw)
+        out -= _jumps(r, jy, jw)
     out *= w
     out *= w
     return np.subtract(quad, out, out=out)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import loglaplace, moments, montecarlo, spectral
 from .loglaplace import LadderError
-from .model import ModelError, as_field, load_model_file
+from .model import ModelError, _read_utf8, as_field, load_model_file
 from .spectral import NotCriticalError
 
 
@@ -35,19 +35,18 @@ def _parse_vector(arg: str) -> np.ndarray:
     if os.path.exists(arg):
         rows = []
         header_allowed = True
-        with open(arg, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(float(line.split(",")[0]))
-                except ValueError:
-                    if not header_allowed:
-                        raise ModelError(
-                            f"{arg}, line {lineno}: not a number: {line!r}"
-                        ) from None
-                header_allowed = False
+        for lineno, line in enumerate(_read_utf8(arg).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append(float(line.split(",")[0]))
+            except ValueError:
+                if not header_allowed:
+                    raise ModelError(
+                        f"{arg}, line {lineno}: not a number: {line!r}"
+                    ) from None
+            header_allowed = False
         return np.array(rows)
     values = []
     for i, text in enumerate(arg.split(",")):
@@ -72,7 +71,7 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_t_grid(arg: str) -> np.ndarray:
-    """a:b:n means n log-spaced points in [a, b]."""
+    """a:b:n means n log-spaced points in [a, b], n at most one solve's steps."""
     try:
         a, b, n = arg.split(":")
         a, b, n = float(a), float(b), int(n)
@@ -81,6 +80,11 @@ def _parse_t_grid(arg: str) -> np.ndarray:
     if not (0 < a <= b < math.inf and n >= 1):
         raise ModelError(
             f"--t-grid needs finite 0 < a <= b and n >= 1, got {arg!r}"
+        )
+    if n > loglaplace._MAX_STEPS:
+        raise ModelError(
+            f"--t-grid asks for n = {n} times, more than the {loglaplace._MAX_STEPS} "
+            f"steps one solve may take"
         )
     return np.geomspace(a, b, n)
 
@@ -206,9 +210,7 @@ def _cmd_simulate(args) -> int:
         n_threads=args.threads,
     )
     ens = montecarlo.simulate_paths(model, mu, cfg)
-    f_tilde = spectral.remove_principal_component(f, sd)
-    v = ens.states_at_t @ sd.phi0 / cfg.t_end
-    z = ens.states_at_t @ f_tilde / math.sqrt(cfg.t_end)
+    v, z = montecarlo.rescaled_functionals(ens.states_at_t, sd, f, cfg.t_end)
 
     def rows() -> Iterator[str]:
         yield "path_id,survived," + ",".join(

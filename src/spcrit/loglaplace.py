@@ -131,14 +131,6 @@ def _local_rate(dc: DerivedCoefficients, u_max: float) -> float:
     return dc.qnorm + float(per_state.max())
 
 
-def _check_negative(min_seen: float, floor: float) -> None:
-    if min_seen < floor:
-        raise SolverError(
-            f"solution went negative (min {min_seen:.3e}); the step is too "
-            f"large for this mechanism; negatives are never clipped silently"
-        )
-
-
 @dataclass(frozen=True)
 class StepMeta:
     """How one solve stepped; every step is one Dormand-Prince 8(5,3) step.
@@ -168,7 +160,6 @@ class LogLaplaceTrajectory:
 
     t_grid: np.ndarray
     u_values: np.ndarray
-    f0: np.ndarray
     step_meta: StepMeta
 
     @property
@@ -279,7 +270,11 @@ def _adaptive(
                 )
             continue
         u = block[0]
-        _check_negative(float(u.min()), floor)
+        if u.min() < floor:
+            raise SolverError(
+                f"solution went negative (min {u.min():.3e}); the step is too "
+                f"large for this mechanism; negatives are never clipped silently"
+            )
         times.append(stop if lands else t + h)
         values.append(u)
         worst = max(worst, rel)
@@ -323,7 +318,7 @@ def solve_log_laplace(
 
     _check_mean_domination(model, t_grid, u_values, f0)
     return LogLaplaceTrajectory(
-        t_grid=t_grid, u_values=u_values, f0=f0, step_meta=sol.meta
+        t_grid=t_grid, u_values=u_values, step_meta=sol.meta
     )
 
 
@@ -334,8 +329,6 @@ def _check_mean_domination(model, t_grid, u_values, f0) -> None:
     evaluated as one semigroup stack; an error names the first offending
     time.
     """
-    if not np.any(f0 > 0):
-        return
     kbound = derived_coefficients(model).kbound
     idx = np.unique(np.linspace(0, len(t_grid) - 1, 33).astype(int))
     t = np.asarray(t_grid, dtype=float)[idx]
@@ -483,8 +476,6 @@ def yaglom_transform(
     t = as_time(t, positive=True)
     target = 1.0 / (1.0 + nu_constant(model, sd) * lam * sd.psi_weight(f))
     p = survival_probability(model, mu, t)
-    if lam == 0.0:
-        return YaglomResult(1.0, target, p, lam, t)
     traj = solve_log_laplace(model, lam * f / t, t)
     value = 1.0 - (-math.expm1(-pairing(traj.final, mu))) / p
     return YaglomResult(value, target, p, lam, t)

@@ -35,7 +35,7 @@ class ModelError(ValueError):
 
 
 class ParseError(ModelError):
-    """Model text is not valid JSON or not the expected shape."""
+    """Input text is not UTF-8, not valid JSON or not the expected shape."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -229,13 +229,13 @@ def validate_model(model: SuperprocessModel) -> SuperprocessModel:
 # ---------------------------------------------------------------------------
 # field / measure vectors
 
-def _as_vector(model: SuperprocessModel, values, kind: str) -> np.ndarray:
-    """Coerce to a finite vector of the right length, a ``kind`` vector in
+def _as_vector(n_states: int, values, kind: str) -> np.ndarray:
+    """Coerce to a finite vector of n_states entries, a ``kind`` vector in
     the error."""
     v = np.asarray(values, dtype=float)
-    if v.shape != (model.n_states,):
+    if v.shape != (n_states,):
         raise ModelError(
-            f"{kind} vector must have shape ({model.n_states},), got {v.shape}"
+            f"{kind} vector must have shape ({n_states},), got {v.shape}"
         )
     _require_finite("vector entry ", v)
     return v
@@ -243,12 +243,12 @@ def _as_vector(model: SuperprocessModel, values, kind: str) -> np.ndarray:
 
 def as_field(model: SuperprocessModel, values) -> np.ndarray:
     """Coerce to a finite function-on-states vector of the right length."""
-    return _as_vector(model, values, "field")
+    return _as_vector(model.n_states, values, "field")
 
 
 def as_measure(model: SuperprocessModel, values, allow_zero: bool = False) -> np.ndarray:
     """Coerce to a finite-measure vector: nonnegative, nonzero by default."""
-    mu = _as_vector(model, values, "measure")
+    mu = _as_vector(model.n_states, values, "measure")
     _require("measure entry mu", mu, mu >= 0, ">= 0")
     if not allow_zero and not np.any(mu > 0):
         raise ModelError("measure must have positive total mass")
@@ -369,9 +369,17 @@ def load_model(text: str) -> SuperprocessModel:
     return validate_model(model)
 
 
-def load_model_file(path) -> SuperprocessModel:
+def _read_utf8(path) -> str:
+    """The text of a file; bytes that are not UTF-8 are a ParseError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def load_model_file(path) -> SuperprocessModel:
+    return load_model(_read_utf8(path))
 
 
 def dump_model(model: SuperprocessModel) -> str:

@@ -60,7 +60,7 @@ def first_moment(model: SuperprocessModel, f, t: float, mu) -> float:
     f = as_field(model, f)
     mu = as_measure(model, mu, allow_zero=True)
     t = as_time(t)
-    return _in_range("mean", t, lambda: pairing(MeanSemigroup(model).apply(t, f), mu))
+    return _in_range("mean", t, lambda: pairing(MeanSemigroup(model).matrix(t) @ f, mu))
 
 
 def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> float:
@@ -75,7 +75,7 @@ def variance(model: SuperprocessModel, f, t: float, mu, rtol: float = 1e-8) -> f
     val = _in_range("variance", t, lambda: pairing(_variance_profile(model, f, t), mu))
 
     kbound = derived_coefficients(model).kbound
-    if kbound * t < 700.0 and np.any(f != 0):
+    if kbound * t < 700.0:
         cap = math.exp(kbound * t) * first_moment(model, f * f, t, mu)
         if val > cap * (1.0 + 1e-9) + 1e-12:
             raise QuadratureError(
@@ -142,17 +142,6 @@ class VarianceDecayError(RuntimeError):
     """A deviation was not finite or decayed slower than the gap predicts."""
 
 
-def _stable_deviation(
-    model: SuperprocessModel,
-    sd: SpectralData,
-    f: np.ndarray,
-    t: float,
-) -> float:
-    """max_x |Var - sigma^2 phi0| / phi0 from the cancellation-free
-    ``_limit_gap``."""
-    return float(np.abs(_limit_gap(model, sd, f, t) / sd.phi0).max())
-
-
 def variance_limit_check(
     model: SuperprocessModel,
     sd: SpectralData,
@@ -183,7 +172,7 @@ def variance_limit_check(
         profile = _variance_profile(model, f, float(t))
         limit_profile = sigma_sq * sd.phi0
         raw = float(np.abs((profile - limit_profile) / sd.phi0).max())
-        stable = _stable_deviation(model, sd, f, float(t))
+        stable = float(np.abs(_limit_gap(model, sd, f, float(t)) / sd.phi0).max())
         if not math.isfinite(stable):
             raise VarianceDecayError(f"the deviation at t = {t} is not finite: {stable}")
         rows.append(VarianceLimitRow(float(t), profile, limit_profile, raw, stable))

@@ -56,6 +56,7 @@ import numpy as np
 from .model import (
     ModelError,
     SuperprocessModel,
+    _as_vector,
     _require,
     _require_finite,
     as_measure,
@@ -126,8 +127,7 @@ class SimConfig:
             raise SimulationConfigError(
                 f"t_end / dt must be finite, got {self.t_end} / {self.dt}"
             )
-        n = round(self.t_end / self.dt)
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise SimulationConfigError(f"t_end {self.t_end} is no multiple of dt {self.dt}")
 
     @property
@@ -343,6 +343,15 @@ class ConditionalSamples:
         return float((self.z ** 2).mean())
 
 
+def rescaled_functionals(
+    states: np.ndarray, sd: SpectralData, f: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """V = <phi0, X> / t and Z = <f~, X> / sqrt(t) for each row X of
+    ``states``, where f~ is f with its principal component removed."""
+    f_tilde = remove_principal_component(f, sd)
+    return states @ sd.phi0 / t, states @ f_tilde / math.sqrt(t)
+
+
 def conditional_statistics(
     ensemble: PathEnsemble,
     sd: SpectralData,
@@ -353,21 +362,17 @@ def conditional_statistics(
     f must be a finite vector with one entry per state; the error names
     a wrong shape or the first non-finite entry, as ``as_field`` does.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != sd.m.shape:
-        raise ModelError(f"field vector must have shape {sd.m.shape}, got {f.shape}")
-    _require_finite("vector entry ", f)
+    f = _as_vector(sd.m.size, f, "field")
     if ensemble.n_paths == 0:
         raise SimulationError("empty ensemble")
     n_surv = int(ensemble.survived.sum())
     if n_surv == 0:
         raise SimulationError("no surviving paths; increase n_paths or lower t")
-    f_tilde = remove_principal_component(f, sd)
     X = ensemble.states_at_t[ensemble.survived]
-    t = ensemble.t_end
+    v, z = rescaled_functionals(X, sd, f, ensemble.t_end)
     return ConditionalSamples(
-        v=X @ sd.phi0 / t,
-        z=X @ f_tilde / math.sqrt(t),
+        v=v,
+        z=z,
         n_survivors=n_surv,
         n_paths=ensemble.n_paths,
     )

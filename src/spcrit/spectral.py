@@ -55,12 +55,13 @@ class NotCriticalError(ValueError):
 
 
 class MeanSemigroup:
-    """Action of exp(t*L) at one time or on a whole grid of times.
+    """exp(t*L) at one time or on a whole grid of times.
 
     Uses the eigendecomposition of L unless L is near defective, then
     scaling-and-squaring (scipy's order-13 Pade).  A 1-D array of k times
-    is evaluated in one array expression as a (k, n, n) stack, so callers
-    that need many times take one stack instead of looping.  L and its
+    is evaluated in one array expression as a (k, n, n) stack.  Callers
+    apply the matrix themselves: ``matrix(t) @ f`` is the action on a field
+    and ``matrix(t) / m`` the kernel with respect to m.  L and its
     eigensystem come from the model's derived record, so building one
     costs nothing.
     """
@@ -86,19 +87,6 @@ class MeanSemigroup:
             out = expm(ts * dc.L)
         out[t == 0] = np.eye(self.model.n_states)
         return out
-
-    def apply(self, t, f: np.ndarray) -> np.ndarray:
-        return self.matrix(t) @ f
-
-    def dual_apply(self, t, g: np.ndarray) -> np.ndarray:
-        """Adjoint action in the m-weighted inner product."""
-        m = self.model.m
-        return (np.swapaxes(self.matrix(t), -1, -2) @ (g * m)) / m
-
-    def density(self, t) -> np.ndarray:
-        """Kernel q(t,x,y) of the semigroup with respect to m."""
-        as_times(t, positive=True)
-        return self.matrix(t) / self.model.m
 
 
 @dataclass(frozen=True, eq=False)

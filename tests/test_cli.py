@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import spcrit
 from spcrit import acceptance, montecarlo
-from spcrit.cli import _parse_vector, main
+from spcrit.cli import _parse_t_grid, _parse_vector, main
 from spcrit.model import ModelError, derived_coefficients, dump_model
 from spcrit.montecarlo import PathEnsemble, SimConfig, simulate_paths
 from spcrit.spectral import remove_principal_component, spectral_data
@@ -614,6 +614,27 @@ def test_rejected_library_argument_exits_2(m2_path, argv, named, capsys):
 
 def test_missing_file_is_a_runtime_error(tmp_path):
     assert main(["spectral", str(tmp_path / "absent.json")]) == 1
+
+
+@pytest.mark.parametrize("which", ["model", "--mu", "--f"])
+def test_a_file_that_is_not_utf8_is_named(m2_path, tmp_path, capsys, which):
+    # it printed "spcrit: UnicodeDecodeError: ..." and exited 1
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff")
+    argv = {"model": m2_path, "--f": "1,1", "--mu": "1,0", which: str(bad)}
+    args = ["moments", argv.pop("model"), *(x for kv in argv.items() for x in kv), "--t", "1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spcrit: {bad} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+def test_t_grid_past_the_step_budget_is_refused():
+    # every distinct time costs the solver at least one step, so a grid of
+    # more times than one solve's steps cannot finish; it was allocated
+    with pytest.raises(ModelError, match=r"^--t-grid asks for n = 1000001 times"):
+        _parse_t_grid("1:2:1000001")
+    assert _parse_t_grid("1:2:1000000").size == 1_000_000
 
 
 @pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])

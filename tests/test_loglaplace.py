@@ -87,7 +87,7 @@ def _deficit_integrand(model, f0, t: float, taus: np.ndarray) -> np.ndarray:
     sg = MeanSemigroup(model)
     finals = [np.maximum(solve_log_laplace(model, f0, tau).final, 0.0) for tau in taus]
     return np.stack(
-        [sg.apply(t - tau, remainder_field(model, u)) for tau, u in zip(taus, finals)],
+        [sg.matrix(t - tau) @ remainder_field(model, u) for tau, u in zip(taus, finals)],
         axis=-1,
     )
 
@@ -101,7 +101,7 @@ def remainder_identity(model, f0, t: float) -> tuple[np.ndarray, np.ndarray]:
     is its own solve, so no rule depends on where the solver steps.  The
     two sides agree up to quadrature and solver error.
     """
-    direct = MeanSemigroup(model).apply(t, f0) - solve_log_laplace(model, f0, t).final
+    direct = MeanSemigroup(model).matrix(t) @ f0 - solve_log_laplace(model, f0, t).final
     x, w = np.polynomial.legendre.leggauss(_DEFICIT_NODES)
     vals = _deficit_integrand(model, f0, t, 0.5 * t * (x + 1.0))
     return direct, 0.5 * t * (vals @ w)
@@ -251,7 +251,6 @@ _TIME_ENTRY_POINTS = {
         m, sd, [1.0, -1.0], [5.0, t]
     ),
     "matrix": lambda m, sd, t: MeanSemigroup(m).matrix(t),
-    "density": lambda m, sd, t: MeanSemigroup(m).density(t),
     "check_dual_submarkov": lambda m, sd, t: check_dual_submarkov(m, [1.0, t]),
     "fit_expansion_constant": lambda m, sd, t: fit_expansion_constant(
         m, sd, t_grid=[1.0, t]
@@ -332,7 +331,7 @@ def test_solution_dominated_by_mean(m2, rng):
         traj = solve_log_laplace(m2, f0, 2.0)
         for k in range(0, len(traj.t_grid), max(1, len(traj.t_grid) // 8)):
             t = traj.t_grid[k]
-            mean = sg.apply(float(t), f0)
+            mean = sg.matrix(float(t)) @ f0
             assert np.all(traj.u_values[k] <= mean + 1e-8)
             assert np.all(traj.u_values[k] >= -1e-12)
 
@@ -341,9 +340,9 @@ def test_mean_domination_check_names_first_offending_time(m2):
     f0 = np.array([1.0, 0.5])
     t_grid = np.linspace(0.0, 2.0, 33)
     sg = MeanSemigroup(m2)
-    mean = sg.apply(t_grid, f0)
-    bound = np.exp(derived_coefficients(m2).kbound * t_grid)[:, None] * sg.apply(
-        t_grid, f0 * f0
+    mean = sg.matrix(t_grid) @ f0
+    bound = np.exp(derived_coefficients(m2).kbound * t_grid)[:, None] * (
+        sg.matrix(t_grid) @ (f0 * f0)
     )
     _check_mean_domination(m2, t_grid, mean, f0)  # gap 0 passes both checks
 
@@ -390,7 +389,7 @@ def test_mass_deficit_identity(m2, rng):
         assert np.all(np.abs(direct - integral) <= 1e-6 * scale)
         # deficit bounds: between 0 and e^{Kt} T_t(f0^2)
         kb = derived_coefficients(model).kbound
-        cap = math.exp(kb * 1.5) * MeanSemigroup(model).apply(1.5, f0 * f0)
+        cap = math.exp(kb * 1.5) * (MeanSemigroup(model).matrix(1.5) @ (f0 * f0))
         assert np.all(direct >= -1e-9)
         assert np.all(direct <= cap + 1e-9)
 

@@ -65,7 +65,7 @@ def test_semigroup_property_and_positivity(rng, monkeypatch, force_expm):
             sg.matrix(s) @ sg.matrix(t), sg.matrix(s + t), atol=1e-10, rtol=1e-10
         )
         f = rng.uniform(0.0, 2.0, model.n_states)
-        assert np.all(sg.apply(t, f) >= -1e-14)
+        assert np.all(sg.matrix(t) @ f >= -1e-14)
 
         # a time grid gives the stack of per-time matrices, through the
         # eigenbasis and through the Pade fallback alike
@@ -82,9 +82,6 @@ def test_semigroup_property_and_positivity(rng, monkeypatch, force_expm):
                     np.testing.assert_allclose(
                         stack[k], sg.matrix(tk), rtol=1e-13, atol=1e-15
                     )
-                np.testing.assert_allclose(
-                    sg.apply(ts, f), stack @ f, rtol=1e-13, atol=1e-15
-                )
                 stacks.append(stack)
         np.testing.assert_allclose(stacks[0], stacks[1], rtol=1e-10, atol=1e-12)
         with pytest.raises(ValueError, match="-0.5"):
@@ -94,27 +91,32 @@ def test_semigroup_property_and_positivity(rng, monkeypatch, force_expm):
 
 
 def test_duality_in_the_weighted_inner_product(rng):
+    # the semigroup of the m-adjoint generator diag(1/m) L^T diag(m) is the
+    # adjoint of exp(t L) in the m-weighted inner product
+    import scipy.linalg as sla
+
     for _ in range(10):
         model = acceptance.random_model(rng)
-        sg = MeanSemigroup(model)
+        m = model.m
         t = float(rng.uniform(0.1, 4.0))
         f = rng.normal(size=model.n_states)
         g = rng.normal(size=model.n_states)
-        lhs = m_inner(sg.apply(t, f), g, model.m)
-        rhs = m_inner(f, sg.dual_apply(t, g), model.m)
+        dual = sla.expm(t * (derived_coefficients(model).L.T * m) / m[:, None])
+        lhs = m_inner(MeanSemigroup(model).matrix(t) @ f, g, m)
+        rhs = m_inner(f, dual @ g, m)
         assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# density
+# kernel with respect to m, matrix(t) / m
 
 def test_density_m1(m1):
-    np.testing.assert_allclose(MeanSemigroup(m1).density(1.0), [[1.0]])
+    np.testing.assert_allclose(MeanSemigroup(m1).matrix(1.0) / m1.m, [[1.0]])
 
 
 def test_density_two_state_heat_kernel(m2):
     # closed form for the symmetric flip: (1 +/- e^{-2t})/2
-    q = MeanSemigroup(m2).density(1.0)
+    q = MeanSemigroup(m2).matrix(1.0) / m2.m
     assert q[0, 0] == pytest.approx((1 + math.exp(-2)) / 2, rel=1e-12)
     assert q[0, 1] == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
 
@@ -127,14 +129,9 @@ def test_density_comparability(m2, rng):
         kb = derived_coefficients(model).kbound
         ts = np.array([0.1, 1.0, 5.0])
         for t, p in zip(ts, sla.expm(ts[:, None, None] * model.Q) / model.m):
-            q = MeanSemigroup(model).density(t)
+            q = MeanSemigroup(model).matrix(t) / model.m
             assert np.all(q >= math.exp(-kb * t) * p - 1e-12)
             assert np.all(q <= math.exp(kb * t) * p + 1e-12)
-
-
-def test_density_rejects_nonpositive_time(m2):
-    with pytest.raises(ValueError):
-        MeanSemigroup(m2).density(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +171,13 @@ def test_normalizations_on_random_models(rng):
         assert m_inner(sd.phi0, sd.phi0, model.m) == pytest.approx(1.0, abs=1e-12)
         assert m_inner(sd.phi0, sd.psi0, model.m) == pytest.approx(1.0, abs=1e-12)
         assert np.all(sd.phi0 > 0) and np.all(sd.psi0 > 0)
-        sg = MeanSemigroup(model)
+        mat = MeanSemigroup(model).matrix(1.0)
         np.testing.assert_allclose(
-            sg.apply(1.0, sd.phi0), math.exp(sd.lambda0) * sd.phi0, rtol=1e-10
+            mat @ sd.phi0, math.exp(sd.lambda0) * sd.phi0, rtol=1e-10
         )
         np.testing.assert_allclose(
-            sg.dual_apply(1.0, sd.psi0), math.exp(sd.lambda0) * sd.psi0, rtol=1e-10
+            mat.T @ (sd.psi0 * model.m) / model.m, math.exp(sd.lambda0) * sd.psi0,
+            rtol=1e-10,
         )
 
 
@@ -581,7 +579,7 @@ def test_expansion_bound_holds_on_the_grid(m2, rng):
         # bound near t = 10.4 falls inside it
         floor = 1e-13 * rank_one.max()
         for t in grid:
-            dev = np.abs(sg.density(t) * math.exp(-sd.lambda0 * t) - rank_one)
+            dev = np.abs(sg.matrix(t) / model.m * math.exp(-sd.lambda0 * t) - rank_one)
             bound = c * math.exp(-sd.gamma * t) * rank_one
             assert np.all(dev <= bound * (1 + 1e-9) + floor)
 
@@ -618,7 +616,7 @@ def test_mean_convergence_bound(rng):
         weight = m_inner(f, sd.psi0, model.m)
         abs_weight = m_inner(np.abs(f), sd.psi0, model.m)
         for t in (1.0, 3.0, 10.0):
-            dev = np.abs(sg.apply(t, f) - weight * sd.phi0)
+            dev = np.abs(sg.matrix(t) @ f - weight * sd.phi0)
             bound = c * math.exp(-sd.gamma * t) * abs_weight * sd.phi0
             assert np.all(dev <= bound * (1 + 1e-6) + 1e-12)
 
