@@ -1,28 +1,39 @@
-"""Right-hand side and one-step kernels for the nonlinear mass evolution.
+"""Right-hand side and one-step kernel for the nonlinear mass evolution.
 
 The right-hand side is du/dt = L u - Psi_nl(., u), with L = Q + diag(beta*a)
 the mean-semigroup generator and the nonlinear part of the mechanism
 expanded: quadratic part beta*b*u^2 and one exponential term per jump atom,
 expm1(-z) + z.  Scaled by the step, its absolute error of about 1e-16*z
 stays far below the rounding of u, so the small-z series of
-``loglaplace._remainder`` is not needed here.  The generator
-arrives transposed, as L^T, so a batch of rows u is one product u @ L^T.
-Jump atoms arrive padded to a rectangular (n_states, k_max) pair of arrays
-with zero weights as filler; the weight array already carries the beta
-factor.  ``_rhs_reciprocal`` is the same equation for w = 1/u, which the
-extinction limit integrates from w = 0.  Both write into a caller's array.
-
-The adaptive solver advances by ``dop853_step``, one Dormand-Prince
-8(5,3) step.  ``rk4_evolve`` is the solver's former classical RK4 step;
-no library path calls it, and it stays only because the benchmark in
-perfbench/ traces it by name.
+``loglaplace._remainder`` is not needed here.  ``_rhs_reciprocal`` is the
+same equation for w = 1/u, which the extinction limit integrates from
+w = 0.
 
 The arrays are a few states wide, so a step costs its numpy calls, not
-its arithmetic.  The step keeps u and its 12 slopes as the rows of one
-workspace, so each stage is one vector-matrix product over the flattened
-batch followed by one right-hand side written into the workspace, and
-the step end and both error estimates are one more product.  Everything
-is plain numpy and deterministic.
+its arithmetic.  A solve therefore lays its batch out state-major, as
+(n, batch), and evaluates the right-hand side at a stage s as one matrix
+product M S over the stacked stage S = [s; E; q]:
+
+- E holds the compensated jump term e^{-z} - 1 + z of each atom at
+  z = y s of its state, formed from -z = -Y s as expm1(-z) - (-z);
+- q = (beta*b*s)*s, so the quadratic term is never s*s, which would
+  overflow where beta*b*s*s does not;
+- M = [L | -W | -I], where W puts each atom's weight, times beta, on its
+  state.  ``stage_matrices`` builds M and -Y, once per model.
+
+A stage is then two products and two multiplies, three calls more with
+jumps.  The reciprocal route takes the leading block [L | -W] on
+[1/w; E(1/w)].  ``Workspace`` holds S, the step start u and its 12
+slopes, allocated once per solve; ``dop853_step`` advances it by one
+Dormand-Prince 8(5,3) step, whose stages each write one slope in place,
+and the step end and both error estimates are one more product.  On 2
+shared x86 cores with one BLAS thread a step takes about 31 us on the
+one-state model m1, 25 us on the two-state m2 and 51 us on the one-atom
+jump model m3, against 47, 42 and 104 us with a separate product,
+quadratic term and jump sum per stage.  Everything is plain numpy and
+deterministic.  ``rk4_evolve`` is a classical RK4 step on the same
+right-hand side; no library path calls it, and it stays only because the
+benchmark in perfbench/ traces it by name.
 """
 
 from __future__ import annotations
@@ -114,65 +125,131 @@ _C[11:, 1:] = _WEIGHTS
 _C[:12, 0] = 1.0
 
 
-def _jumps(u, jy, jw):
-    """sum_k w_k (e^{-z y_k} - 1 + z y_k) at z = u, for the rows of u."""
-    z = u[:, :, None] * jy
-    jump = np.negative(z)
-    np.expm1(jump, out=jump)
-    jump += z
-    return np.vecdot(jump, jw)
+def stage_matrices(L, jump_y, jump_w):
+    """M = [L | -W | -I] and -Y over the atoms of nonzero weight.
+
+    ``jump_y`` and ``jump_w`` are the padded (n, k_max) atom sizes and
+    weights (times beta), with zero weights as filler.  W (n, atoms) puts
+    each atom's weight on its state, and -Y (atoms, n) its size, negated,
+    so -Y s is -z at every atom.  A zero-weight atom adds nothing and is
+    left out, so its term cannot be inf * 0.
+    """
+    n = L.shape[0]
+    state, slot = np.nonzero(jump_w)
+    atom = np.arange(state.size)
+    W = np.zeros((n, state.size))
+    W[state, atom] = jump_w[state, slot]
+    neg_y = np.zeros((state.size, n))
+    neg_y[atom, state] = -jump_y[state, slot]
+    return np.hstack((L, -W, -np.eye(n))), neg_y
 
 
-def _rhs_numpy(LT, quad, jy, jw, u, out):
-    """L u - quad u^2 - jumps(u) for the rows of u (batch, n), into out."""
-    np.dot(u, LT, out=out)
-    out -= quad * u * u
-    if jy.shape[1]:
-        out -= _jumps(u, jy, jw)
-    return out
+class Workspace:
+    """The arrays one solve steps in, built once per solve.
+
+    ``K`` (13, n*batch) holds the step start u and its 12 slopes, each
+    state-major, with ``slopes`` their (n, batch) views.  ``S`` is the
+    stacked stage [s; E; q], and the right-hand side is the product of
+    ``M`` and ``operand``: all of M and S on the u route, their leading
+    blocks [L | -W] and [s; E] on the reciprocal route.  A stage value is
+    written into ``stage``: s itself on the u route, and a separate w on
+    the reciprocal route, whose right-hand side puts 1/w into s.
+    """
+
+    def __init__(self, M, neg_y, quad, batch, reciprocal=False):
+        n, n_atoms = M.shape[0], neg_y.shape[0]
+        self.reciprocal = reciprocal
+        self.neg_y = neg_y if n_atoms else None
+        self.quad = quad[:, None]
+        self.K = np.zeros((13, n * batch))
+        self.slopes = list(self.K.reshape(13, n, batch))
+        self.S = np.zeros((2 * n + n_atoms, batch))
+        self.s, self.E, self.q = self.S[:n], self.S[n:-n], self.S[-n:]
+        self.z = np.zeros_like(self.E)
+        if reciprocal:
+            self.M, self.operand = M[:, : n + n_atoms], self.S[: n + n_atoms]
+            self.stage = np.zeros((n, batch))
+        else:
+            self.M, self.operand = M, self.S
+            self.stage = self.s
+        self.stage_flat = self.stage.reshape(-1)
+        # the scaled tableau, and per stage its row, the rows of K it
+        # combines and the slope it writes
+        self.c = np.empty_like(_C)
+        self.stages = [
+            (self.c[i - 1, : i + 1], self.K[: i + 1], self.slopes[i + 1])
+            for i in range(1, 12)
+        ]
 
 
-def _rhs_reciprocal(LT, quad, jy, jw, w, out):
+def _jump_terms(ws):
+    """E = e^{-z} - 1 + z at z = y s, one row per atom, via -z in ws.z."""
+    np.dot(ws.neg_y, ws.s, out=ws.z)
+    np.expm1(ws.z, out=ws.E)
+    ws.E -= ws.z
+
+
+def _rhs(ws, out):
+    """L s - W E(s) - (beta*b*s)*s at the stage s, as one product M S."""
+    s = ws.s
+    if ws.neg_y is not None:
+        _jump_terms(ws)
+    np.multiply(ws.quad, s, out=ws.q)
+    ws.q *= s
+    return np.dot(ws.M, ws.operand, out=out)
+
+
+def _rhs_reciprocal(ws, out):
     """Right-hand side of w = 1/u, statewise: w' = -w^2 F(1/w) at w > 0.
 
-    Expanded, beta*b - w^2 (L(1/w) - sum_k w_k (e^{-y_k/w} - 1 + y_k/w)):
-    the quadratic term is the constant beta*b.  It is evaluated in place
-    in ``out``.  At w = 0 the value is beta*b, which the caller passes as
-    the first slope; w = 0 is never evaluated here.  At large w the jump
-    term's rounding, about 1e-16 w y_k w_k in w', adds up to 1e-16 y_k w_k
-    t relative by time t.
+    Expanded, beta*b - w^2 (L(1/w) - W E(1/w)): the quadratic term is the
+    constant beta*b, and the rest is the product [L | -W] [1/w; E(1/w)].
+    At w = 0 the value is beta*b, which the caller passes as the first
+    slope; w = 0 is never evaluated here.  At large w the jump term's
+    rounding, about 1e-16 w y_k w_k in w', adds up to 1e-16 y_k w_k t
+    relative by time t.
     """
-    r = 1.0 / w
-    np.dot(r, LT, out=out)
-    if jy.shape[1]:
-        out -= _jumps(r, jy, jw)
+    w = ws.stage
+    np.divide(1.0, w, out=ws.s)
+    if ws.neg_y is not None:
+        _jump_terms(ws)
+    np.dot(ws.M, ws.operand, out=out)
     out *= w
     out *= w
-    return np.subtract(quad, out, out=out)
+    return np.subtract(ws.quad, out, out=out)
 
 
-def dop853_step(LT, quad, jy, jw, u, k1, h, rhs=_rhs_numpy):
-    """One Dormand-Prince 8(5,3) step of size h from u (batch, n).
+def start_step(ws, u, k1=None):
+    """Take u (n, batch) as the next step's start, with first slope k1.
 
-    ``k1`` is the right-hand side at u, which the caller carries over from
-    the previous step's end.  The 11 further stages cost one product and
-    one call of the right-hand side ``rhs`` each, written into the
-    workspace row of its slope.  Returns one (3, batch, n) block: the step
-    end, then the 5th- and 3rd-order error estimates, both already scaled
-    by h.
+    Without ``k1`` the slope is the right-hand side at u, written in place.
     """
-    K = np.empty((13, u.size))
-    rows = K.reshape((13,) + u.shape)
-    rows[0] = u
-    rows[1] = k1
-    c = h * _C
+    np.copyto(ws.slopes[0], u)
+    if k1 is not None:
+        np.copyto(ws.slopes[1], k1)
+        return
+    np.copyto(ws.stage, u)
+    (_rhs_reciprocal if ws.reciprocal else _rhs)(ws, ws.slopes[1])
+
+
+def dop853_step(ws, h):
+    """One Dormand-Prince 8(5,3) step of size h from the workspace's start.
+
+    The start and its slope are in place (``start_step``).  The 11 further
+    stages cost one product for the stage value and one call of the
+    right-hand side each, written into the slope's row of ``ws.K``.
+    Returns one (3, n, batch) block: the step end, then the 5th- and
+    3rd-order error estimates, both already scaled by h.
+    """
+    c = ws.c
+    np.multiply(_C, h, out=c)
     c[:, 0] = _C[:, 0]
-    stage = np.empty_like(u)
-    flat_stage = stage.reshape(-1)
-    for i in range(1, 12):
-        np.dot(c[i - 1, : i + 1], K[: i + 1], out=flat_stage)
-        rhs(LT, quad, jy, jw, stage, rows[i + 1])
-    return np.dot(c[11:], K).reshape((3,) + u.shape)
+    rhs = _rhs_reciprocal if ws.reciprocal else _rhs
+    stage = ws.stage_flat
+    for row, K, slope in ws.stages:
+        np.dot(row, K, out=stage)
+        rhs(ws, slope)
+    return np.dot(c[11:], ws.K).reshape((3,) + ws.stage.shape)
 
 
 def rk4_evolve(Q, lin, quad, jy, jw, u, h, n_steps):
@@ -182,16 +259,28 @@ def rk4_evolve(Q, lin, quad, jy, jw, u, h, n_steps):
     path calls this; perfbench traces it and reads ``n_steps`` as the 8th
     argument of each call, so it keeps its name and signature.
     """
-    LT = (Q + np.diag(lin)).T
+    ws = Workspace(*stage_matrices(Q + np.diag(lin), jy, jw), quad, u.shape[0])
+    h = np.asarray(h, dtype=float).T
     half = 0.5 * h
     sixth = h / 6.0
+    x = u.T.copy()
+    s = ws.s
+    k1, k2, k3, k4 = ws.slopes[1:5]
     for _ in range(int(n_steps)):
-        k1 = _rhs_numpy(LT, quad, jy, jw, u, np.empty_like(u))
-        k2 = _rhs_numpy(LT, quad, jy, jw, u + half * k1, np.empty_like(u))
-        k3 = _rhs_numpy(LT, quad, jy, jw, u + half * k2, np.empty_like(u))
-        k4 = _rhs_numpy(LT, quad, jy, jw, u + h * k3, np.empty_like(u))
+        np.copyto(s, x)
+        _rhs(ws, k1)
+        np.multiply(half, k1, out=s)
+        s += x
+        _rhs(ws, k2)
+        np.multiply(half, k2, out=s)
+        s += x
+        _rhs(ws, k3)
+        np.multiply(h, k3, out=s)
+        s += x
+        _rhs(ws, k4)
         k2 += k3
         k2 *= 2.0
         k2 += k1 + k4
         k2 *= sixth
-        u += k2
+        x += k2
+    u[...] = x.T

@@ -29,34 +29,42 @@ def _fmt(x) -> str:
 def _parse_vector(arg: str) -> np.ndarray:
     """Inline comma-separated values, or a path to a one-column CSV.
 
-    Only the first non-empty line of the file may be non-numeric (a
-    header); any later such line is an error naming the file and line.
+    An argument whose comma-separated parts all parse as numbers is
+    inline, even where a file of that name exists; any other argument
+    naming an existing file is read as the CSV.
     """
-    if os.path.exists(arg):
-        rows = []
-        header_allowed = True
-        for lineno, line in enumerate(_read_utf8(arg).split("\n"), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(float(line.split(",")[0]))
-            except ValueError:
-                if not header_allowed:
-                    raise ModelError(
-                        f"{arg}, line {lineno}: not a number: {line!r}"
-                    ) from None
-            header_allowed = False
-        return np.array(rows)
     values = []
     for i, text in enumerate(arg.split(",")):
         try:
             values.append(float(text))
         except ValueError:
+            if os.path.exists(arg):
+                return _read_vector_file(arg)
             raise ModelError(
                 f"inline vector entry [{i}] is not a number: {text!r}"
             ) from None
     return np.array(values)
+
+
+def _read_vector_file(path: str) -> np.ndarray:
+    """The first column of a CSV file.  Only its first non-empty line may
+    be non-numeric (a header); any later such line is an error naming the
+    file and line."""
+    rows = []
+    header_allowed = True
+    for lineno, line in enumerate(_read_utf8(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append(float(line.split(",")[0]))
+        except ValueError:
+            if not header_allowed:
+                raise ModelError(
+                    f"{path}, line {lineno}: not a number: {line!r}"
+                ) from None
+        header_allowed = False
+    return np.array(rows)
 
 
 def _finite_float(text: str) -> float:

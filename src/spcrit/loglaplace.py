@@ -202,16 +202,15 @@ def _adaptive(
     model: SuperprocessModel,
     f0_batch: np.ndarray,
     stops,
-    rhs=None,
-    k1: np.ndarray | None = None,
+    reciprocal: bool = False,
 ) -> _BatchSolution:
     """Dormand-Prince 8(5,3) over [0, T] (Hairer, Norsett & Wanner, §II.10).
 
     Steps are clipped to land on each time of the ascending grid ``stops``
-    (ending at T), so one run answers the whole grid.  ``rhs`` is the
-    kernel's right-hand side, ``_kernels._rhs_numpy`` when None (looked up
-    at call time); ``k1`` is its value at ``f0_batch`` when the caller
-    knows it, else one call computes it.
+    (ending at T), so one run answers the whole grid.  The batch ``f0_batch``
+    is (batch, n) and so are the returned values; the steps run on one
+    ``_kernels.Workspace``, state-major.  With ``reciprocal`` the batch is
+    w = 1/u and starts from w = 0, where its slope is beta*b.
 
     The first step is _FIRST_STEP over the local Lipschitz bound of the
     right-hand side; at h*L = 0.25 the pair's estimate on the Riccati
@@ -231,13 +230,13 @@ def _adaptive(
     """
     stops = _stop_grid(stops)
     dc = derived_coefficients(model)
-    kernel_args = (dc.L.T, dc.quad, dc.jump_y, dc.jump_w)
-    rhs = rhs or _kernels._rhs_numpy
-    u = f0_batch.copy()
+    u = f0_batch.T
+    ws = _kernels.Workspace(
+        dc.stage_matrix, dc.neg_atom_y, dc.quad, u.shape[1], reciprocal
+    )
+    _kernels.start_step(ws, u, dc.quad[:, None] if reciprocal else None)
     u_max = float(np.max(u, initial=0.0))
     floor = -1e-12 * max(1.0, u_max)
-    if k1 is None:
-        k1 = rhs(*kernel_args, u, np.empty_like(u))
 
     T = float(stops[-1])
     rate = _local_rate(dc, u_max)
@@ -256,7 +255,7 @@ def _adaptive(
         lands = t + h >= stop
         if lands:
             h = stop - t
-        block = _kernels.dop853_step(*kernel_args, u, k1, h, rhs)
+        block = _kernels.dop853_step(ws, h)
         rel = _rel_error(block)
         fac = 0.9 * (TOL_STEP / rel) ** 0.125 if rel > 0.0 else _GROW_MAX
         if not rel <= TOL_STEP:  # a NaN estimate is rejected as well
@@ -284,9 +283,12 @@ def _adaptive(
             if len(at_stops) == stops.size:
                 meta = StepMeta(h_hi, h_lo, len(values), worst, n_rejected)
                 return _BatchSolution(
-                    np.array(times), np.stack(values), np.stack(at_stops), meta
+                    np.array(times),
+                    np.stack(values).transpose(0, 2, 1),
+                    np.stack(at_stops).transpose(0, 2, 1),
+                    meta,
                 )
-        k1 = rhs(*kernel_args, u, np.empty_like(u))
+        _kernels.start_step(ws, u)
         t = stop if lands else t + h
         h *= min(grow, max(_SHRINK_MIN, fac))
         grow = _GROW_MAX
@@ -337,9 +339,11 @@ def _check_mean_domination(model, t_grid, u_values, f0) -> None:
     slack = TOL_ODE * (1.0 + np.abs(mean).max(axis=1))
     gap = mean - u_values[idx]
     above = np.any(gap < -slack[:, None], axis=1)
-    tracked = kbound * t < 700.0
-    bound = np.exp(np.where(tracked, kbound * t, 0.0))[:, None] * (mats @ (f0 * f0))
-    loose = tracked & np.any(gap > bound + slack[:, None], axis=1)
+    # past the double range e^{Kt} or f0^2 make the bound inf, or nan as
+    # inf * 0; it then constrains nothing, and no gap exceeds it
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.exp(kbound * t)[:, None] * (mats @ (f0 * f0))
+        loose = np.any(gap > bound + slack[:, None], axis=1)
     bad = above | loose
     if not bad.any():
         return
@@ -387,7 +391,7 @@ def neg_log_extinction(
     # e^{y/w}; its error estimate is then not finite and the step is retried
     # shorter, so such a trial is no fault
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sol = _adaptive(model, w0, stops, _kernels._rhs_reciprocal, dc.quad[None, :])
+        sol = _adaptive(model, w0, stops, reciprocal=True)
     v = 1.0 / sol.at_stops[:, 0]
     return v if np.ndim(t) else v[0]
 

@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import stage_matrices
+
 # cond of the row-equilibrated eigenvectors from which we fall back: near an
 # exceptional point the eigenmode closed forms err by up to about eps * cond^2
 _COND_LIMIT = 1e3
@@ -166,12 +168,14 @@ class SuperprocessModel:
                     eigensystem = (eig[0], eig[1], np.linalg.inv(vb) / r)
         except np.linalg.LinAlgError:
             pass
+        stage_matrix, neg_atom_y = stage_matrices(L, jy, jw)
         return DerivedCoefficients(
             alpha=_freeze(alpha), avar=_freeze(avar),
             kbound=float(rate.max()), L=_freeze(L),
             qnorm=float(qrows.max()),
             quad=_freeze(quad), jump_y=_freeze(jy), jump_w=_freeze(jw),
             jump_y2w=_freeze(jump_y2w), jump_yw=_freeze(jump_yw),
+            stage_matrix=_freeze(stage_matrix), neg_atom_y=_freeze(neg_atom_y),
             eig=eig, eigensystem=eigensystem,
         )
 
@@ -190,6 +194,10 @@ class DerivedCoefficients:
     jump_w: np.ndarray    # matching atom weights times beta, zero as filler
     jump_y2w: np.ndarray  # per-state sum of y^2 w over jump_y, jump_w
     jump_yw: np.ndarray   # per-state sum of y w
+    # the solver's stage matrix [L | -W | -I] and the atoms' -Y, from
+    # ``_kernels.stage_matrices``
+    stage_matrix: np.ndarray
+    neg_atom_y: np.ndarray
     # (w, VR) from one np.linalg.eig(L), None if it did not converge; the
     # left eigenvectors are not computed (spectral derives psi0 from phi0)
     eig: tuple[np.ndarray, np.ndarray] | None

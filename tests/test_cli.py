@@ -539,6 +539,20 @@ def test_inline_vector_bad_entry_exits_2(m2_path, capsys):
         _parse_vector(",1")
 
 
+def test_numeric_vector_is_inline_beside_a_file_of_that_name(
+    m2_path, tmp_path, monkeypatch, capsys
+):
+    # a file named like the inline value does not turn the value into a path
+    argv = ["moments", m2_path, "--f", "1,1", "--t", "1", "--mu", "1,0"]
+    assert main(argv) == 0
+    inline = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    Path("1,0").write_text("x\n5\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == inline
+    np.testing.assert_array_equal(_parse_vector("1,0"), [1.0, 0.0])
+
+
 @pytest.mark.parametrize(
     "grid", ["5", "1:2", "1:2:3:4", "a:2:3", "1:2:x", "2:1:3", "0:1:3",
              "-1:2:3", "1:2:0", "1:inf:3", "nan:2:3", "-inf:2:3"],

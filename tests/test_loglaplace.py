@@ -28,6 +28,7 @@ from spcrit.loglaplace import (
 )
 from spcrit.model import (
     ModelError,
+    SuperprocessModel,
     as_field,
     as_times,
     derived_coefficients,
@@ -136,16 +137,14 @@ def test_kernel_jump_part_matches_mechanism_field(m3):
     # m3 is one state with one atom and no drift, so its field is all jump
     from spcrit import _kernels
 
-    dc = derived_coefficients(m3)
     u = np.array([[1e-9]])
-    zero = np.zeros(1)
-    kernel = -_kernels._rhs_numpy(
-        np.zeros((1, 1)), zero, dc.jump_y, dc.jump_w, u, np.empty_like(u)
-    )
-    field = mechanism_field(m3, u[0])
+    ws = _workspace(m3, 1)
+    _kernels.start_step(ws, u)
+    kernel = -ws.slopes[1][:, 0]
+    field = mechanism_field(m3, u[:, 0])
     assert field[0] == pytest.approx(0.5e-18 - 1e-27 / 6.0, rel=1e-12, abs=0)
     # expm1(-z) + z has an absolute error of about 1e-16 * z
-    np.testing.assert_allclose(kernel[0], field, rtol=1e-6)
+    np.testing.assert_allclose(kernel, field, rtol=1e-6)
 
 
 def test_mechanism_rejects_negative_argument(m1, m2):
@@ -758,15 +757,21 @@ def test_dop853_tableau_order_conditions():
     assert abs(e5.sum()) <= 1e-14 and abs(e3.sum()) <= 1e-14
 
 
-def _fixed_step_riccati(model, theta: float, T: float, n: int) -> float:
+def _workspace(model, batch, reciprocal=False):
     from spcrit import _kernels
 
     dc = derived_coefficients(model)
-    args = (dc.L.T, dc.quad, dc.jump_y, dc.jump_w)
+    return _kernels.Workspace(dc.stage_matrix, dc.neg_atom_y, dc.quad, batch, reciprocal)
+
+
+def _fixed_step_riccati(model, theta: float, T: float, n: int) -> float:
+    from spcrit import _kernels
+
+    ws = _workspace(model, 1)
     u = np.array([[theta]])
     for _ in range(n):
-        k1 = _kernels._rhs_numpy(*args, u, np.empty_like(u))
-        u = _kernels.dop853_step(*args, u, k1, T / n)[0]
+        _kernels.start_step(ws, u)
+        u = _kernels.dop853_step(ws, T / n)[0]
     return float(u[0, 0])
 
 
@@ -785,8 +790,8 @@ def test_adaptive_failing_step_raises(m2, monkeypatch):
     real = _kernels.dop853_step
     steps = []
 
-    def off_by_one_ppm(LT, quad, jy, jw, u, k1, h, rhs):
-        block = real(LT, quad, jy, jw, u, k1, h, rhs)
+    def off_by_one_ppm(ws, h):
+        block = real(ws, h)
         steps.append(h)
         # the 5th-order estimate misses by 1e-6 of the solution at every h
         block[1:] += 1e-6 * np.abs(block[0])
@@ -805,8 +810,8 @@ def test_adaptive_negative_step_raises(m2, monkeypatch):
 
     real = _kernels.dop853_step
 
-    def shifted_down(LT, quad, jy, jw, u, k1, h, rhs):
-        block = real(LT, quad, jy, jw, u, k1, h, rhs)
+    def shifted_down(ws, h):
+        block = real(ws, h)
         # the shift leaves the error estimate alone, so the step passes it
         block[0] -= h
         return block
@@ -824,6 +829,26 @@ def test_adaptive_step_budget_raises(m1, monkeypatch):
         r"^adaptive integration used 3 steps and reached only t=0\.00793509 of 1000$"
     )):
         solve_log_laplace(m1, [100.0], 1000.0)
+
+
+# Initial data past 1.3e154, the square root of the double range: f0^2
+# overflows, so the mean-domination bound is inf and constrains nothing,
+# and the stage's quadratic term is (beta*b*s)*s, finite where s*s is not.
+
+def test_jump_model_from_data_past_the_square_root_of_the_double_range(m3):
+    # m3 is u' = -(u - 1) once e^{-u} underflows
+    got = solve_log_laplace(m3, [1e200], 1.0).final[0]
+    assert got == pytest.approx(1.0 + (1e200 - 1.0) / math.e, rel=1e-9)
+
+
+def test_riccati_from_data_past_the_square_root_of_the_double_range():
+    # u' = -1e-200 u^2: u(1) = 1e200 / (1 + 1e-200 * 1e200)
+    tiny_b = SuperprocessModel(
+        labels=("x",), m=[1.0], Q=[[0.0]], beta=[1.0], a=[0.0], b=[1e-200], jumps=((),)
+    )
+    assert solve_log_laplace(tiny_b, [1e200], 1.0).final[0] == pytest.approx(
+        5e199, rel=1e-9
+    )
 
 
 def _kernel_args(model):
@@ -906,15 +931,17 @@ def test_dop853_step_matches_reference_step(m1, m2, m3):
         dc = derived_coefficients(model)
         parts = (dc.quad, dc.jump_y, dc.jump_w)
         for batch in (1, 3):
-            for rhs, ref_rhs in (
-                (_kernels._rhs_numpy, _reference_rhs),
-                (_kernels._rhs_reciprocal, _reference_rhs_reciprocal),
+            for reciprocal, ref_rhs in (
+                (False, _reference_rhs),
+                (True, _reference_rhs_reciprocal),
             ):
                 # u > 0 keeps 1/u finite; h inside the step's stability region
                 u = rng.uniform(0.1, 2.0, (batch, model.n_states))
                 h = float(rng.uniform(0.05, 0.5)) / _local_rate(dc, float(u.max()))
-                k1 = rhs(dc.L.T, *parts, u, np.empty_like(u))
-                block = _kernels.dop853_step(dc.L.T, *parts, u, k1, h, rhs)
+                ws = _workspace(model, batch, reciprocal)
+                _kernels.start_step(ws, u.T)
+                # the kernel runs state-major, (n, batch)
+                block = _kernels.dop853_step(ws, h).transpose(0, 2, 1)
                 k1_ref = ref_rhs(model.Q, dc.alpha, *parts, u)
                 end, err = _reference_step(
                     model.Q, dc.alpha, *parts, u, k1_ref, h, ref_rhs
@@ -934,45 +961,53 @@ def test_adaptive_steps_match_reference_step(monkeypatch):
     from spcrit import _kernels
 
     rng = np.random.default_rng(11)
+    # the batch-3 fields come from their own stream, so the batch-1 cases
+    # stay the draws they were
+    wide = np.random.default_rng(12)
     for _ in range(50):
         model = acceptance.random_model(rng, critical=True)
         dc = derived_coefficients(model)
+        parts = (dc.quad, dc.jump_y, dc.jump_w)
         f0 = rng.uniform(0.1, 1.5, (1, model.n_states))
         T = float(rng.choice([0.5, 5.0, 50.0]))
+        # batch 3 is what variance_from_transform solves
+        f0_wide = np.concatenate((f0, wide.uniform(0.1, 1.5, (2, model.n_states))))
 
         def reference_rhs(ref):
-            def rhs(LT, quad, jy, jw, u, out):
-                out[...] = ref(model.Q, dc.alpha, quad, jy, jw, u)
+            # the kernel's state-major stage, through the batch-major reference
+            def rhs(ws, out):
+                out[...] = ref(model.Q, dc.alpha, *parts, ws.stage.T).T
                 return out
 
-            rhs.reference = ref
             return rhs
 
-        def reference_block(LT, quad, jy, jw, u, k1, h, rhs):
-            end, err = _reference_step(
-                model.Q, dc.alpha, quad, jy, jw, u, k1, h, rhs.reference
-            )
-            return np.concatenate((end[None], err))
+        def reference_block(ws, h):
+            ref = _reference_rhs_reciprocal if ws.reciprocal else _reference_rhs
+            u, k1 = ws.slopes[0].T, ws.slopes[1].T
+            end, err = _reference_step(model.Q, dc.alpha, *parts, u, k1, h, ref)
+            return np.concatenate((end[None], err)).transpose(0, 2, 1)
 
         def solves():
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                return _adaptive(model, f0, [T]), _adaptive(
-                    model,
-                    np.zeros((1, model.n_states)),
-                    [1.0, 10.0, 100.0],
-                    _kernels._rhs_reciprocal,
-                    dc.quad[None, :],
+                return (
+                    _adaptive(model, f0, [T]),
+                    _adaptive(model, f0_wide, [T]),
+                    _adaptive(
+                        model, np.zeros((1, model.n_states)), [1.0, 10.0, 100.0],
+                        reciprocal=True,
+                    ),
                 )
 
-        solve, extinction = solves()
+        *batch_solves, extinction = solves()
         with monkeypatch.context() as mp:
             mp.setattr(_kernels, "dop853_step", reference_block)
-            mp.setattr(_kernels, "_rhs_numpy", reference_rhs(_reference_rhs))
+            mp.setattr(_kernels, "_rhs", reference_rhs(_reference_rhs))
             mp.setattr(_kernels, "_rhs_reciprocal", reference_rhs(_reference_rhs_reciprocal))
-            ref_solve, ref_extinction = solves()
-        counts = (solve.meta.n_steps_fine, solve.meta.n_rejected)
-        assert counts == (ref_solve.meta.n_steps_fine, ref_solve.meta.n_rejected)
-        np.testing.assert_allclose(solve.at_stops, ref_solve.at_stops, rtol=1e-10)
+            *ref_solves, ref_extinction = solves()
+        for solve, ref_solve in zip(batch_solves, ref_solves):
+            counts = (solve.meta.n_steps_fine, solve.meta.n_rejected)
+            assert counts == (ref_solve.meta.n_steps_fine, ref_solve.meta.n_rejected)
+            np.testing.assert_allclose(solve.at_stops, ref_solve.at_stops, rtol=1e-10)
         # to t = 100 the extinction step rides the pair's stability edge,
         # where the estimate jumps by 10x between neighbouring h and a last
         # digit can move a rejection; measured over 500 such runs against
@@ -988,7 +1023,7 @@ def _count_rhs(monkeypatch):
     from spcrit import _kernels
 
     calls = [0]
-    for name in ("_rhs_numpy", "_rhs_reciprocal"):
+    for name in ("_rhs", "_rhs_reciprocal"):
         real = getattr(_kernels, name)
 
         def counted(*args, real=real):
@@ -1005,9 +1040,9 @@ def test_one_kernel_step_and_eleven_rhs_per_attempted_step(m2, monkeypatch):
     real = _kernels.dop853_step
     attempts = []
 
-    def counted_step(LT, quad, jy, jw, u, k1, h, rhs):
+    def counted_step(ws, h):
         attempts.append(h)
-        return real(LT, quad, jy, jw, u, k1, h, rhs)
+        return real(ws, h)
 
     monkeypatch.setattr(_kernels, "dop853_step", counted_step)
     rhs = _count_rhs(monkeypatch)

@@ -763,9 +763,9 @@ def test_one_eigendecomposition_per_model(monkeypatch):
         calls["eig"] += 1
         return real_eig(*args, **kwargs)
 
-    def adaptive(*args):
+    def adaptive(*args, **kwargs):
         calls["adaptive"] += 1
-        return real_adaptive(*args)
+        return real_adaptive(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eig", eig)
     monkeypatch.setattr(loglaplace, "_adaptive", adaptive)
