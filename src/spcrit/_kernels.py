@@ -18,22 +18,34 @@ product M S over the stacked stage S = [s; E; q]:
   z = y s of its state, formed from -z = -Y s as expm1(-z) - (-z);
 - q = (beta*b*s)*s, so the quadratic term is never s*s, which would
   overflow where beta*b*s*s does not;
-- M = [L | -W | -I], where W puts each atom's weight, times beta, on its
-  state.  ``stage_matrices`` builds M and -Y, once per model.
+- M = [[L, 0, 0], [0, -W, -I]], where W puts each atom's weight, times
+  beta, on its state.  ``stage_matrices`` builds M and -Y, once per model.
+
+The product writes each slope as two rows, its linear part L s and its
+nonlinear part -W E - q, and the tableau repeats each slope's weight for
+both.  Summed in one product, L s + (-W E - q) would leave the order of
+the sum to the BLAS kernel, and a small nonlinear term added to partial
+sums of size |L| |s| is rounded away where L s cancels (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., ch. 4).  That is the
+phi0 direction, where L s vanishes and the long-time solution lives: so
+summed, a solve on the two-state flip m2 from 1/T to T = 1e17 does not
+move off its start.  Apart, L s cancels on its own, and the stage and
+the step end add the two parts.  The reciprocal route takes
+[[L, 0], [0, W]] on [1/w; E(1/w)], or L alone on 1/w without jumps.
 
 A stage is then two products and two multiplies, three calls more with
-jumps.  The reciprocal route takes the leading block [L | -W] on
-[1/w; E(1/w)].  ``Workspace`` holds S, the step start u and its 12
-slopes, allocated once per solve; ``dop853_step`` advances it by one
+jumps.  ``Workspace`` holds S, the step start u and the two parts of its
+12 slopes, allocated once per solve; ``dop853_step`` advances it by one
 Dormand-Prince 8(5,3) step, whose stages each write one slope in place,
 and the step end and both error estimates are one more product.  On 2
-shared x86 cores with one BLAS thread a step takes about 31 us on the
-one-state model m1, 25 us on the two-state m2 and 51 us on the one-atom
-jump model m3, against 47, 42 and 104 us with a separate product,
-quadratic term and jump sum per stage.  Everything is plain numpy and
-deterministic.  ``rk4_evolve`` is a classical RK4 step on the same
-right-hand side; no library path calls it, and it stays only because the
-benchmark in perfbench/ traces it by name.
+shared x86 cores with one BLAS thread a step takes about 32 us on the
+one-state model m1, 26 us on the two-state m2 and 54 us on the one-atom
+jump model m3, as with one summed row per slope, against 47, 42 and
+104 us with a separate product, quadratic term and jump sum per stage.
+Everything is plain numpy and deterministic.  ``rk4_evolve`` is a
+classical RK4 step on the same right-hand side; no library path calls
+it, and it stays only because the benchmark in perfbench/ traces it by
+name.
 """
 
 from __future__ import annotations
@@ -115,18 +127,21 @@ _E5 = np.array([
 ])
 # the end weights and both error weights
 _WEIGHTS = np.stack([_B, _E5, _B - _BHH])
-# every combination one step forms, over the workspace rows [u, k_0 .. k_11]:
-# row i - 1 is stage i (i = 1..11), row 11 the step end and rows 12-13 the
-# two error estimates.  A step scales the slope columns by h; column 0, the
-# weight of u, is 1 on the stage rows and the end row and 0 on the error rows.
-_C = np.zeros((14, 13))
-_C[:11, 1:] = _A[1:]
-_C[11:, 1:] = _WEIGHTS
+# every combination one step forms, over the workspace rows [u, k_0 .. k_11],
+# each slope k_j as its linear and its nonlinear row: row i - 1 is stage i
+# (i = 1..11), row 11 the step end and rows 12-13 the two error estimates.
+# Both rows of a slope take its weight.  A step scales the slope columns by
+# h; column 0, the weight of u, is 1 on the stage rows and the end row and 0
+# on the error rows.
+_C = np.zeros((14, 25))
+_C[:11, 1::2] = _A[1:]
+_C[11:, 1::2] = _WEIGHTS
+_C[:, 2::2] = _C[:, 1::2]
 _C[:12, 0] = 1.0
 
 
 def stage_matrices(L, jump_y, jump_w):
-    """M = [L | -W | -I] and -Y over the atoms of nonzero weight.
+    """M = [[L, 0, 0], [0, -W, -I]] and -Y over the atoms of nonzero weight.
 
     ``jump_y`` and ``jump_w`` are the padded (n, k_max) atom sizes and
     weights (times beta), with zero weights as filler.  W (n, atoms) puts
@@ -137,38 +152,55 @@ def stage_matrices(L, jump_y, jump_w):
     n = L.shape[0]
     state, slot = np.nonzero(jump_w)
     atom = np.arange(state.size)
-    W = np.zeros((n, state.size))
-    W[state, atom] = jump_w[state, slot]
+    M = np.zeros((2 * n, 2 * n + state.size))
+    M[:n, :n] = L
+    M[n + state, n + atom] = -jump_w[state, slot]
+    M[n:, -n:] = -np.eye(n)
     neg_y = np.zeros((state.size, n))
     neg_y[atom, state] = -jump_y[state, slot]
-    return np.hstack((L, -W, -np.eye(n))), neg_y
+    return M, neg_y
 
 
 class Workspace:
     """The arrays one solve steps in, built once per solve.
 
-    ``K`` (13, n*batch) holds the step start u and its 12 slopes, each
-    state-major, with ``slopes`` their (n, batch) views.  ``S`` is the
-    stacked stage [s; E; q], and the right-hand side is the product of
-    ``M`` and ``operand``: all of M and S on the u route, their leading
-    blocks [L | -W] and [s; E] on the reciprocal route.  A stage value is
-    written into ``stage``: s itself on the u route, and a separate w on
-    the reciprocal route, whose right-hand side puts 1/w into s.
+    ``K`` (25, n*batch) holds the step start u, then the linear and the
+    nonlinear row of each of its 12 slopes, each row state-major; ``u`` is
+    the start's (n, batch) view and ``parts`` the slopes' (12, 2, n, batch)
+    view.  ``S`` is the stacked stage [s; E; q], and the right-hand side
+    of slope j is the product of ``M`` and ``operand``, written into
+    ``slopes[j]``: all of M and S into both rows on the u route; on the
+    reciprocal route [[L, 0], [0, W]] on [s; E] into both rows, or L on s
+    into the linear row without jumps, whose nonlinear rows stay 0.  A
+    stage value is written into ``stage``: s itself on the u route, and a
+    separate w on the reciprocal route, whose right-hand side puts 1/w
+    into s.
     """
 
     def __init__(self, M, neg_y, quad, batch, reciprocal=False):
-        n, n_atoms = M.shape[0], neg_y.shape[0]
+        n, n_atoms = M.shape[0] // 2, neg_y.shape[0]
         self.reciprocal = reciprocal
         self.neg_y = neg_y if n_atoms else None
         self.quad = quad[:, None]
-        self.K = np.zeros((13, n * batch))
-        self.slopes = list(self.K.reshape(13, n, batch))
+        self.K = np.zeros((25, n * batch))
+        self.u = self.K[0].reshape(n, batch)
+        self.parts = self.K[1:].reshape(12, 2, n, batch)
         self.S = np.zeros((2 * n + n_atoms, batch))
         self.s, self.E, self.q = self.S[:n], self.S[n:-n], self.S[-n:]
         self.z = np.zeros_like(self.E)
+        rows = 2 if n_atoms or not reciprocal else 1
+        # per slope the rows its right-hand side's product writes
+        self.slopes = list(self.parts[:, :rows].reshape(12, rows * n, batch))
         if reciprocal:
-            self.M, self.operand = M[:, : n + n_atoms], self.S[: n + n_atoms]
+            self.M = M[: rows * n, : n + n_atoms].copy()
+            self.M[n:] *= -1.0
+            self.operand = self.S[: n + n_atoms]
             self.stage = np.zeros((n, batch))
+            # per slope the linear part, and the parts that w^2 scales:
+            # without jumps the linear part alone, as an (n, batch) view,
+            # which an in-place product takes without broadcasting
+            self.lin = list(self.parts[:, 0])
+            self.scaled = list(self.parts) if n_atoms else self.lin
         else:
             self.M, self.operand = M, self.S
             self.stage = self.s
@@ -177,8 +209,7 @@ class Workspace:
         # combines and the slope it writes
         self.c = np.empty_like(_C)
         self.stages = [
-            (self.c[i - 1, : i + 1], self.K[: i + 1], self.slopes[i + 1])
-            for i in range(1, 12)
+            (self.c[i - 1, : 2 * i + 1], self.K[: 2 * i + 1], i) for i in range(1, 12)
         ]
 
 
@@ -189,21 +220,23 @@ def _jump_terms(ws):
     ws.E -= ws.z
 
 
-def _rhs(ws, out):
-    """L s - W E(s) - (beta*b*s)*s at the stage s, as one product M S."""
+def _rhs(ws, j):
+    """Slope j's parts at the stage s, L s and -W E(s) - (beta*b*s)*s, as
+    one product M S."""
     s = ws.s
     if ws.neg_y is not None:
         _jump_terms(ws)
     np.multiply(ws.quad, s, out=ws.q)
     ws.q *= s
-    return np.dot(ws.M, ws.operand, out=out)
+    np.dot(ws.M, ws.operand, out=ws.slopes[j])
 
 
-def _rhs_reciprocal(ws, out):
+def _rhs_reciprocal(ws, j):
     """Right-hand side of w = 1/u, statewise: w' = -w^2 F(1/w) at w > 0.
 
-    Expanded, beta*b - w^2 (L(1/w) - W E(1/w)): the quadratic term is the
-    constant beta*b, and the rest is the product [L | -W] [1/w; E(1/w)].
+    Expanded, beta*b - w^2 L(1/w) + w^2 W E(1/w): the quadratic term is
+    the constant beta*b, and the rest is the product [[L, 0], [0, W]]
+    [1/w; E(1/w)], scaled by w^2; the first row is then taken from beta*b.
     At w = 0 the value is beta*b, which the caller passes as the first
     slope; w = 0 is never evaluated here.  At large w the jump term's
     rounding, about 1e-16 w y_k w_k in w', adds up to 1e-16 y_k w_k t
@@ -213,10 +246,11 @@ def _rhs_reciprocal(ws, out):
     np.divide(1.0, w, out=ws.s)
     if ws.neg_y is not None:
         _jump_terms(ws)
-    np.dot(ws.M, ws.operand, out=out)
-    out *= w
-    out *= w
-    return np.subtract(ws.quad, out, out=out)
+    np.dot(ws.M, ws.operand, out=ws.slopes[j])
+    scaled, lin = ws.scaled[j], ws.lin[j]
+    scaled *= w
+    scaled *= w
+    np.subtract(ws.quad, lin, out=lin)
 
 
 def start_step(ws, u, k1=None):
@@ -224,12 +258,13 @@ def start_step(ws, u, k1=None):
 
     Without ``k1`` the slope is the right-hand side at u, written in place.
     """
-    np.copyto(ws.slopes[0], u)
+    np.copyto(ws.u, u)
     if k1 is not None:
-        np.copyto(ws.slopes[1], k1)
+        ws.parts[0, 1] = 0.0
+        np.copyto(ws.parts[0, 0], k1)
         return
     np.copyto(ws.stage, u)
-    (_rhs_reciprocal if ws.reciprocal else _rhs)(ws, ws.slopes[1])
+    (_rhs_reciprocal if ws.reciprocal else _rhs)(ws, 0)
 
 
 def dop853_step(ws, h):
@@ -237,7 +272,7 @@ def dop853_step(ws, h):
 
     The start and its slope are in place (``start_step``).  The 11 further
     stages cost one product for the stage value and one call of the
-    right-hand side each, written into the slope's row of ``ws.K``.
+    right-hand side each, written into the slope's rows of ``ws.K``.
     Returns one (3, n, batch) block: the step end, then the 5th- and
     3rd-order error estimates, both already scaled by h.
     """
@@ -246,9 +281,9 @@ def dop853_step(ws, h):
     c[:, 0] = _C[:, 0]
     rhs = _rhs_reciprocal if ws.reciprocal else _rhs
     stage = ws.stage_flat
-    for row, K, slope in ws.stages:
+    for row, K, j in ws.stages:
         np.dot(row, K, out=stage)
-        rhs(ws, slope)
+        rhs(ws, j)
     return np.dot(c[11:], ws.K).reshape((3,) + ws.stage.shape)
 
 
@@ -265,19 +300,26 @@ def rk4_evolve(Q, lin, quad, jy, jw, u, h, n_steps):
     sixth = h / 6.0
     x = u.T.copy()
     s = ws.s
-    k1, k2, k3, k4 = ws.slopes[1:5]
+    slopes = ws.parts[:4]
+    k1, k2, k3, k4 = slopes[:, 0]
+
+    def rhs(j):
+        # slope j's linear row takes the sum of both parts
+        _rhs(ws, j)
+        slopes[j, 0] += slopes[j, 1]
+
     for _ in range(int(n_steps)):
         np.copyto(s, x)
-        _rhs(ws, k1)
+        rhs(0)
         np.multiply(half, k1, out=s)
         s += x
-        _rhs(ws, k2)
+        rhs(1)
         np.multiply(half, k2, out=s)
         s += x
-        _rhs(ws, k3)
+        rhs(2)
         np.multiply(h, k3, out=s)
         s += x
-        _rhs(ws, k4)
+        rhs(3)
         k2 += k3
         k2 *= 2.0
         k2 += k1 + k4

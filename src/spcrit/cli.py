@@ -169,7 +169,7 @@ def _cmd_kolmogorov(args) -> int:
     for row in report.rows:
         lines.append(
             f"{_fmt(row.t)},{_fmt(row.p_survival)},"
-            f"{_fmt(row.t_times_p)},{_fmt(row.limit)}"
+            f"{_fmt(row.t_times_p)},{_fmt(report.limit)}"
         )
     _emit(lines, args.out)
     return 0

@@ -415,14 +415,12 @@ class KolmogorovRow:
     t: float
     p_survival: float
     t_times_p: float
-    limit: float
 
 
 @dataclass(frozen=True)
 class KolmogorovReport:
     rows: tuple[KolmogorovRow, ...]
     limit: float
-    survival_decreasing: bool
 
 
 def kolmogorov_table(
@@ -443,10 +441,9 @@ def kolmogorov_table(
     grid, back = np.unique(ts, return_inverse=True)
     ps = [_survival(w, mu) for w in neg_log_extinction(model, grid)]
     rows = tuple(
-        KolmogorovRow(float(t), ps[k], float(t) * ps[k], limit) for t, k in zip(ts, back)
+        KolmogorovRow(float(t), ps[k], float(t) * ps[k]) for t, k in zip(ts, back)
     )
-    decreasing = all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
-    return KolmogorovReport(rows, limit, decreasing)
+    return KolmogorovReport(rows, limit)
 
 
 @dataclass(frozen=True)

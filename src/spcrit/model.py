@@ -194,8 +194,8 @@ class DerivedCoefficients:
     jump_w: np.ndarray    # matching atom weights times beta, zero as filler
     jump_y2w: np.ndarray  # per-state sum of y^2 w over jump_y, jump_w
     jump_yw: np.ndarray   # per-state sum of y w
-    # the solver's stage matrix [L | -W | -I] and the atoms' -Y, from
-    # ``_kernels.stage_matrices``
+    # the solver's stage matrix [[L, 0, 0], [0, -W, -I]] and the atoms'
+    # -Y, from ``_kernels.stage_matrices``
     stage_matrix: np.ndarray
     neg_atom_y: np.ndarray
     # (w, VR) from one np.linalg.eig(L), None if it did not converge; the

@@ -145,8 +145,6 @@ class PathEnsemble:
     states_at_t: np.ndarray   # (n_paths, n_states), nonnegative
     survived: np.ndarray      # (n_paths,) bool, true iff total mass > 0
     t_end: float
-    dt: float
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -309,19 +307,14 @@ def simulate_paths(
         for i in range(0, len(chunks), _GROUP_CHUNKS):
             _simulate_group(model, mu, cfg, chunks[i : i + _GROUP_CHUNKS], out)
 
-    if n_groups > 1:
-        with ThreadPoolExecutor(max_workers=n_groups) as pool:
-            for future in [pool.submit(run, g) for g in range(n_groups)]:
-                future.result()
-    else:
-        run(0)
+    with ThreadPoolExecutor(max_workers=n_groups) as pool:
+        for future in [pool.submit(run, g) for g in range(n_groups)]:
+            future.result()
 
     return PathEnsemble(
         states_at_t=out,
         survived=out.any(axis=1),
         t_end=cfg.t_end,
-        dt=cfg.dt,
-        seed=cfg.seed,
     )
 
 
@@ -335,8 +328,6 @@ class ConditionalSamples:
 
     v: np.ndarray
     z: np.ndarray
-    n_survivors: int
-    n_paths: int
 
     @property
     def z2_mean(self) -> float:
@@ -365,16 +356,13 @@ def conditional_statistics(
     f = _as_vector(sd.m.size, f, "field")
     if ensemble.n_paths == 0:
         raise SimulationError("empty ensemble")
-    n_surv = int(ensemble.survived.sum())
-    if n_surv == 0:
+    if not ensemble.survived.any():
         raise SimulationError("no surviving paths; increase n_paths or lower t")
     X = ensemble.states_at_t[ensemble.survived]
     v, z = rescaled_functionals(X, sd, f, ensemble.t_end)
     return ConditionalSamples(
         v=v,
         z=z,
-        n_survivors=n_surv,
-        n_paths=ensemble.n_paths,
     )
 
 
@@ -415,7 +403,6 @@ class LimitLaw:
 class KsResult:
     statistic: float
     p_value: float
-    n_samples: int
 
 
 def _ks_pvalue(d: float, n: int) -> float:
@@ -473,7 +460,7 @@ def ks_exponential_test(samples, scale: float) -> KsResult:
     scale = np.float64(scale)
     _require("scale", scale, np.isfinite(scale) & (scale > 0), "finite and > 0")
     d = ks_statistic(x, lambda v: 1.0 - np.exp(-v / scale))
-    return KsResult(d, _ks_pvalue(d, x.size), int(x.size))
+    return KsResult(d, _ks_pvalue(d, x.size))
 
 
 @dataclass(frozen=True)
@@ -483,8 +470,7 @@ class CltReport:
     ks_product: KsResult       # fluctuation samples vs two-sided exponential
     ks_ratio: KsResult         # fluctuation over sqrt(mass) vs normal
     correlation: float         # squared ratio against the mass sample
-    correlation_limit: float   # four standard errors under independence
-    independence_ok: bool
+    independence_ok: bool      # within four standard errors of independence
 
 
 def clt_checks(samples: ConditionalSamples, nu_mean: float, sigma_sq: float) -> CltReport:
@@ -508,20 +494,18 @@ def clt_checks(samples: ConditionalSamples, nu_mean: float, sigma_sq: float) -> 
     law = LimitLaw(nu_mean, sigma_sq)
     n = samples.z.size
     d1 = ks_statistic(samples.z, law.product_cdf)
-    ks_product = KsResult(d1, _ks_pvalue(d1, n), n)
+    ks_product = KsResult(d1, _ks_pvalue(d1, n))
 
     ratio = samples.z / np.sqrt(samples.v)
     sig = math.sqrt(sigma_sq)
     d2 = ks_statistic(ratio, lambda v: _normal_cdf(v / sig))
-    ks_ratio = KsResult(d2, _ks_pvalue(d2, n), n)
+    ks_ratio = KsResult(d2, _ks_pvalue(d2, n))
 
     u = ratio ** 2
     corr = float(np.corrcoef(u, samples.v)[0, 1])
-    limit = 4.0 / math.sqrt(n)
     return CltReport(
         ks_product=ks_product,
         ks_ratio=ks_ratio,
         correlation=corr,
-        correlation_limit=limit,
-        independence_ok=abs(corr) <= limit,
+        independence_ok=abs(corr) <= 4.0 / math.sqrt(n),
     )

@@ -407,21 +407,36 @@ def _mode_terms(eig, avar: np.ndarray, f: np.ndarray, rows=slice(None)) -> np.nd
     return np.einsum("mx,x,xi,xj,i,j->mij", vinv[rows], avar, v, v, g, g)
 
 
+def _power_of_two(f: np.ndarray) -> float:
+    """The power of two at the largest |f| entry, 1 for f = 0.
+
+    f over it is exact and below 2 in size, so the closed forms, which
+    square V^{-1} f, stay in range; a result quadratic in f is then
+    scaled back by two multiplications, and is inf only when its value is
+    past the double range.
+    """
+    return math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 1)
+
+
 def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.ndarray:
     """Statewise variance of <f, X_t> started from unit mass at each state.
 
     The profile is the integral over [0, t] of T_{t-s}[avar (T_s f)^2] ds.
     Over the eigenmodes of L each term of ``_mode_terms`` integrates
     e^{w_m (t-s) + (w_i + w_j) s} in closed form.  Near a defective L (the
-    mean semigroup's own test) it is ``_block_profile`` of L.
+    mean semigroup's own test) it is ``_block_profile`` of L.  f is scaled
+    by ``_power_of_two``.
     """
     dc = derived_coefficients(model)
+    scale = _power_of_two(f)
+    f = f / scale
     eig = dc.eigensystem
     if eig is None:
-        return _block_profile(dc.L, dc.avar, f, t)
+        return _block_profile(dc.L, dc.avar, f, t) * scale * scale
     w, v, _ = eig
     weights = _exp_integral(w[:, None, None], (w[:, None] + w[None, :])[None], t)
-    return (v @ np.einsum("mij,mij->m", _mode_terms(eig, dc.avar, f), weights)).real
+    profile = (v @ np.einsum("mij,mij->m", _mode_terms(eig, dc.avar, f), weights)).real
+    return profile * scale * scale
 
 
 def _limit_gap(
@@ -436,9 +451,11 @@ def _limit_gap(
     is the tail past t, the psi0-weight of ``_block_profile`` of L at
     40 / gamma (e^{-80} short) from e^{tA} f, and the rest is minus the
     block profile of the deflated generator A, projected by
-    P = I - phi0 (psi0 m)^T.
+    P = I - phi0 (psi0 m)^T.  f is scaled by ``_power_of_two``.
     """
     f = remove_principal_component(f, sd)
+    scale = _power_of_two(f)
+    f = f / scale
     dc = derived_coefficients(model)
     eig = dc.eigensystem
     if eig is None:
@@ -447,7 +464,7 @@ def _limit_gap(
         A = _deflated_generator(dc.L, sd.phi0, sd.psi0, sd.m)
         tail = sd.psi_weight(_block_profile(dc.L, dc.avar, expm(t * A) @ f, 40.0 / sd.gamma))
         P = np.eye(model.n_states) - np.outer(sd.phi0, sd.psi0 * sd.m)
-        return tail * sd.phi0 - P @ _block_profile(A, dc.avar, f, t)
+        return (tail * sd.phi0 - P @ _block_profile(A, dc.avar, f, t)) * scale * scale
     w, v, _ = eig
     p = int(np.argmax(w.real))
     rest = np.arange(w.size) != p
@@ -460,7 +477,7 @@ def _limit_gap(
     else:  # every other mode's integral over [0, t] vanishes
         live, weights = [p], principal[None]
     terms = _mode_terms(eig, dc.avar, f, live)[:, rest][:, :, rest]
-    return (v[:, live] @ np.einsum("mij,mij->m", terms, weights)).real
+    return (v[:, live] @ np.einsum("mij,mij->m", terms, weights)).real * scale * scale
 
 
 def fluctuation_variance(model: SuperprocessModel, sd: SpectralData, f) -> float:
@@ -468,11 +485,16 @@ def fluctuation_variance(model: SuperprocessModel, sd: SpectralData, f) -> float
     of ``_limit_gap`` at t = 0.
 
     Requires the psi0-weight of f to vanish; otherwise the integrand tends
-    to a positive constant and the integral diverges.
+    to a positive constant and the integral diverges.  A value past the
+    double range raises ModelError.
     """
     f = as_field(model, f)
     require_critical(sd)
     _require_zero_psi_weight(sd, f)
     if sd.gamma <= 0:
         raise SpectralError(f"spectral gap must be positive, got {sd.gamma}")
-    return sd.psi_weight(_limit_gap(model, sd, f, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = sd.psi_weight(_limit_gap(model, sd, f, 0.0))
+    if not math.isfinite(val):
+        raise ModelError(f"sigma_f^2 = {val:.3g} is not finite: it leaves the double range")
+    return val

@@ -358,6 +358,19 @@ def test_yaglom_row(m1_path, tmp_path):
     assert float(rows[0][3]) == pytest.approx(2 / 3, rel=1e-12)
 
 
+def test_yaglom_along_phi0_at_a_long_time(m2_path, tmp_path):
+    # f = (1, 1) lies along phi0, where the solve's linear part cancels;
+    # its quadratic term must still carry the transform to 1/2
+    out = tmp_path / "yag.csv"
+    code = main(
+        ["yaglom", m2_path, "--f", "1,1", "--lambda", "1", "--t", "1e100",
+         "--out", str(out)]
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][2]) == pytest.approx(0.5, rel=0, abs=1e-9)
+
+
 def test_moments_row(m2_path, tmp_path):
     out = tmp_path / "mom.csv"
     code = main(
@@ -437,8 +450,7 @@ def test_simulate_csv_keeps_signed_zero_tails_apart(m2_path, tmp_path, monkeypat
     zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
     states = np.array([zeros[p % 4] if p % 5 else [1.5, 0.25]
                        for p in range(5000)])
-    ens = PathEnsemble(states_at_t=states, survived=states.any(axis=1),
-                       t_end=2.0, dt=0.01, seed=1)
+    ens = PathEnsemble(states_at_t=states, survived=states.any(axis=1), t_end=2.0)
     monkeypatch.setattr(montecarlo, "simulate_paths", lambda *a, **k: ens)
     out = tmp_path / "sim.csv"
     assert main(["simulate", m2_path, "--mu", "1,0", "--t", "2", "--dt",

@@ -93,7 +93,7 @@ fv = spectral.fluctuation_variance(m2, sd, [1.0, -1.0])
 rng = np.random.default_rng(7)
 v = rng.exponential(0.7, 2000)
 z = np.sqrt(v) * rng.normal(0.0, 1.2, 2000)
-r = montecarlo.clt_checks(montecarlo.ConditionalSamples(v, z, 2000, 100000), 0.7, 1.44)
+r = montecarlo.clt_checks(montecarlo.ConditionalSamples(v, z), 0.7, 1.44)
 print(json.dumps([
     {SCIPY_LOADED}, fv,
     r.ks_product.statistic, r.ks_product.p_value,

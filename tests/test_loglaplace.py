@@ -140,7 +140,8 @@ def test_kernel_jump_part_matches_mechanism_field(m3):
     u = np.array([[1e-9]])
     ws = _workspace(m3, 1)
     _kernels.start_step(ws, u)
-    kernel = -ws.slopes[1][:, 0]
+    # the first slope's linear and nonlinear parts, summed
+    kernel = -ws.parts[0].sum(axis=0)[:, 0]
     field = mechanism_field(m3, u[:, 0])
     assert field[0] == pytest.approx(0.5e-18 - 1e-27 / 6.0, rel=1e-12, abs=0)
     # expm1(-z) + z has an absolute error of about 1e-16 * z
@@ -216,6 +217,35 @@ def test_zero_initial_field_stays_zero(m1):
 def test_symmetric_two_state_reduces_to_scalar(m2):
     traj = solve_log_laplace(m2, [1.0, 1.0], 1.0)
     np.testing.assert_allclose(traj.final, [0.5, 0.5], rtol=1e-9)
+
+
+@pytest.mark.parametrize("T", [1e2, 1e10, 1e17, 1e100])
+def test_riccati_along_phi0_keeps_its_quadratic_term(m2, T):
+    # from 1/T in both states u stays along phi0, where L u = 0 and only
+    # the quadratic term moves it: u(T) = u0 / (1 + u0 T).  Summed in one
+    # product with L u, that term was rounded away, and past T = 1e16 u
+    # never moved
+    u0 = 1.0 / T
+    final = solve_log_laplace(m2, [u0, u0], T).final
+    np.testing.assert_allclose(final, u0 / (1.0 + u0 * T), rtol=1e-9, atol=0)
+
+
+def test_symmetric_jump_model_matches_its_one_state_reduction():
+    # m2's flip with b = 1/2 and one atom (y = 1, w = 1/2) per state: from
+    # equal data u stays along phi0 and solves the one-state equation of
+    # the same mechanism
+    jump = [(1.0, 0.5)]
+    flip = SuperprocessModel(
+        labels=("A", "B"), m=[1.0, 1.0], Q=[[-1.0, 1.0], [1.0, -1.0]],
+        beta=[1.0, 1.0], a=[0.0, 0.0], b=[0.5, 0.5], jumps=(jump, jump),
+    )
+    one = SuperprocessModel(
+        labels=("o",), m=[1.0], Q=[[0.0]], beta=[1.0], a=[0.0], b=[0.5], jumps=(jump,)
+    )
+    T = 1e12
+    got = solve_log_laplace(flip, [1.0 / T, 1.0 / T], T).final
+    want = solve_log_laplace(one, [1.0 / T], T).final[0]
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
 
 
 def test_solver_rejects_bad_inputs(m1):
@@ -543,7 +573,8 @@ def test_kolmogorov_table_m1(m1):
     assert report.rows[1].t_times_p == pytest.approx(
         1000 * -math.expm1(-0.002), abs=1e-5
     )
-    assert report.survival_decreasing
+    p = [row.p_survival for row in report.rows]
+    assert p[0] >= p[1]
 
 
 def test_kolmogorov_table_m2(m2):
@@ -580,7 +611,9 @@ def test_kolmogorov_grid_keeps_the_callers_order(m2):
     assert [row.t for row in report.rows] == grid
     assert report.rows[0] == report.rows[2] and report.rows[1] == report.rows[4]
     assert report.rows[1].p_survival == survival_probability(m2, [1.0, 0.0], 10.0)
-    assert report.survival_decreasing
+    # survival falls with t
+    p = {row.t: row.p_survival for row in report.rows}
+    assert p[10.0] >= p[30.0] >= p[100.0]
     repeated = kolmogorov_table(m2, sd, [1.0, 0.0], [10.0, 10.0, 10.0]).rows
     assert repeated[0] == repeated[1] == repeated[2] == report.rows[1]
 
@@ -974,16 +1007,17 @@ def test_adaptive_steps_match_reference_step(monkeypatch):
         f0_wide = np.concatenate((f0, wide.uniform(0.1, 1.5, (2, model.n_states))))
 
         def reference_rhs(ref):
-            # the kernel's state-major stage, through the batch-major reference
-            def rhs(ws, out):
-                out[...] = ref(model.Q, dc.alpha, *parts, ws.stage.T).T
-                return out
+            # the kernel's state-major stage, through the batch-major
+            # reference, whose whole slope goes into the linear part
+            def rhs(ws, j):
+                ws.parts[j, 1] = 0.0
+                ws.parts[j, 0] = ref(model.Q, dc.alpha, *parts, ws.stage.T).T
 
             return rhs
 
         def reference_block(ws, h):
             ref = _reference_rhs_reciprocal if ws.reciprocal else _reference_rhs
-            u, k1 = ws.slopes[0].T, ws.slopes[1].T
+            u, k1 = ws.u.T, ws.parts[0].sum(axis=0).T
             end, err = _reference_step(model.Q, dc.alpha, *parts, u, k1, h, ref)
             return np.concatenate((end[None], err)).transpose(0, 2, 1)
 

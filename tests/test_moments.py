@@ -61,6 +61,16 @@ def test_variance_eigen_reduction(m2):
     assert got == pytest.approx(expect, rel=1e-9)
 
 
+def test_variance_of_a_field_past_the_square_root_of_the_double_range(m2):
+    # V^{-1} f squared overflows at f = 2e154, though the variance is about
+    # 8e302: c^2 (t/2 + (1 - e^{-4t})/8 + t e^{-2t}) at f = (c, 0), mu = (1, 0)
+    c, t = 2e154, 1e-6
+    bracket = 0.5 * t - math.expm1(-4.0 * t) / 8.0 + t * math.exp(-2.0 * t)
+    assert variance(m2, [c, 0.0], t, [1.0, 0.0]) == pytest.approx(
+        c * (c * bracket), rel=1e-12
+    )
+
+
 def test_variance_block_fallback_agrees(m2, rng, force_expm):
     # the eigenmode closed forms and the block matrix exponentials used for
     # ill-conditioned eigenbases are two routes to the same quantities
@@ -269,7 +279,9 @@ def test_variance_above_its_a_priori_bound_raises(m2, monkeypatch):
 def test_variance_limit_m2(m2):
     sd = spectral_data(m2)
     report = variance_limit_check(m2, sd, [1.0, -1.0], [5.0, 10.0, 15.0])
-    assert report.sigma_sq == pytest.approx(INV_SQRT2, abs=1e-8)
+    # the limit profile is sigma_f^2 phi0
+    sigma_sq = report.rows[0].limit_profile / sd.phi0
+    np.testing.assert_allclose(sigma_sq, INV_SQRT2, rtol=0, atol=1e-8)
     # closed form: deviation/phi0 = e^{-4t}/sqrt(2), down to float noise
     assert report.rows[0].stable_deviation == pytest.approx(
         math.exp(-20.0) / math.sqrt(2.0), rel=1e-6
@@ -277,7 +289,8 @@ def test_variance_limit_m2(m2):
     assert report.fitted_rate == pytest.approx(4.0, rel=1e-3)
     assert report.rate_ok
     # raw arithmetic saturates around the quadrature tolerance, still tiny
-    assert report.rows[-1].max_rel_deviation < 1e-8
+    last = report.rows[-1]
+    assert np.abs((last.var_profile - last.limit_profile) / sd.phi0).max() < 1e-8
 
 
 def test_variance_limit_zero_field(m2):
@@ -320,7 +333,8 @@ def test_variance_limit_convergence_toward_profile(m2, rng):
     report = variance_limit_check(m2, sd, [1.0, -1.0], [2.5, 3.5, 4.5])
     for row in report.rows:
         expect = math.exp(-4.0 * row.t) / math.sqrt(2.0)
-        assert row.max_rel_deviation == pytest.approx(expect, rel=1e-3, abs=1e-9)
+        raw = np.abs((row.var_profile - row.limit_profile) / sd.phi0).max()
+        assert raw == pytest.approx(expect, rel=1e-3, abs=1e-9)
     # on random critical models the cancellation-free deviation equals the
     # raw one wherever the raw difference stands far above float noise
     compared = 0

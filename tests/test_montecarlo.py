@@ -150,7 +150,8 @@ def test_worker_pool_is_capped_at_available_cpus(m2, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     simulate_paths(m2, [1.0, 0.0], SimConfig(**base, n_threads=100_000))
-    assert asked == [3, 4]
+    # one thread runs through a pool of one as well
+    assert asked == [1, 3, 4]
     np.testing.assert_array_equal(capped.states_at_t, one.states_at_t)
 
 
@@ -478,8 +479,6 @@ def test_conditional_statistics_require_survivors(m2):
         states_at_t=np.zeros((50, 2)),
         survived=np.zeros(50, dtype=bool),
         t_end=10.0,
-        dt=0.01,
-        seed=0,
     )
     with pytest.raises(SimulationError, match="surviving"):
         conditional_statistics(dead, sd, [1.0, -1.0])
@@ -495,7 +494,7 @@ def test_conditional_statistics_require_survivors(m2):
 def test_conditional_statistics_reject_malformed_field(m2, f, match):
     ens = PathEnsemble(
         states_at_t=np.array([[1.0, 1.0]]), survived=np.array([True]),
-        t_end=4.0, dt=0.01, seed=0,
+        t_end=4.0,
     )
     with pytest.raises(ModelError, match=match):
         conditional_statistics(ens, spectral_data(m2), f)
@@ -507,11 +506,10 @@ def test_conditional_samples_reductions(m2):
         states_at_t=np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 0.0]]),
         survived=np.array([True, False, True]),
         t_end=4.0,
-        dt=0.01,
-        seed=0,
     )
     samples = conditional_statistics(ens, sd, np.array([1.0, -1.0]))
-    assert samples.n_survivors == 2 and samples.n_paths == 3
+    # one sample per survivor
+    assert samples.v.size == samples.z.size == 2
     # V = <phi0, X>/t over survivors
     np.testing.assert_allclose(
         samples.v, [math.sqrt(2) / 4.0, 2 ** -0.5 * 2 / 4.0]
@@ -641,8 +639,7 @@ def test_clt_checks_self_consistency():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         w, gw = _sample_limit_law(law, rng, 50_000)
-        samples = ConditionalSamples(v=w, z=gw, n_survivors=w.size,
-                                     n_paths=w.size)
+        samples = ConditionalSamples(v=w, z=gw)
         report = clt_checks(samples, law.nu_mean, law.sigma_sq)
         assert report.ks_product.p_value > 0.01
         assert report.ks_ratio.p_value > 0.01
@@ -651,7 +648,7 @@ def test_clt_checks_self_consistency():
 
 def test_clt_checks_detect_dependence(rng):
     v = rng.exponential(0.5, 20_000)
-    samples = ConditionalSamples(v=v, z=v, n_survivors=v.size, n_paths=v.size)
+    samples = ConditionalSamples(v=v, z=v)
     report = clt_checks(samples, 0.5, 0.5)
     assert not report.independence_ok
     assert abs(report.correlation) > 0.5
@@ -659,7 +656,7 @@ def test_clt_checks_detect_dependence(rng):
 
 def test_clt_checks_need_enough_samples(rng):
     v = rng.exponential(0.5, 100)
-    samples = ConditionalSamples(v=v, z=v, n_survivors=100, n_paths=100)
+    samples = ConditionalSamples(v=v, z=v)
     with pytest.raises(SimulationError):
         clt_checks(samples, 0.5, 0.5)
 
@@ -676,7 +673,7 @@ def test_clt_checks_reject_bad_samples(rng, name, bad, requirement):
     v = rng.exponential(0.5, 2_000)
     z = rng.normal(0.0, 1.0, 2_000) * np.sqrt(v)
     {"v": v, "z": z}[name][3] = bad
-    samples = ConditionalSamples(v=v, z=z, n_survivors=v.size, n_paths=v.size)
+    samples = ConditionalSamples(v=v, z=z)
     with pytest.raises(ModelError, match=rf"^{name}\[3\] must be {requirement}, got {bad}$"):
         clt_checks(samples, 0.5, 0.5)
 
@@ -687,7 +684,7 @@ def test_clt_checks_reject_bad_samples(rng, name, bad, requirement):
 def test_limit_constants_must_be_finite_and_positive(rng, name, bad):
     # a NaN constant would give NaN p-values, which pass "p <= 0.001" gates
     v = rng.exponential(0.5, 2_000)
-    samples = ConditionalSamples(v=v, z=v, n_survivors=v.size, n_paths=v.size)
+    samples = ConditionalSamples(v=v, z=v)
     calls = {
         "scale": lambda: ks_exponential_test(v, bad),
         "nu_mean": lambda: clt_checks(samples, bad, 0.5),

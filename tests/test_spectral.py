@@ -719,6 +719,20 @@ def test_fluctuation_variance_m2(m2):
     assert got == pytest.approx(INV_SQRT2, abs=1e-8)
 
 
+def test_fluctuation_variance_of_a_field_past_the_square_root_of_the_double_range(m2):
+    # V^{-1} f squared overflows at f = 1e154 and gave inf, though
+    # sigma_f^2 = 1e308 / sqrt(2) is a double
+    sd = spectral_data(m2)
+    got = fluctuation_variance(m2, sd, np.array([1e154, -1e154]))
+    assert got == pytest.approx(INV_SQRT2 * 1e154 * 1e154, rel=1e-12)
+
+
+def test_fluctuation_variance_past_the_double_range_is_named(m2):
+    sd = spectral_data(m2)
+    with pytest.raises(ModelError, match=r"^sigma_f\^2 = inf is not finite: it leaves"):
+        fluctuation_variance(m2, sd, np.array([1e155, -1e155]))
+
+
 def test_fluctuation_variance_zero_field(m2):
     sd = spectral_data(m2)
     assert fluctuation_variance(m2, sd, np.zeros(2)) == 0.0
