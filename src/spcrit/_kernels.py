@@ -31,7 +31,7 @@ phi0 direction, where L s vanishes and the long-time solution lives: so
 summed, a solve on the two-state flip m2 from 1/T to T = 1e17 does not
 move off its start.  Apart, L s cancels on its own, and the stage and
 the step end add the two parts.  The reciprocal route takes
-[[L, 0], [0, W]] on [1/w; E(1/w)], or L alone on 1/w without jumps.
+[[L, 0], [0, W]] on [1/w; E(1/w)], whose second row is 0 without jumps.
 
 A stage is then two products and two multiplies, three calls more with
 jumps.  ``Workspace`` holds S, the step start u and the two parts of its
@@ -169,12 +169,10 @@ class Workspace:
     the start's (n, batch) view and ``parts`` the slopes' (12, 2, n, batch)
     view.  ``S`` is the stacked stage [s; E; q], and the right-hand side
     of slope j is the product of ``M`` and ``operand``, written into
-    ``slopes[j]``: all of M and S into both rows on the u route; on the
-    reciprocal route [[L, 0], [0, W]] on [s; E] into both rows, or L on s
-    into the linear row without jumps, whose nonlinear rows stay 0.  A
-    stage value is written into ``stage``: s itself on the u route, and a
-    separate w on the reciprocal route, whose right-hand side puts 1/w
-    into s.
+    ``slopes[j]``: all of M and S on the u route, and [[L, 0], [0, W]] on
+    [s; E] on the reciprocal route.  A stage value is written into
+    ``stage``: s itself on the u route, and a separate w on the reciprocal
+    route, whose right-hand side puts 1/w into s.
     """
 
     def __init__(self, M, neg_y, quad, batch, reciprocal=False):
@@ -188,19 +186,16 @@ class Workspace:
         self.S = np.zeros((2 * n + n_atoms, batch))
         self.s, self.E, self.q = self.S[:n], self.S[n:-n], self.S[-n:]
         self.z = np.zeros_like(self.E)
-        rows = 2 if n_atoms or not reciprocal else 1
-        # per slope the rows its right-hand side's product writes
-        self.slopes = list(self.parts[:, :rows].reshape(12, rows * n, batch))
+        # per slope both rows, as the one block its product writes
+        self.slopes = list(self.parts.reshape(12, 2 * n, batch))
         if reciprocal:
-            self.M = M[: rows * n, : n + n_atoms].copy()
+            self.M = M[:, : n + n_atoms].copy()
             self.M[n:] *= -1.0
             self.operand = self.S[: n + n_atoms]
             self.stage = np.zeros((n, batch))
-            # per slope the linear part, and the parts that w^2 scales:
-            # without jumps the linear part alone, as an (n, batch) view,
-            # which an in-place product takes without broadcasting
+            # per slope its two parts, which w^2 scales, and the linear part
+            self.scaled = list(self.parts)
             self.lin = list(self.parts[:, 0])
-            self.scaled = list(self.parts) if n_atoms else self.lin
         else:
             self.M, self.operand = M, self.S
             self.stage = self.s

@@ -27,7 +27,7 @@ product, whose BLAS kernel depends on the array's size, so a path's
 arithmetic does not depend on where it sits in the array.  Results
 therefore do not depend on thread count or scheduling.  T is the
 requested thread count, capped at the chunk count and at the CPUs
-available to the process.
+available to the process, and thread 0 is the caller's own.
 
 A step does only the array work its coefficients need.  The drift's terms
 are listed once per group: a row of ``Q`` that is all zero and a growth
@@ -307,8 +307,11 @@ def simulate_paths(
         for i in range(0, len(chunks), _GROUP_CHUNKS):
             _simulate_group(model, mu, cfg, chunks[i : i + _GROUP_CHUNKS], out)
 
+    # the caller runs group 0, so one group starts no thread (and Ctrl-C stops it)
     with ThreadPoolExecutor(max_workers=n_groups) as pool:
-        for future in [pool.submit(run, g) for g in range(n_groups)]:
+        futures = [pool.submit(run, g) for g in range(1, n_groups)]
+        run(0)
+        for future in futures:
             future.result()
 
     return PathEnsemble(

@@ -408,14 +408,17 @@ def _mode_terms(eig, avar: np.ndarray, f: np.ndarray, rows=slice(None)) -> np.nd
 
 
 def _power_of_two(f: np.ndarray) -> float:
-    """The power of two at the largest |f| entry, 1 for f = 0.
+    """1 while every |f| entry is below 1e150, else the power of two at the
+    largest entry.
 
-    f over it is exact and below 2 in size, so the closed forms, which
-    square V^{-1} f, stay in range; a result quadratic in f is then
-    scaled back by two multiplications, and is inf only when its value is
-    past the double range.
+    The closed forms square V^{-1} f, which leaves the double range past
+    about 1.3e154.  f over the power is exact and below 2 in size; a result
+    quadratic in f is scaled back by two multiplications, so it is inf only
+    when its value is past the double range.  The maximum of a list of a
+    few entries costs a quarter of a numpy reduction.
     """
-    return math.ldexp(1.0, math.frexp(float(np.abs(f).max()))[1] - 1)
+    big = max(map(abs, f.tolist()))
+    return 1.0 if big < 1e150 else math.ldexp(1.0, math.frexp(big)[1] - 1)
 
 
 def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.ndarray:
@@ -424,19 +427,19 @@ def _variance_profile(model: SuperprocessModel, f: np.ndarray, t: float) -> np.n
     The profile is the integral over [0, t] of T_{t-s}[avar (T_s f)^2] ds.
     Over the eigenmodes of L each term of ``_mode_terms`` integrates
     e^{w_m (t-s) + (w_i + w_j) s} in closed form.  Near a defective L (the
-    mean semigroup's own test) it is ``_block_profile`` of L.  f is scaled
-    by ``_power_of_two``.
+    mean semigroup's own test) it is ``_block_profile`` of L.  A field
+    past 1e150 is scaled by ``_power_of_two``.
     """
-    dc = derived_coefficients(model)
     scale = _power_of_two(f)
-    f = f / scale
+    if scale > 1.0:
+        return _variance_profile(model, f / scale, t) * scale * scale
+    dc = derived_coefficients(model)
     eig = dc.eigensystem
     if eig is None:
-        return _block_profile(dc.L, dc.avar, f, t) * scale * scale
+        return _block_profile(dc.L, dc.avar, f, t)
     w, v, _ = eig
     weights = _exp_integral(w[:, None, None], (w[:, None] + w[None, :])[None], t)
-    profile = (v @ np.einsum("mij,mij->m", _mode_terms(eig, dc.avar, f), weights)).real
-    return profile * scale * scale
+    return (v @ np.einsum("mij,mij->m", _mode_terms(eig, dc.avar, f), weights)).real
 
 
 def _limit_gap(
@@ -451,11 +454,13 @@ def _limit_gap(
     is the tail past t, the psi0-weight of ``_block_profile`` of L at
     40 / gamma (e^{-80} short) from e^{tA} f, and the rest is minus the
     block profile of the deflated generator A, projected by
-    P = I - phi0 (psi0 m)^T.  f is scaled by ``_power_of_two``.
+    P = I - phi0 (psi0 m)^T.  A field past 1e150 is scaled by
+    ``_power_of_two``.
     """
-    f = remove_principal_component(f, sd)
     scale = _power_of_two(f)
-    f = f / scale
+    if scale > 1.0:
+        return _limit_gap(model, sd, f / scale, t) * scale * scale
+    f = remove_principal_component(f, sd)
     dc = derived_coefficients(model)
     eig = dc.eigensystem
     if eig is None:
@@ -464,7 +469,7 @@ def _limit_gap(
         A = _deflated_generator(dc.L, sd.phi0, sd.psi0, sd.m)
         tail = sd.psi_weight(_block_profile(dc.L, dc.avar, expm(t * A) @ f, 40.0 / sd.gamma))
         P = np.eye(model.n_states) - np.outer(sd.phi0, sd.psi0 * sd.m)
-        return (tail * sd.phi0 - P @ _block_profile(A, dc.avar, f, t)) * scale * scale
+        return tail * sd.phi0 - P @ _block_profile(A, dc.avar, f, t)
     w, v, _ = eig
     p = int(np.argmax(w.real))
     rest = np.arange(w.size) != p
@@ -477,7 +482,7 @@ def _limit_gap(
     else:  # every other mode's integral over [0, t] vanishes
         live, weights = [p], principal[None]
     terms = _mode_terms(eig, dc.avar, f, live)[:, rest][:, :, rest]
-    return (v[:, live] @ np.einsum("mij,mij->m", terms, weights)).real * scale * scale
+    return (v[:, live] @ np.einsum("mij,mij->m", terms, weights)).real
 
 
 def fluctuation_variance(model: SuperprocessModel, sd: SpectralData, f) -> float:

@@ -150,9 +150,35 @@ def test_worker_pool_is_capped_at_available_cpus(m2, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     simulate_paths(m2, [1.0, 0.0], SimConfig(**base, n_threads=100_000))
-    # one thread runs through a pool of one as well
+    # one thread asks for a pool of one too, which the caller's group leaves
+    # without a thread
     assert asked == [1, 3, 4]
     np.testing.assert_array_equal(capped.states_at_t, one.states_at_t)
+
+
+def test_caller_thread_runs_the_first_group(m2, monkeypatch):
+    # with one group no worker thread runs a chunk, so Ctrl-C stops the run
+    # at once; with two, the caller runs chunk 0's group and a worker the other
+    import threading
+
+    from spcrit import montecarlo
+
+    ran = []
+    real = montecarlo._simulate_group
+    caller = threading.current_thread()
+
+    def recording(model, mu, cfg, chunks, out):
+        ran.append((chunks[0], threading.current_thread() is caller))
+        real(model, mu, cfg, chunks, out)
+
+    monkeypatch.setattr(montecarlo, "_simulate_group", recording)
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    base = dict(t_end=0.1, dt=0.01, n_paths=2 * CHUNK_PATHS, seed=5)
+    simulate_paths(m2, [1.0, 0.0], SimConfig(**base))
+    assert ran == [(0, True)]
+    ran.clear()
+    simulate_paths(m2, [1.0, 0.0], SimConfig(**base, n_threads=2))
+    assert sorted(ran) == [(0, True), (1, False)]
 
 
 def _reference_chunk(model, mu, cfg, chunk, n_chunk):
